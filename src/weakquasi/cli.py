@@ -29,7 +29,7 @@ from .core import (
     pauli_z,
 )
 from .quasiprob import cq, mhq, negativity, threshold_strength
-from .sampling import NoiseModel, run_sweep, strength_from_waveplate
+from .sampling import NoiseModel, ZeroCountsError, run_sweep, strength_from_waveplate
 
 QUANTITIES = ("p_weak", "cq", "mhq", "weak_cq", "weak_mhq", "C", "mhq_reconstructed", "thresholds")
 
@@ -80,6 +80,24 @@ def _fail(field: str, message: str):
     raise ConfigError(f"config field '{field}': {message}")
 
 
+def _number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        _fail(field, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, field: str, minimum: int) -> int:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        _fail(field, f"expected an integer, got {value!r}")
+    if value < minimum:
+        _fail(field, f"must be at least {minimum}, got {int(value)}")
+    return int(value)
+
+
 def _complex_entry(entry, field: str) -> complex:
     if isinstance(entry, (int, float)):
         return complex(entry)
@@ -98,7 +116,7 @@ def _parse_state(doc: dict, dim: int) -> DensityOperator:
     if "theta0" in doc:
         if dim != 2:
             _fail("theta0", "the preparation-angle shorthand needs dimension 2")
-        angle = math.radians(2.0 * float(doc["theta0"]))
+        angle = math.radians(2.0 * _number(doc["theta0"], "theta0"))
         return make_pure_state([math.cos(angle), math.sin(angle)])
     if "state" not in doc:
         _fail("state", "a scenario needs 'theta0' or 'state'")
@@ -139,8 +157,11 @@ def _parse_k_grid(doc: dict) -> tuple[float, ...]:
         _fail("K", "'K' and 'phi' are mutually exclusive ways to set the strength grid")
     if "phi" in doc:
         angles = doc["phi"] if isinstance(doc["phi"], list) else [doc["phi"]]
+        if not angles:
+            _fail("phi", "the strength grid is empty")
+        angles = [_number(phi, "phi") for phi in angles]
         try:
-            return tuple(strength_from_waveplate(float(phi)) for phi in angles)
+            return tuple(strength_from_waveplate(phi) for phi in angles)
         except ValueError as exc:
             _fail("phi", str(exc))
     spec = doc.get("K", {"start": 0.0, "stop": 1.0, "num": 11})
@@ -148,9 +169,15 @@ def _parse_k_grid(doc: dict) -> tuple[float, ...]:
         extra = set(spec) - {"start", "stop", "num"}
         if extra:
             _fail("K", f"unknown range keys {sorted(extra)}")
-        values = np.linspace(spec.get("start", 0.0), spec.get("stop", 1.0), int(spec.get("num", 11)))
+        values = np.linspace(
+            _number(spec.get("start", 0.0), "K.start"),
+            _number(spec.get("stop", 1.0), "K.stop"),
+            _integer(spec.get("num", 11), "K.num", 1),
+        )
     else:
-        values = [float(k) for k in (spec if isinstance(spec, list) else [spec])]
+        values = [_number(k, "K") for k in (spec if isinstance(spec, list) else [spec])]
+    if len(values) == 0:
+        _fail("K", "the strength grid is empty")
     for k in values:
         if not 0.0 <= k <= 1.0:
             _fail("K", f"strength {k} outside [0, 1]")
@@ -173,9 +200,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
 
-    dim = int(doc.get("dimension", 2))
-    if dim < 2:
-        _fail("dimension", f"must be at least 2, got {dim}")
+    dim = _integer(doc.get("dimension", 2), "dimension", 2)
     rho = _parse_state(doc, dim)
     if rho.dim != dim:
         _fail("state", f"has dimension {rho.dim}, config says {dim}")
@@ -186,8 +211,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if "hamiltonian" in doc:
         h = _complex_matrix(doc["hamiltonian"], "hamiltonian")
+        dt = _number(doc.get("dt", 1.0), "dt")
         try:
-            obs_b = evolve_observable(obs_b, h, float(doc.get("dt", 1.0)))
+            obs_b = evolve_observable(obs_b, h, dt)
         except ValueError as exc:
             _fail("hamiltonian", str(exc))
     elif "dt" in doc:
@@ -196,23 +222,22 @@ def parse_config(text: str) -> ScenarioConfig:
     k_values = _parse_k_grid(doc)
 
     shots_spec = doc.get("shots", "exact")
-    if shots_spec == "exact":
-        shots = None
-    else:
-        shots = int(shots_spec)
-        if shots < 1:
-            _fail("shots", f"must be at least 1, got {shots}")
+    shots = None if shots_spec == "exact" else _integer(shots_spec, "shots", 1)
 
+    visibility = _number(doc.get("noise", 1.0), "noise")
     try:
-        noise = NoiseModel(float(doc.get("noise", 1.0)))
+        noise = NoiseModel(visibility)
     except ValueError as exc:
         _fail("noise", str(exc))
 
-    resamples = int(doc.get("resamples", 1000))
+    resamples = _integer(doc.get("resamples", 1000), "resamples", 0)
     if shots is not None and resamples < 100:
         _fail("resamples", f"need at least 100, got {resamples}")
 
-    outputs = tuple(doc.get("outputs", QUANTITIES))
+    outputs = doc.get("outputs", QUANTITIES)
+    if not isinstance(outputs, (list, tuple)) or not all(isinstance(q, str) for q in outputs):
+        _fail("outputs", f"expected a list of quantity names, got {outputs!r}")
+    outputs = tuple(outputs)
     bad = set(outputs) - set(QUANTITIES)
     if bad:
         _fail("outputs", f"unknown quantities {sorted(bad)}; available: {list(QUANTITIES)}")
@@ -231,7 +256,7 @@ def parse_config(text: str) -> ScenarioConfig:
         shots=shots,
         noise=noise,
         resamples=resamples,
-        seed=int(doc.get("seed", 0)),
+        seed=_integer(doc.get("seed", 0), "seed", 0),
         outputs=outputs,
         engine=engine,
     )
@@ -365,8 +390,16 @@ def _read_table(path: Path) -> dict[tuple, tuple[float, float]]:
             raise ValueError(f"schema mismatch in {path}: header {header}, expected {CSV_HEADER}")
         rows = {}
         for row in reader:
-            key = (row[0], row[1], row[2], row[3])
-            rows[key] = (float(row[4]), float(row[5]))
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"{where}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+            key = tuple(row[:4])
+            if key in rows:
+                raise ValueError(f"{where}: duplicate row key {key}")
+            try:
+                rows[key] = (float(row[4]), float(row[5]))
+            except ValueError:
+                raise ValueError(f"{where}: value or stderr is not a number") from None
     return rows
 
 
@@ -374,8 +407,12 @@ def compare(path_a: str | Path, path_b: str | Path, tolerance: float) -> tuple[l
     """Row-wise absolute differences between two exported tables.
 
     Returns (report lines, ok); ok is False when any value differs by more
-    than the tolerance.  Mismatched headers or row sets raise ValueError.
+    than the tolerance or either value is NaN or infinite.  Mismatched
+    headers or row sets, malformed or duplicated rows, and a tolerance that
+    is negative or not finite raise ValueError.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     rows_a = _read_table(Path(path_a))
     rows_b = _read_table(Path(path_b))
     if rows_a.keys() != rows_b.keys():
@@ -384,13 +421,34 @@ def compare(path_a: str | Path, path_b: str | Path, tolerance: float) -> tuple[l
         raise ValueError(f"row sets differ (e.g. only in a: {only_a}, only in b: {only_b})")
     report = []
     worst = 0.0
+    non_finite = 0
     for key in sorted(rows_a):
-        diff = abs(rows_a[key][0] - rows_b[key][0])
+        value_a, value_b = rows_a[key][0], rows_b[key][0]
+        where = f"K={key[0]} ({key[1]},{key[2]}) {key[3]}"
+        if not (math.isfinite(value_a) and math.isfinite(value_b)):
+            non_finite += 1
+            report.append(f"non-finite value at {where}: {value_a!r} vs {value_b!r}")
+            continue
+        diff = abs(value_a - value_b)
         worst = max(worst, diff)
         if diff > tolerance:
-            report.append(f"exceeds tolerance at K={key[0]} ({key[1]},{key[2]}) {key[3]}: |diff|={diff:.3e}")
+            report.append(f"exceeds tolerance at {where}: |diff|={diff:.3e}")
     report.append(f"max |diff| = {worst:.3e} over {len(rows_a)} rows (tolerance {tolerance:g})")
-    return report, worst <= tolerance
+    if non_finite:
+        report.append(f"{non_finite} row(s) hold a non-finite value, which no tolerance accepts")
+    return report, worst <= tolerance and not non_finite
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def main(argv=None) -> int:
@@ -403,10 +461,12 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="evaluate a scenario config and export CSV tables")
     p_run.add_argument("config", help="path to the JSON scenario document")
     p_run.add_argument("--out", default="out", help="output directory (default: ./out)")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_run.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed")
     mode = p_run.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="force exact (infinite-statistics) mode")
-    mode.add_argument("--shots", type=int, default=None, help="override the per-setting shot count")
+    mode.add_argument(
+        "--shots", type=_int_at_least(1), default=None, help="override the per-setting shot count"
+    )
 
     p_cmp = sub.add_parser("compare", help="diff two exported tables within a tolerance")
     p_cmp.add_argument("table_a")
@@ -427,7 +487,11 @@ def main(argv=None) -> int:
             config = replace(config, shots=None)
         elif args.shots is not None:
             config = replace(config, shots=args.shots)
-        summary = run(config, args.out)
+        try:
+            summary = run(config, args.out)
+        except ZeroCountsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         written = sorted(q for q in config.outputs if q != "thresholds")
         print(f"wrote {', '.join(q + '.csv' for q in written)} and summary.json to {args.out}")
         print(f"runtime: {summary['runtime_seconds']} s, seed {summary['seed']}, shots {summary['shots']}")

@@ -27,9 +27,10 @@ from .core import (
 )
 from .schemes import (
     JointDistribution,
+    _weak_joint_states,
     joint_outcome_table,
     probability_table,
-    weak_joint_state,
+    weak_joint_state,  # noqa: F401  (looked up here by perfbench/tracing.py)
     weak_sequential_closed,
 )
 from .quasiprob import (
@@ -44,6 +45,7 @@ __all__ = [
     "NoiseModel",
     "QubitScenario",
     "StrengthRecord",
+    "ZeroCountsError",
     "apply_gate_noise",
     "estimate_with_errors",
     "run_scenario",
@@ -51,6 +53,10 @@ __all__ = [
     "sample_counts",
     "strength_from_waveplate",
 ]
+
+
+class ZeroCountsError(ValueError):
+    """A sampled setting drew no counts at all, so it has no estimator."""
 
 
 @dataclass(frozen=True)
@@ -233,23 +239,27 @@ class StrengthRecord:
     errors: dict = field(default_factory=dict)
 
 
-def _exact_setting_table(
+def _exact_setting_tables(
     rho: DensityOperator,
     obs_a: ObservableSpec,
     obs_b: ObservableSpec,
-    k: float,
+    settings,
     noise: NoiseModel,
     engine: str,
-) -> JointDistribution:
+) -> dict[float, JointDistribution]:
+    """Exact table of each strength setting, evaluated once per setting."""
     if engine == "closed":
         if not noise.is_ideal:
             raise ValueError("the closed-form engine cannot model gate noise")
-        return weak_sequential_closed(rho, obs_a, obs_b, k)
+        return {k: weak_sequential_closed(rho, obs_a, obs_b, k) for k in settings}
     if engine != "circuit":
         raise ValueError(f"unknown engine {engine!r}")
-    joint = weak_joint_state(rho, obs_a, k)
-    joint = apply_gate_noise(joint, noise, basis=obs_a.eigenvectors)
-    return probability_table(joint_outcome_table(joint, obs_b))
+    return {
+        k: probability_table(
+            joint_outcome_table(apply_gate_noise(joint, noise, basis=obs_a.eigenvectors), obs_b)
+        )
+        for k, joint in _weak_joint_states(rho, obs_a, settings)
+    }
 
 
 def _derived_tables(pw: np.ndarray, pt: np.ndarray, pf: np.ndarray, strength: WeakStrength):
@@ -312,11 +322,15 @@ def run_sweep(
 ) -> list[StrengthRecord]:
     """Evaluate the weak-sequential experiment over a grid of strengths.
 
-    For every strength K the experiment is run at three settings, K itself
-    plus the reference strengths 1 and 0, which supply the projective table
-    and the final-observable marginal entering the reconstruction formulas.
-    All derived tables are then computed from those (estimated or exact)
-    tables alone, exactly as they would be from laboratory data.
+    Every strength point K uses three settings, K itself plus the reference
+    strengths 1 and 0, which supply the projective table and the
+    final-observable marginal entering the reconstruction formulas.  The
+    exact table of each distinct setting is computed once per sweep and
+    shared by every point that uses it; the circuit engine also builds the
+    coupling unitary once.  Per point, sampled mode draws fresh counts for
+    all three settings from that point's own generator, and all derived
+    tables are computed from those (estimated or exact) tables alone,
+    exactly as they would be from laboratory data.
 
     Parameters
     ----------
@@ -343,15 +357,18 @@ def run_sweep(
     """
     k_list = [float(k) for k in k_values]
     d = rho.dim
+    # the projective (K=1) and no-measurement (K=0) reference settings are
+    # the same at every point, so each distinct setting is evaluated once
+    exact_by_k = _exact_setting_tables(
+        rho, obs_a, obs_b, sorted(set(k_list) | {0.0, 1.0}), noise, engine
+    )
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(k_list))
     records = []
     for k, child in zip(k_list, children):
         strength = WeakStrength.from_k(k, d)
-        # three settings per strength point: the sweep value plus the
-        # projective (K=1) and no-measurement (K=0) reference runs
         settings = (k, 1.0, 0.0)
-        exact = [_exact_setting_table(rho, obs_a, obs_b, s, noise, engine) for s in settings]
+        exact = [exact_by_k[s] for s in settings]
         if shots is None:
             p_weak, p_tpm = exact[0], exact[1]
             p_fin = exact[2].marginal_b()
@@ -371,6 +388,12 @@ def run_sweep(
                 sample_counts(table, shots, s, setting=(k, f"K={setting:g}"))
                 for table, setting, s in zip(exact, settings, seeds)
             ]
+            for table, setting in zip(tables, settings):
+                if table.total == 0:
+                    raise ZeroCountsError(
+                        f"shots={shots} drew an all-zero count table for setting K={setting:g} "
+                        f"at strength point K={k:g}; increase shots"
+                    )
             p_weak = tables[0].estimator()
             p_tpm = tables[1].estimator()
             p_fin = tables[2].estimator().marginal_b()

@@ -272,12 +272,22 @@ def weak_joint_state(rho: DensityOperator, obs_a: ObservableSpec, k: float) -> D
     The pointer starts in the strength-k preparation; the returned operator
     lives on the d^2-dimensional system (x) pointer space.
     """
+    return next(_weak_joint_states(rho, obs_a, (k,)))[1]
+
+
+def _weak_joint_states(rho: DensityOperator, obs_a: ObservableSpec, k_values):
+    """Yield (k, U (rho (x) |mu_k><mu_k|) U^dagger) per k, building U once.
+
+    The coupling U depends only on A, so a sweep over strengths shares it.
+    """
     if rho.dim != obs_a.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs_a.dim}")
-    pointer, _ = pointer_for_strength(k, rho.dim)
     u = controlled_shift(obs_a)
-    joint = np.kron(rho.matrix, pointer.density())
-    return DensityOperator(u @ joint @ u.conj().T)
+    u_dagger = u.conj().T
+    for k in k_values:
+        pointer, _ = pointer_for_strength(k, rho.dim)
+        joint = np.kron(rho.matrix, pointer.density())
+        yield k, DensityOperator(u @ joint @ u_dagger)
 
 
 def joint_outcome_table(joint: DensityOperator, obs_b: ObservableSpec) -> np.ndarray:

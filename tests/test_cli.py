@@ -141,6 +141,32 @@ def test_parse_shots_and_noise_validation():
         parse_config('{"theta0": 10.6, "noise": 1.5}')
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"dimension": "x"}, "dimension"),
+        ({"theta0": "x"}, "theta0"),
+        ({"shots": "lots"}, "shots"),
+        ({"resamples": None}, "resamples"),
+        ({"K": {"num": -1}}, "K.num"),
+        ({"K": "abc"}, "K"),
+        ({"K": []}, "K"),
+        ({"phi": []}, "phi"),
+        ({"seed": -1}, "seed"),
+        ({"noise": None}, "noise"),
+        ({"outputs": 5}, "outputs"),
+    ],
+)
+def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
+    doc = {"theta0": 10.6, **fields}
+    with pytest.raises(ConfigError, match=f"config field '{name}'"):
+        parse_config(json.dumps(doc))
+    path = write_config(tmp_path, "bad.json", doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: config field '{name}'")
+
+
 # ------------------------------------------------------------------- run
 
 def test_run_exports_format(tmp_path, cs):
@@ -269,6 +295,41 @@ def test_compare_rejects_schema_mismatch(tmp_path):
         compare(tmp_path / "x.csv", tmp_path / "z.csv", 1e-9)
 
 
+HEADER = "K,a,b,quantity,value,stderr\n"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_compare_fails_on_non_finite_values(tmp_path, capsys, bad):
+    (tmp_path / "x.csv").write_text(HEADER + f"0,H,D,p_weak,{bad},0\n0,H,A,p_weak,0.5,0\n")
+    (tmp_path / "y.csv").write_text(HEADER + "0,H,D,p_weak,0.25,0\n0,H,A,p_weak,0.5,0\n")
+    for first, second in (("x", "y"), ("y", "x"), ("x", "x")):
+        report, ok = compare(tmp_path / f"{first}.csv", tmp_path / f"{second}.csv", 1.0)
+        assert not ok
+        assert any("non-finite" in line for line in report)
+    assert main(["compare", str(tmp_path / "x.csv"), str(tmp_path / "y.csv"), "--tol", "1"]) == 1
+    # a NaN tolerance would accept every difference
+    assert main(["compare", str(tmp_path / "y.csv"), str(tmp_path / "y.csv"), "--tol", "nan"]) == 2
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,H,D,p_weak,0.9,0\n0,H,A,p_weak,0.1,0\n0,H,D,p_weak,0.25,0\n", "line 4: duplicate row key"),
+        ("0,H,D,p_weak,0.25,0\n0,H,A,p_weak\n", "line 3: expected 6 fields, got 4"),
+        ("0,H,D,p_weak,0.25,0\n0,H,A,p_weak,abc,0\n", "line 3: value or stderr is not a number"),
+    ],
+    ids=["duplicate-key", "short-row", "non-numeric"],
+)
+def test_compare_rejects_malformed_rows(tmp_path, capsys, body, message):
+    (tmp_path / "bad.csv").write_text(HEADER + body)
+    (tmp_path / "good.csv").write_text(HEADER + "0,H,D,p_weak,0.25,0\n0,H,A,p_weak,0.1,0\n")
+    with pytest.raises(ValueError, match=f"bad.csv, {message}"):
+        compare(tmp_path / "good.csv", tmp_path / "bad.csv", 1e-9)
+    assert main(["compare", str(tmp_path / "bad.csv"), str(tmp_path / "good.csv"), "--tol", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 def test_compare_circuit_vs_closed_engines(tmp_path):
     base = {"theta0": 10.6, "K": [0.0, 0.3, 0.7, 1.0], "outputs": ["p_weak"]}
     run(parse_config(json.dumps(base)), tmp_path / "circuit")
@@ -344,3 +405,17 @@ def test_main_compare_exit_codes(tmp_path, capsys):
         ["compare", str(tmp_path / "a/p_weak.csv"), str(tmp_path / "missing.csv"), "--tol", "0"]
     ) == 2
     capsys.readouterr()
+
+
+def test_main_rejects_low_shots_and_bad_overrides(tmp_path, capsys):
+    # one expected count per setting leaves some setting with no counts at all
+    path = write_config(tmp_path, "scenario.json", {"theta0": 10.6, "K": {"num": 21}})
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--shots", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: shots=1 drew an all-zero count table for setting K=")
+    for flag, value in (("--shots", "0"), ("--seed", "-1")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(path), "--out", str(tmp_path / "out"), flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err

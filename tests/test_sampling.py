@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from weakquasi.core import WeakStrength, make_pure_state
+import weakquasi.sampling as sampling
+import weakquasi.schemes as schemes
+from weakquasi.core import DensityOperator, WeakStrength, make_pure_state
 from weakquasi.quasiprob import (
     mhq,
     negativity,
@@ -260,6 +262,65 @@ def test_run_sweep_closed_engine_matches_circuit(scenario_state, obs_z, obs_x):
     circuit = run_sweep(scenario_state, obs_z, obs_x, [0.3], engine="circuit")[0]
     closed = run_sweep(scenario_state, obs_z, obs_x, [0.3], engine="closed")[0]
     assert np.abs(circuit.p_weak.values - closed.p_weak.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+def test_noisy_circuit_matches_closed_form_on_dephased_state(dim):
+    # dephasing in A's basis commutes with the controlled shift, so the noisy
+    # circuit equals the closed form on nu rho + (1 - nu) sum_a Pi_a rho Pi_a
+    from conftest import random_instance
+
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(500 + dim), dim)
+    projectors = obs_a.projectors()
+    dephased = np.einsum("aij,jk,akl->il", projectors, rho.matrix, projectors)
+    k_grid = [0.0, 0.3, 0.7, 1.0]
+    for nu in (1.0, 0.9, 0.5, 0.0):
+        target = DensityOperator(nu * rho.matrix + (1.0 - nu) * dephased)
+        records = run_sweep(rho, obs_a, obs_b, k_grid, noise=NoiseModel(nu))
+        for k, record in zip(k_grid, records):
+            expected = weak_sequential_closed(target, obs_a, obs_b, k).values
+            assert np.abs(record.p_weak.values - expected).max() <= 1e-12, (nu, k)
+        assert np.abs(records[0].p_tpm.values - tpm_joint(target, obs_a, obs_b).values).max() <= 1e-12
+        assert np.abs(records[0].p_fin - marginals(target, obs_a, obs_b).p_fin).max() <= 1e-12
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "k_grid, evaluations",
+    [(np.linspace(0.0, 1.0, 21), 21), ([0.3, 0.55, 0.55, 0.9], 5)],
+)
+@pytest.mark.parametrize("engine", ["circuit", "closed"])
+def test_run_sweep_evaluates_each_distinct_setting_once(
+    monkeypatch, scenario_state, obs_z, obs_x, k_grid, evaluations, engine
+):
+    # every point needs its own K plus the references K=1 and K=0, which are
+    # shared: one table per element of set(grid) | {0, 1}
+    readouts = _count_calls(monkeypatch, sampling, "joint_outcome_table")
+    closed = _count_calls(monkeypatch, sampling, "weak_sequential_closed")
+    couplings = _count_calls(monkeypatch, schemes, "controlled_shift")
+    records = run_sweep(scenario_state, obs_z, obs_x, k_grid, engine=engine)
+    assert len(records) == len(k_grid)
+    assert len(readouts) + len(closed) == evaluations
+    assert len(readouts if engine == "circuit" else closed) == evaluations
+    assert len(couplings) == (1 if engine == "circuit" else 0)
+
+
+def test_run_sweep_sampled_mode_draws_three_tables_per_point(monkeypatch, scenario_state, obs_z, obs_x):
+    k_grid = [0.3, 0.55, 0.55, 0.9]
+    draws = _count_calls(monkeypatch, sampling, "sample_counts")
+    run_sweep(scenario_state, obs_z, obs_x, k_grid, shots=10**4, resamples=100, seed=9)
+    assert len(draws) == 3 * len(k_grid)
 
 
 def test_run_sweep_closed_engine_rejects_noise(scenario_state, obs_z, obs_x):
