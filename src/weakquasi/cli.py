@@ -29,7 +29,9 @@ from .core import (
     pauli_z,
 )
 from .quasiprob import cq, mhq, negativity, threshold_strength
-from .sampling import NoiseModel, ZeroCountsError, run_sweep, strength_from_waveplate
+from .sampling import NoiseModel, QubitScenario, ZeroCountsError, run_sweep, strength_from_waveplate
+
+MAX_GRID_POINTS = 10_000  # largest strength grid a "K" range may request
 
 QUANTITIES = ("p_weak", "cq", "mhq", "weak_cq", "weak_mhq", "C", "mhq_reconstructed", "thresholds")
 
@@ -75,15 +77,23 @@ class ScenarioConfig:
     outputs: tuple[str, ...]
     engine: str
 
+    def __post_init__(self):
+        # checked on construction, so a CLI override applied with replace() is checked too
+        if self.shots is not None and self.resamples < 100:
+            _fail("resamples", f"need at least 100 in sampled mode, got {self.resamples}")
+
 
 def _fail(field: str, message: str):
     raise ConfigError(f"config field '{field}': {message}")
 
 
 def _number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        _fail(field, f"expected a finite number, got {value!r}")
-    return float(value)
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    _fail(field, f"expected a finite number, got {value!r}")
 
 
 def _integer(value, field: str, minimum: int) -> int:
@@ -107,7 +117,17 @@ def _complex_entry(entry, field: str) -> complex:
 
 
 def _complex_matrix(rows, field: str) -> np.ndarray:
-    return np.array([[_complex_entry(e, field) for e in row] for row in rows], dtype=complex)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        _fail(field, f"expected a matrix as a list of rows, got {rows!r}")
+    if len({len(row) for row in rows}) > 1:
+        _fail(field, "matrix rows differ in length")
+    try:
+        matrix = np.array([[_complex_entry(e, field) for e in row] for row in rows], dtype=complex)
+    except (TypeError, OverflowError):  # a non-number in an [re, im] pair, or a huge integer
+        _fail(field, "entries must be numbers or [re, im] pairs of numbers")
+    if not np.isfinite(matrix).all():
+        _fail(field, "entries must be finite")
+    return matrix
 
 
 def _parse_state(doc: dict, dim: int) -> DensityOperator:
@@ -116,8 +136,11 @@ def _parse_state(doc: dict, dim: int) -> DensityOperator:
     if "theta0" in doc:
         if dim != 2:
             _fail("theta0", "the preparation-angle shorthand needs dimension 2")
-        angle = math.radians(2.0 * _number(doc["theta0"], "theta0"))
-        return make_pure_state([math.cos(angle), math.sin(angle)])
+        theta0 = _number(doc["theta0"], "theta0")
+        try:
+            return QubitScenario(theta0).state()
+        except ValueError:  # math.cos of an angle that overflowed to inf
+            _fail("theta0", f"angle {theta0} is out of range")
     if "state" not in doc:
         _fail("state", "a scenario needs 'theta0' or 'state'")
     spec = doc["state"]
@@ -129,7 +152,7 @@ def _parse_state(doc: dict, dim: int) -> DensityOperator:
         return make_pure_state([_complex_entry(e, "state") for e in spec])
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         _fail("state", str(exc))
 
 
@@ -145,7 +168,16 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
         _fail(field, "expected a preset name or an object with 'eigenvectors'")
     vecs = _complex_matrix(spec["eigenvectors"], f"{field}.eigenvectors")
     eigenvalues = spec.get("eigenvalues", list(range(len(vecs))))
-    labels = tuple(spec.get("labels", ()))
+    if not isinstance(eigenvalues, list):
+        _fail(f"{field}.eigenvalues", f"expected a list of numbers, got {eigenvalues!r}")
+    eigenvalues = [_number(v, f"{field}.eigenvalues") for v in eigenvalues]
+    labels = spec.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        _fail(f"{field}.labels", f"expected a list of strings, got {labels!r}")
+    # exported rows are keyed by outcome labels, so labels must be distinct
+    if len(set(labels)) != len(labels):
+        _fail(f"{field}.labels", f"labels must be distinct, got {labels!r}")
+    labels = tuple(labels)
     try:
         return ObservableSpec(vecs, eigenvalues, name=spec.get("name", ""), labels=labels)
     except ValueError as exc:
@@ -155,32 +187,35 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
 def _parse_k_grid(doc: dict) -> tuple[float, ...]:
     if "K" in doc and "phi" in doc:
         _fail("K", "'K' and 'phi' are mutually exclusive ways to set the strength grid")
-    if "phi" in doc:
-        angles = doc["phi"] if isinstance(doc["phi"], list) else [doc["phi"]]
-        if not angles:
-            _fail("phi", "the strength grid is empty")
-        angles = [_number(phi, "phi") for phi in angles]
-        try:
-            return tuple(strength_from_waveplate(phi) for phi in angles)
-        except ValueError as exc:
-            _fail("phi", str(exc))
-    spec = doc.get("K", {"start": 0.0, "stop": 1.0, "num": 11})
-    if isinstance(spec, dict):
+    field = "phi" if "phi" in doc else "K"
+    spec = doc.get(field, {"start": 0.0, "stop": 1.0, "num": 11})
+    if field == "K" and isinstance(spec, dict):
         extra = set(spec) - {"start", "stop", "num"}
         if extra:
             _fail("K", f"unknown range keys {sorted(extra)}")
+        num = _integer(spec.get("num", 11), "K.num", 1)
+        if num > MAX_GRID_POINTS:
+            _fail("K.num", f"must be at most {MAX_GRID_POINTS}, got {num}")
         values = np.linspace(
-            _number(spec.get("start", 0.0), "K.start"),
-            _number(spec.get("stop", 1.0), "K.stop"),
-            _integer(spec.get("num", 11), "K.num", 1),
+            _number(spec.get("start", 0.0), "K.start"), _number(spec.get("stop", 1.0), "K.stop"), num
         )
     else:
-        values = [_number(k, "K") for k in (spec if isinstance(spec, list) else [spec])]
+        values = [_number(v, field) for v in (spec if isinstance(spec, list) else [spec])]
     if len(values) == 0:
-        _fail("K", "the strength grid is empty")
+        _fail(field, "the strength grid is empty")
+    if field == "phi":
+        try:
+            values = [strength_from_waveplate(phi) for phi in values]
+        except ValueError as exc:
+            _fail("phi", str(exc))
     for k in values:
         if not 0.0 <= k <= 1.0:
             _fail("K", f"strength {k} outside [0, 1]")
+    # exported rows are keyed by the formatted strength, so keys must be distinct
+    keys = [_fmt(k) for k in values]
+    if len(set(keys)) < len(keys):
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        _fail(field, f"the grid gives strength K={repeated} twice; CSV rows are keyed by K")
     return tuple(float(k) for k in values)
 
 
@@ -231,8 +266,6 @@ def parse_config(text: str) -> ScenarioConfig:
         _fail("noise", str(exc))
 
     resamples = _integer(doc.get("resamples", 1000), "resamples", 0)
-    if shots is not None and resamples < 100:
-        _fail("resamples", f"need at least 100, got {resamples}")
 
     outputs = doc.get("outputs", QUANTITIES)
     if not isinstance(outputs, (list, tuple)) or not all(isinstance(q, str) for q in outputs):
@@ -264,6 +297,10 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _threshold(value: float):
+    return "never-negative" if math.isinf(value) else float(_fmt(value))
 
 
 def _write_table(path: Path, rows: list[tuple]):
@@ -357,25 +394,12 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     }
     if "thresholds" in config.outputs:
         report = threshold_strength(config.rho, config.obs_a, config.obs_b)
-        cells = []
-        for a in range(config.obs_a.dim):
-            for b in range(config.obs_b.dim):
-                value = report.per_cell[a, b]
-                cells.append(
-                    {
-                        "a": labels_a[a],
-                        "b": labels_b[b],
-                        "K_threshold": "never-negative" if math.isinf(value) else float(_fmt(value)),
-                    }
-                )
-        summary["thresholds"] = {
-            "per_cell": cells,
-            "global": (
-                "never-negative"
-                if math.isinf(report.global_threshold)
-                else float(_fmt(report.global_threshold))
-            ),
-        }
+        cells = [
+            {"a": labels_a[a], "b": labels_b[b], "K_threshold": _threshold(report.per_cell[a, b])}
+            for a in range(config.obs_a.dim)
+            for b in range(config.obs_b.dim)
+        ]
+        summary["thresholds"] = {"per_cell": cells, "global": _threshold(report.global_threshold)}
     with open(out / "summary.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -478,18 +502,14 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             config = parse_config(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, ConfigError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.exact:
-            config = replace(config, shots=None)
-        elif args.shots is not None:
-            config = replace(config, shots=args.shots)
-        try:
+            if args.seed is not None:
+                config = replace(config, seed=args.seed)
+            if args.exact:
+                config = replace(config, shots=None)
+            elif args.shots is not None:
+                config = replace(config, shots=args.shots)
             summary = run(config, args.out)
-        except ZeroCountsError as exc:
+        except (OSError, ConfigError, ZeroCountsError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         written = sorted(q for q in config.outputs if q != "thresholds")

@@ -103,7 +103,7 @@ class ObservableSpec:
     def __post_init__(self):
         vecs = _square_complex(self.eigenvectors, "eigenbasis")
         d = vecs.shape[0]
-        if np.abs(vecs.conj().T @ vecs - np.eye(d)).max() > VALIDATION_ATOL:
+        if not np.isfinite(vecs).all() or np.abs(vecs.conj().T @ vecs - np.eye(d)).max() > VALIDATION_ATOL:
             raise ValueError("eigenvectors must be orthonormal within 1e-10")
         vals = np.array(self.eigenvalues, dtype=float)
         if vals.shape != (d,):
@@ -237,15 +237,7 @@ def coupling_unitary(d: int) -> np.ndarray:
     """Controlled modular shift sum_a |a><a| (x) V^a on the d^2 joint space."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    v = shift_operator(d)
-    u = np.zeros((d * d, d * d), dtype=complex)
-    v_power = np.eye(d, dtype=complex)
-    for a in range(d):
-        select = np.zeros((d, d), dtype=complex)
-        select[a, a] = 1.0
-        u += np.kron(select, v_power)
-        v_power = v @ v_power
-    return u
+    return controlled_shift(ObservableSpec(np.eye(d, dtype=complex), np.arange(d, dtype=float)))
 
 
 def controlled_shift(obs: ObservableSpec) -> np.ndarray:
@@ -277,28 +269,29 @@ def pointer_for_strength(k: float, d: int) -> tuple[PointerState, WeakStrength]:
     return PointerState(amps, u0, u1), strength
 
 
+def _propagator(hamiltonian, dt: float) -> np.ndarray:
+    """exp(iH dt) of a Hermitian H, from its eigendecomposition."""
+    h = _square_complex(hamiltonian, "Hamiltonian")
+    if not is_hermitian(h):
+        raise ValueError("Hamiltonian must be Hermitian")
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(1j * evals * dt)) @ evecs.conj().T
+
+
 def evolve_projector(projector: np.ndarray, hamiltonian: np.ndarray, dt: float) -> np.ndarray:
     """Heisenberg-picture evolution exp(iH dt) P exp(-iH dt), with hbar = 1."""
     p = _square_complex(projector, "projector")
-    h = _square_complex(hamiltonian, "Hamiltonian")
-    if h.shape != p.shape:
-        raise ValueError(f"shape mismatch: projector {p.shape} vs Hamiltonian {h.shape}")
-    if not is_hermitian(h):
-        raise ValueError("Hamiltonian must be Hermitian")
+    u = _propagator(hamiltonian, dt)
+    if u.shape != p.shape:
+        raise ValueError(f"shape mismatch: projector {p.shape} vs Hamiltonian {u.shape}")
     if not is_hermitian(p) or np.abs(p @ p - p).max() > VALIDATION_ATOL:
         raise ValueError("input must be an orthogonal projector within 1e-10")
-    evals, evecs = np.linalg.eigh(h)
-    u = (evecs * np.exp(1j * evals * dt)) @ evecs.conj().T
     return u @ p @ u.conj().T
 
 
 def evolve_observable(obs: ObservableSpec, hamiltonian: np.ndarray, dt: float) -> ObservableSpec:
     """Heisenberg-evolved observable: every eigenvector rotated by exp(iH dt)."""
-    h = _square_complex(hamiltonian, "Hamiltonian")
-    if not is_hermitian(h):
-        raise ValueError("Hamiltonian must be Hermitian")
-    evals, evecs = np.linalg.eigh(h)
-    u = (evecs * np.exp(1j * evals * dt)) @ evecs.conj().T
+    u = _propagator(hamiltonian, dt)
     return ObservableSpec(u @ obs.eigenvectors, obs.eigenvalues, name=obs.name, labels=obs.labels)
 
 

@@ -23,15 +23,17 @@ from .core import (
     InternalConsistencyError,
     ObservableSpec,
     WeakStrength,
+    _freeze,
 )
 from .schemes import (
     PROBABILITY_DUST,
+    _born,
     _check_dims,
-    _in_basis,
     _mh_table,
+    _OutcomeTable,
     _real_table,
+    _three_term,
     _tpm_table,
-    marginals,
     weak_tpm_joint,
 )
 
@@ -58,7 +60,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QuasiDistribution:
+class QuasiDistribution(_OutcomeTable):
     """Real outcome table that may carry negative cells.
 
     Exact tables of every family sum to 1 and marginalize over a to the Born
@@ -74,29 +76,11 @@ class QuasiDistribution:
         arr = _real_table(self.values, "quasiprobability table")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown quasiprobability family {self.family!r}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _freeze(arr))
 
     @property
     def kind(self) -> str:
         return "quasiprobability"
-
-    @property
-    def dim_a(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim_b(self) -> int:
-        return self.values.shape[1]
-
-    def marginal_a(self) -> np.ndarray:
-        return self.values.sum(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        return self.values.sum(axis=0)
-
-    def total(self) -> float:
-        return float(self.values.sum())
 
 
 @dataclass(frozen=True)
@@ -113,8 +97,7 @@ class ThresholdReport:
 
     def __post_init__(self):
         arr = np.array(self.per_cell, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "per_cell", arr)
+        object.__setattr__(self, "per_cell", _freeze(arr))
 
     def never_negative(self, a: int, b: int) -> bool:
         return bool(np.isinf(self.per_cell[a, b]))
@@ -131,16 +114,53 @@ def _vector(x, name: str) -> np.ndarray:
     return arr
 
 
+# Data-path formulas, each written once.  Tables are (..., d, d) and p_fin is
+# (..., d), so point estimates and stacks of resampled tables share the code.
+
+
+def _weak_cq_values(pw: np.ndarray, pf: np.ndarray) -> np.ndarray:
+    """Commensurate update p + (p_fin - sum_a p)/d of a joint table p."""
+    d = pw.shape[-2]
+    return pw + (pf[..., None, :] - pw.sum(axis=-2, keepdims=True)) / d
+
+
+def _coherence_values(pw: np.ndarray, pt: np.ndarray, pf: np.ndarray, strength: WeakStrength) -> np.ndarray:
+    """Cross-term p_weak - omega0^2 p - (omega1^2/d) p_fin."""
+    return pw - strength.omega0**2 * pt - (strength.omega1**2 / strength.dim) * pf[..., None, :]
+
+
+def _reconstruct(coh: np.ndarray, strength: WeakStrength) -> np.ndarray:
+    """MHQ inversion q_MH = C / cross_weight; singular at K in {0, 1}."""
+    return coh / strength.cross_weight
+
+
+def _weak_mhq_mix(k: float, q_mh: np.ndarray, pf: np.ndarray, d: int) -> np.ndarray:
+    """Weak Margenau-Hill quasiprobability K q_MH + ((1-K)/d) p_fin."""
+    return k * q_mh + ((1.0 - k) / d) * pf[..., None, :]
+
+
+def _weak_mhq_values(wcq: np.ndarray, rec, pf: np.ndarray, strength: WeakStrength):
+    """Weak MHQ reached from data, or None where no data path reaches it.
+
+    Inside 0 < K < 1 it mixes the reconstructed MHQ ``rec``; at K=0 every row
+    is p_fin/d; at K=1 only the qubit identity weak-MHQ == weak-CQ applies.
+    """
+    k, d = strength.K, strength.dim
+    if 0.0 < k < 1.0:
+        return _weak_mhq_mix(k, rec, pf, d)
+    if k == 0.0:
+        return np.broadcast_to(pf[..., None, :] / d, wcq.shape).copy()
+    return wcq if d == 2 else None
+
+
 def cq(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> QuasiDistribution:
     """Commensurate quasiprobability q_C(a,b) = p(a,b) + (p_fin(b) - p_post(b))/d.
 
     Marginals return the unperturbed Born distributions of both observables;
     when rho commutes with A the two-point probabilities are recovered.
     """
-    d = _check_dims(rho, obs_a, obs_b)
-    p = _tpm_table(rho, obs_a, obs_b)
-    marg = marginals(rho, obs_a, obs_b)
-    values = p + (marg.p_fin - marg.p_post)[None, :] / d
+    _check_dims(rho, obs_a, obs_b)
+    values = _weak_cq_values(_tpm_table(rho, obs_a, obs_b), _born(rho, obs_b))
     return QuasiDistribution(values, family="CQ")
 
 
@@ -157,12 +177,10 @@ def weak_cq_from_data(p_weak, p_fin, strength: WeakStrength | None = None) -> Qu
     on estimated tables; inputs are taken as-is.
     """
     values = _values_of(p_weak)
-    d = values.shape[0]
     pf = _vector(p_fin, "p_fin")
     if pf.shape != (values.shape[1],):
         raise ValueError(f"p_fin has shape {pf.shape}, expected ({values.shape[1]},)")
-    out = values + (pf - values.sum(axis=0))[None, :] / d
-    return QuasiDistribution(out, family="weakCQ", strength=strength)
+    return QuasiDistribution(_weak_cq_values(values, pf), family="weakCQ", strength=strength)
 
 
 def weak_cq_closed(
@@ -175,14 +193,7 @@ def weak_cq_closed(
     """
     d = _check_dims(rho, obs_a, obs_b)
     strength = WeakStrength.from_k(k, d)
-    q_c = cq(rho, obs_a, obs_b).values
-    q_mh = _mh_table(rho, obs_a, obs_b)
-    p_fin = np.diag(_in_basis(rho, obs_b)).real
-    values = (
-        strength.omega0**2 * q_c
-        + (strength.omega1**2 / d) * p_fin[None, :]
-        + strength.cross_weight * q_mh
-    )
+    values = _three_term(strength, cq(rho, obs_a, obs_b).values, rho, obs_a, obs_b)
     return QuasiDistribution(values, family="weakCQ", strength=strength)
 
 
@@ -197,9 +208,7 @@ def weak_mhq(
     """
     d = _check_dims(rho, obs_a, obs_b)
     strength = WeakStrength.from_k(k, d)
-    q_mh = _mh_table(rho, obs_a, obs_b)
-    p_fin = np.diag(_in_basis(rho, obs_b)).real
-    values = k * q_mh + ((1.0 - k) / d) * p_fin[None, :]
+    values = _weak_mhq_mix(k, _mh_table(rho, obs_a, obs_b), _born(rho, obs_b), d)
     return QuasiDistribution(values, family="weakMHQ", strength=strength)
 
 
@@ -215,8 +224,7 @@ def coherence_term(p_weak, p_tpm, p_fin, strength: WeakStrength) -> np.ndarray:
     pf = _vector(p_fin, "p_fin")
     if pw.shape != pt.shape or pf.shape != (pw.shape[1],):
         raise ValueError("coherence-term inputs must share outcome index sets")
-    d = strength.dim
-    return pw - strength.omega0**2 * pt - (strength.omega1**2 / d) * pf[None, :]
+    return _coherence_values(pw, pt, pf, strength)
 
 
 def mhq_from_weak(p_weak, p_tpm, p_fin, strength: WeakStrength) -> QuasiDistribution:
@@ -228,7 +236,7 @@ def mhq_from_weak(p_weak, p_tpm, p_fin, strength: WeakStrength) -> QuasiDistribu
     """
     if strength.K <= 0.0 or strength.K >= 1.0:
         raise ValueError(f"strength K={strength.K} is not invertible; need 0 < K < 1")
-    values = coherence_term(p_weak, p_tpm, p_fin, strength) / strength.cross_weight
+    values = _reconstruct(coherence_term(p_weak, p_tpm, p_fin, strength), strength)
     return QuasiDistribution(values, family="MHQ", strength=strength)
 
 
@@ -243,8 +251,7 @@ def mhq_from_weak_tpm(
     _check_dims(rho, obs_a, obs_b)
     p = _tpm_table(rho, obs_a, obs_b)
     w = weak_tpm_joint(rho, obs_a, obs_b).values
-    p_fin = np.diag(_in_basis(rho, obs_b)).real
-    values = p + (p_fin[None, :] - w) / 2.0
+    values = p + (_born(rho, obs_b)[None, :] - w) / 2.0
     return QuasiDistribution(values, family="MHQ")
 
 
@@ -259,18 +266,15 @@ def threshold_strength(
     """
     d = _check_dims(rho, obs_a, obs_b)
     q_mh = _mh_table(rho, obs_a, obs_b)
-    p_fin = np.diag(_in_basis(rho, obs_b)).real
+    p_fin = np.broadcast_to(_born(rho, obs_b), q_mh.shape)
+    vanishing = p_fin <= PROBABILITY_DUST
+    inconsistent = np.argwhere(vanishing & (np.abs(q_mh) > PROBABILITY_DUST))
+    if inconsistent.size:
+        a, b = inconsistent[0]
+        raise InternalConsistencyError(f"cell ({a}, {b}): q_MH={q_mh[a, b]} with vanishing p_fin")
+    negative = (q_mh < -PROBABILITY_DUST) & ~vanishing
     per_cell = np.full((d, d), NEVER_NEGATIVE)
-    for a in range(d):
-        for b in range(d):
-            if p_fin[b] <= PROBABILITY_DUST:
-                if abs(q_mh[a, b]) > PROBABILITY_DUST:
-                    raise InternalConsistencyError(
-                        f"cell ({a}, {b}): q_MH={q_mh[a, b]} with vanishing p_fin"
-                    )
-                continue
-            if q_mh[a, b] < -PROBABILITY_DUST:
-                per_cell[a, b] = 1.0 / (1.0 - d * q_mh[a, b] / p_fin[b])
+    per_cell[negative] = 1.0 / (1.0 - d * q_mh[negative] / p_fin[negative])
     finite = per_cell[np.isfinite(per_cell)]
     global_threshold = float(finite.min()) if finite.size else NEVER_NEGATIVE
     return ThresholdReport(per_cell, global_threshold)

@@ -21,6 +21,7 @@ from .core import (
     DensityOperator,
     ObservableSpec,
     WeakStrength,
+    _freeze,
     make_pure_state,
     pauli_x,
     pauli_z,
@@ -35,6 +36,10 @@ from .schemes import (
 )
 from .quasiprob import (
     QuasiDistribution,
+    _coherence_values,
+    _reconstruct,
+    _weak_cq_values,
+    _weak_mhq_values,
     coherence_term,
     mhq_from_weak,
     weak_cq_from_data,
@@ -124,8 +129,7 @@ class CountTable:
             raise ValueError(f"counts must be a 2-D table, got shape {counts.shape}")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _freeze(counts))
 
     @property
     def total(self) -> int:
@@ -154,7 +158,11 @@ def sample_counts(dist: JointDistribution, shots: int, seed, setting: tuple = ()
     return CountTable(counts, shots_target=int(shots), seed=seed, setting=setting)
 
 
-def _normalized(draws: np.ndarray) -> np.ndarray:
+def _resampled(counts: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """Normalized Poisson re-draws centred on observed counts, shape (resamples, d, d)."""
+    if resamples < 100:
+        raise ValueError(f"need at least 100 resamples, got {resamples}")
+    draws = rng.poisson(counts, size=(resamples, *counts.shape))
     totals = draws.sum(axis=(1, 2), keepdims=True)
     return draws / np.where(totals > 0, totals, 1.0)
 
@@ -182,14 +190,9 @@ def estimate_with_errors(
     (JointDistribution, numpy.ndarray)
         The point estimate and the table of standard errors.
     """
-    if counts.total == 0:
-        raise ValueError("cannot estimate from an all-zero count table")
-    if resamples < 100:
-        raise ValueError(f"need at least 100 resamples, got {resamples}")
-    rng = np.random.default_rng(seed)
-    draws = rng.poisson(counts.counts, size=(resamples, *counts.counts.shape))
-    stderr = _normalized(draws).std(axis=0, ddof=1)
-    return counts.estimator(), stderr
+    estimate = counts.estimator()
+    stderr = _resampled(counts.counts, resamples, np.random.default_rng(seed)).std(axis=0, ddof=1)
+    return estimate, stderr
 
 
 def apply_gate_noise(
@@ -262,53 +265,6 @@ def _exact_setting_tables(
     }
 
 
-def _derived_tables(pw: np.ndarray, pt: np.ndarray, pf: np.ndarray, strength: WeakStrength):
-    """weak-CQ, coherence, reconstructed-MHQ, weak-MHQ tables from data tables.
-
-    Vectorized mirror of the ``quasiprob`` data paths used for error
-    propagation: accepts plain (d, d) tables or stacks (..., d, d) of
-    resampled tables, with ``pf`` shaped (..., d) to match.
-    """
-    d = strength.dim
-    k = strength.K
-    pf_col = pf[..., None, :]
-    wcq = pw + (pf_col - pw.sum(axis=-2, keepdims=True)) / d
-    coh = pw - strength.omega0**2 * pt - (strength.omega1**2 / d) * pf_col
-    if 0.0 < k < 1.0:
-        rec = coh / strength.cross_weight
-        wmh = k * rec + ((1.0 - k) / d) * pf_col
-    elif k == 0.0:
-        rec = None
-        wmh = np.broadcast_to(pf_col / d, pw.shape).copy()
-    else:  # k == 1: the qubit identity weak-MHQ == weak-CQ is the only data path
-        rec = None
-        wmh = wcq if d == 2 else None
-    return wcq, coh, rec, wmh
-
-
-def _point_tables(p_weak: JointDistribution, p_tpm: JointDistribution, p_fin: np.ndarray, strength: WeakStrength):
-    """Derived point estimates through the quasiprobability data operations."""
-    d = strength.dim
-    k = strength.K
-    wcq = weak_cq_from_data(p_weak, p_fin, strength)
-    coh = coherence_term(p_weak, p_tpm, p_fin, strength)
-    if 0.0 < k < 1.0:
-        rec = mhq_from_weak(p_weak, p_tpm, p_fin, strength)
-        wmh_values = k * rec.values + ((1.0 - k) / d) * p_fin[None, :]
-    elif k == 0.0:
-        rec = None
-        wmh_values = np.tile(p_fin / d, (d, 1))
-    else:
-        rec = None
-        wmh_values = wcq.values if d == 2 else None
-    wmh = (
-        QuasiDistribution(wmh_values, family="weakMHQ", strength=strength)
-        if wmh_values is not None
-        else None
-    )
-    return wcq, coh, rec, wmh
-
-
 def run_sweep(
     rho: DensityOperator,
     obs_a: ObservableSpec,
@@ -368,25 +324,12 @@ def run_sweep(
     for k, child in zip(k_list, children):
         strength = WeakStrength.from_k(k, d)
         settings = (k, 1.0, 0.0)
-        exact = [exact_by_k[s] for s in settings]
-        if shots is None:
-            p_weak, p_tpm = exact[0], exact[1]
-            p_fin = exact[2].marginal_b()
-            wcq, coh, rec, wmh = _point_tables(p_weak, p_tpm, p_fin, strength)
-            errors = {
-                "p_weak": np.zeros((d, d)),
-                "p_tpm": np.zeros((d, d)),
-                "p_fin": np.zeros(d),
-                "weak_cq": np.zeros((d, d)),
-                "weak_mhq": np.zeros((d, d)) if wmh is not None else None,
-                "C": np.zeros((d, d)),
-                "mhq_reconstructed": np.zeros((d, d)) if rec is not None else None,
-            }
-        else:
+        estimates = [exact_by_k[s] for s in settings]
+        if shots is not None:
             seeds = child.spawn(4)
             tables = [
                 sample_counts(table, shots, s, setting=(k, f"K={setting:g}"))
-                for table, setting, s in zip(exact, settings, seeds)
+                for table, setting, s in zip(estimates, settings, seeds)
             ]
             for table, setting in zip(tables, settings):
                 if table.total == 0:
@@ -394,25 +337,33 @@ def run_sweep(
                         f"shots={shots} drew an all-zero count table for setting K={setting:g} "
                         f"at strength point K={k:g}; increase shots"
                     )
-            p_weak = tables[0].estimator()
-            p_tpm = tables[1].estimator()
-            p_fin = tables[2].estimator().marginal_b()
+            estimates = [t.estimator() for t in tables]
+        p_weak, p_tpm = estimates[0], estimates[1]
+        p_fin = estimates[2].marginal_b()
+        wcq = weak_cq_from_data(p_weak, p_fin, strength)
+        coh = coherence_term(p_weak, p_tpm, p_fin, strength)
+        rec = mhq_from_weak(p_weak, p_tpm, p_fin, strength) if 0.0 < k < 1.0 else None
+        wmh = _weak_mhq_values(wcq.values, None if rec is None else rec.values, p_fin, strength)
+        if wmh is not None:
+            wmh = QuasiDistribution(wmh, family="weakMHQ", strength=strength)
+        if shots is None:
+            spread = [np.zeros_like(p_weak.values), np.zeros_like(p_tpm.values), np.zeros_like(p_fin)]
+            spread += [None if t is None else np.zeros((d, d)) for t in (wcq, coh, rec, wmh)]
+        else:
+            # the same data paths, applied to every resampled set of tables at once
             rng = np.random.default_rng(seeds[3])
-            draws = [
-                _normalized(rng.poisson(t.counts, size=(resamples, d, d))) for t in tables
+            pw_r, pt_r, p_final_r = [_resampled(t.counts, resamples, rng) for t in tables]
+            pf_r = p_final_r.sum(axis=1)
+            wcq_r = _weak_cq_values(pw_r, pf_r)
+            coh_r = _coherence_values(pw_r, pt_r, pf_r, strength)
+            rec_r = None if rec is None else _reconstruct(coh_r, strength)
+            wmh_r = _weak_mhq_values(wcq_r, rec_r, pf_r, strength)
+            spread = [
+                None if x is None else x.std(axis=0, ddof=1)
+                for x in (pw_r, pt_r, pf_r, wcq_r, coh_r, rec_r, wmh_r)
             ]
-            wcq, coh, rec, wmh = _point_tables(p_weak, p_tpm, p_fin, strength)
-            pf_r = draws[2].sum(axis=1)
-            wcq_r, coh_r, rec_r, wmh_r = _derived_tables(draws[0], draws[1], pf_r, strength)
-            errors = {
-                "p_weak": draws[0].std(axis=0, ddof=1),
-                "p_tpm": draws[1].std(axis=0, ddof=1),
-                "p_fin": pf_r.std(axis=0, ddof=1),
-                "weak_cq": wcq_r.std(axis=0, ddof=1),
-                "weak_mhq": wmh_r.std(axis=0, ddof=1) if wmh_r is not None else None,
-                "C": coh_r.std(axis=0, ddof=1),
-                "mhq_reconstructed": rec_r.std(axis=0, ddof=1) if rec_r is not None else None,
-            }
+        names = ("p_weak", "p_tpm", "p_fin", "weak_cq", "C", "mhq_reconstructed", "weak_mhq")
+        errors = dict(zip(names, spread))
         records.append(
             StrengthRecord(
                 strength=strength,

@@ -21,6 +21,7 @@ from .core import (
     InternalConsistencyError,
     ObservableSpec,
     WeakStrength,
+    _freeze,
     controlled_shift,
     pointer_for_strength,
 )
@@ -60,8 +61,31 @@ def _real_table(values, name: str = "table") -> np.ndarray:
     return arr
 
 
+class _OutcomeTable:
+    """Accessors shared by the real tables ``values`` over outcome pairs (a, b)."""
+
+    @property
+    def dim_a(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def dim_b(self) -> int:
+        return self.values.shape[1]
+
+    def marginal_a(self) -> np.ndarray:
+        """Sum over b for each a."""
+        return self.values.sum(axis=1)
+
+    def marginal_b(self) -> np.ndarray:
+        """Sum over a for each b."""
+        return self.values.sum(axis=0)
+
+    def total(self) -> float:
+        return float(self.values.sum())
+
+
 @dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(_OutcomeTable):
     """Real-valued table over outcome pairs (a, b).
 
     ``kind`` distinguishes probability tables (entries nonnegative, total sum 1)
@@ -85,27 +109,7 @@ class JointDistribution:
             sums = arr.sum(axis=1) if self.normalization == "per_row" else arr.sum()
             if np.abs(np.asarray(sums) - 1.0).max() > VALIDATION_ATOL:
                 raise ValueError("probability table is not normalized within 1e-10")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def dim_a(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim_b(self) -> int:
-        return self.values.shape[1]
-
-    def marginal_a(self) -> np.ndarray:
-        """Sum over b for each a."""
-        return self.values.sum(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        """Sum over a for each b."""
-        return self.values.sum(axis=0)
-
-    def total(self) -> float:
-        return float(self.values.sum())
+        object.__setattr__(self, "values", _freeze(arr))
 
 
 def probability_table(values, normalization: str = "total") -> JointDistribution:
@@ -184,14 +188,15 @@ def _check_dims(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSp
     return rho.dim
 
 
-def _in_basis(rho: DensityOperator, obs: ObservableSpec) -> np.ndarray:
+def _born(rho: DensityOperator, obs: ObservableSpec) -> np.ndarray:
+    """Born distribution of the observable's outcomes on rho."""
     w = obs.eigenvectors
-    return w.conj().T @ rho.matrix @ w
+    return np.diag(w.conj().T @ rho.matrix @ w).real
 
 
 def _tpm_table(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> np.ndarray:
     # p(a,b) = Tr[Pi_b Pi_a rho Pi_a] = p_in(a) |<a|b>|^2 for rank-1 projectors
-    p_in = np.diag(_in_basis(rho, obs_a)).real
+    p_in = _born(rho, obs_a)
     overlap2 = np.abs(obs_a.eigenvectors.conj().T @ obs_b.eigenvectors) ** 2
     return p_in[:, None] * overlap2
 
@@ -217,8 +222,8 @@ def tpm_joint(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec
 def marginals(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> Marginals:
     """Born marginals p_in(a), p_fin(b) and the post-measurement marginal p_post(b)."""
     _check_dims(rho, obs_a, obs_b)
-    p_in = np.diag(_in_basis(rho, obs_a)).real.copy()
-    p_fin = np.diag(_in_basis(rho, obs_b)).real.copy()
+    p_in = _born(rho, obs_a).copy()
+    p_fin = _born(rho, obs_b).copy()
     p_post = _tpm_table(rho, obs_a, obs_b).sum(axis=0)
     return Marginals(p_in, p_fin, p_post)
 
@@ -255,15 +260,22 @@ def weak_sequential_closed(
     """
     d = _check_dims(rho, obs_a, obs_b)
     strength = WeakStrength.from_k(k, d)
-    p = _tpm_table(rho, obs_a, obs_b)
-    q_mh = _mh_table(rho, obs_a, obs_b)
-    p_fin = np.diag(_in_basis(rho, obs_b)).real
-    values = (
-        strength.omega0**2 * p
-        + (strength.omega1**2 / d) * p_fin[None, :]
-        + strength.cross_weight * q_mh
+    return probability_table(_three_term(strength, _tpm_table(rho, obs_a, obs_b), rho, obs_a, obs_b))
+
+
+def _three_term(
+    strength: WeakStrength, first, rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec
+) -> np.ndarray:
+    """omega0^2 first + (omega1^2/d) p_fin + cross q_MH, the weak-sequential decomposition.
+
+    ``first`` is the two-point table p for p_weak, and q_C for the weak CQ.
+    """
+    p_fin = _born(rho, obs_b)
+    return (
+        strength.omega0**2 * first
+        + (strength.omega1**2 / strength.dim) * p_fin[None, :]
+        + strength.cross_weight * _mh_table(rho, obs_a, obs_b)
     )
-    return probability_table(values)
 
 
 def weak_joint_state(rho: DensityOperator, obs_a: ObservableSpec, k: float) -> DensityOperator:
@@ -342,5 +354,5 @@ def weak_tpm_joint(
     rows = np.empty((d, d))
     for a in range(d):
         ns = nonselective_state(rho, obs_a, a)
-        rows[a] = np.diag(_in_basis(ns, obs_b)).real
+        rows[a] = _born(ns, obs_b)
     return probability_table(rows, normalization="per_row")

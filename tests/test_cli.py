@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +156,26 @@ def test_parse_shots_and_noise_validation():
         ({"seed": -1}, "seed"),
         ({"noise": None}, "noise"),
         ({"outputs": 5}, "outputs"),
+        # repeated grid values would write duplicate row keys
+        ({"K": [0.5, 0.5]}, "K"),
+        ({"K": [0.5, 0.5 + 1e-14]}, "K"),
+        ({"K": {"start": 0.5, "stop": 0.5, "num": 2}}, "K"),
+        ({"phi": [10.0, 10.0]}, "phi"),
+        ({"K": {"num": 10**9}}, "K.num"),
+        ({"K": [10**400]}, "K"),
+        ({"theta0": 1e308}, "theta0"),
+        ({"hamiltonian": None}, "hamiltonian"),
+        ({"hamiltonian": [[1, 0], [0]]}, "hamiltonian"),
+        pytest.param(
+            {"hamiltonian": [[2, 0], [0, -2]], "dt": 1e308},
+            "hamiltonian",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),  # exp(i H dt) overflows
+        ),
+        ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "labels": ["a", "a"]}}, "observable_a.labels"),
+        ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "labels": 5}}, "observable_a.labels"),
+        ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "eigenvalues": {}}}, "observable_a.eigenvalues"),
+        ({"observable_a": {"eigenvectors": 5}}, "observable_a.eigenvectors"),
+        ({"shots": 1000, "resamples": 99}, "resamples"),
     ],
 )
 def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
@@ -250,6 +271,22 @@ def test_run_summary_contents(tmp_path):
     assert max(max(per_k.values()) for per_k in residuals.values()) <= 1e-9
     assert on_disk["negativity"]["weak_mhq"]["0.4"] == 0.0
     assert on_disk["negativity"]["weak_mhq"]["0.5"] > 0.0
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_exact"
+SHIPPED = Path(__file__).parent.parent / "configs" / "qubit_theta10p6.json"
+
+
+def test_run_shipped_config_matches_golden_export(tmp_path):
+    summary = run(parse_config(SHIPPED.read_text(encoding="utf-8")), tmp_path)
+    tables = sorted(p.name for p in GOLDEN.glob("*.csv"))
+    assert tables == sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert len(tables) == 7
+    for name in tables:
+        report, ok = compare(GOLDEN / name, tmp_path / name, 1e-12)
+        assert ok, (name, report)
+    golden_thresholds = json.loads((GOLDEN / "thresholds.json").read_text(encoding="utf-8"))
+    assert summary["thresholds"] == golden_thresholds
 
 
 def test_run_sampled_mode_has_nonzero_stderr(tmp_path):
@@ -385,6 +422,17 @@ def test_main_run_overrides(tmp_path):
     ) == 0
     summary = json.loads((tmp_path / "reseeded/summary.json").read_text())
     assert summary["seed"] == 7 and summary["shots"] == 500
+
+
+@pytest.mark.parametrize("resamples", [0, 1, 99])
+def test_main_checks_resamples_after_shots_override(tmp_path, capsys, resamples):
+    path = write_config(tmp_path, "scenario.json", {"theta0": 10.6, "K": [0.5], "resamples": resamples})
+    assert parse_config(path.read_text()).resamples == resamples  # exact mode never resamples
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--shots", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: config field 'resamples': need at least 100")
+    assert not out.exists()
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_instance
-from weakquasi.core import DensityOperator, WeakStrength, make_pure_state
+from weakquasi.core import DensityOperator, InternalConsistencyError, WeakStrength, make_pure_state
 from weakquasi.quasiprob import (
     NEVER_NEGATIVE,
     QuasiDistribution,
@@ -306,6 +306,16 @@ def test_threshold_vanishing_final_probability_is_sentinel(obs_z):
     report = threshold_strength(rho, obs_z, obs_z)
     assert report.never_negative(0, 1) and report.never_negative(1, 1)
     assert report.global_threshold == NEVER_NEGATIVE
+
+
+def test_threshold_rejects_mhq_weight_on_vanishing_final_outcome(monkeypatch, obs_z):
+    # unreachable for a physical state: plant an inconsistent MHQ table to reach the check
+    import weakquasi.quasiprob as quasiprob
+
+    planted = np.array([[1.0, 0.0], [0.0, -0.25]])
+    monkeypatch.setattr(quasiprob, "_mh_table", lambda rho, a, b: planted)
+    with pytest.raises(InternalConsistencyError, match=r"cell \(1, 1\): q_MH=-0.25 with vanishing p_fin"):
+        threshold_strength(make_pure_state([1, 0]), obs_z, obs_z)
 
 
 def test_threshold_brackets_sign_change(scenario_state, obs_z, obs_x):

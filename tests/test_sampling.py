@@ -323,6 +323,13 @@ def test_run_sweep_sampled_mode_draws_three_tables_per_point(monkeypatch, scenar
     assert len(draws) == 3 * len(k_grid)
 
 
+def test_run_sweep_rejects_too_few_resamples(scenario_state, obs_z, obs_x):
+    with pytest.raises(ValueError, match="need at least 100 resamples, got 99"):
+        run_sweep(scenario_state, obs_z, obs_x, [0.5], shots=1000, resamples=99)
+    # exact mode draws no resamples, so any count is accepted
+    assert run_sweep(scenario_state, obs_z, obs_x, [0.5], resamples=0)[0].errors["p_weak"].max() == 0.0
+
+
 def test_run_sweep_closed_engine_rejects_noise(scenario_state, obs_z, obs_x):
     with pytest.raises(ValueError, match="noise"):
         run_sweep(scenario_state, obs_z, obs_x, [0.3], noise=NoiseModel(0.9), engine="closed")
