@@ -29,7 +29,15 @@ from .core import (
     pauli_z,
 )
 from .quasiprob import cq, mhq, negativity, threshold_strength
-from .sampling import NoiseModel, QubitScenario, ZeroCountsError, run_sweep, strength_from_waveplate
+from .sampling import (
+    MAX_SHOTS,
+    NoiseModel,
+    QubitScenario,
+    ZeroCountsError,
+    _strength,
+    run_sweep,
+    strength_from_waveplate,
+)
 
 MAX_GRID_POINTS = 10_000  # largest strength grid a "K" range may request
 
@@ -96,7 +104,7 @@ def _number(value, field: str) -> float:
     _fail(field, f"expected a finite number, got {value!r}")
 
 
-def _integer(value, field: str, minimum: int) -> int:
+def _integer(value, field: str, minimum: int, maximum: float = math.inf) -> int:
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
@@ -105,6 +113,8 @@ def _integer(value, field: str, minimum: int) -> int:
         _fail(field, f"expected an integer, got {value!r}")
     if value < minimum:
         _fail(field, f"must be at least {minimum}, got {int(value)}")
+    if value > maximum:
+        _fail(field, f"must be at most {maximum}, got {int(value)}")
     return int(value)
 
 
@@ -184,7 +194,7 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
         _fail(field, str(exc))
 
 
-def _parse_k_grid(doc: dict) -> tuple[float, ...]:
+def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
     if "K" in doc and "phi" in doc:
         _fail("K", "'K' and 'phi' are mutually exclusive ways to set the strength grid")
     field = "phi" if "phi" in doc else "K"
@@ -193,9 +203,7 @@ def _parse_k_grid(doc: dict) -> tuple[float, ...]:
         extra = set(spec) - {"start", "stop", "num"}
         if extra:
             _fail("K", f"unknown range keys {sorted(extra)}")
-        num = _integer(spec.get("num", 11), "K.num", 1)
-        if num > MAX_GRID_POINTS:
-            _fail("K.num", f"must be at most {MAX_GRID_POINTS}, got {num}")
+        num = _integer(spec.get("num", 11), "K.num", 1, MAX_GRID_POINTS)
         values = np.linspace(
             _number(spec.get("start", 0.0), "K.start"), _number(spec.get("stop", 1.0), "K.stop"), num
         )
@@ -211,6 +219,10 @@ def _parse_k_grid(doc: dict) -> tuple[float, ...]:
     for k in values:
         if not 0.0 <= k <= 1.0:
             _fail("K", f"strength {k} outside [0, 1]")
+        try:
+            _strength(k, dim)
+        except ValueError as exc:
+            _fail("K", str(exc))
     # exported rows are keyed by the formatted strength, so keys must be distinct
     keys = [_fmt(k) for k in values]
     if len(set(keys)) < len(keys):
@@ -254,10 +266,10 @@ def parse_config(text: str) -> ScenarioConfig:
     elif "dt" in doc:
         _fail("dt", "'dt' needs a 'hamiltonian'")
 
-    k_values = _parse_k_grid(doc)
+    k_values = _parse_k_grid(doc, dim)
 
     shots_spec = doc.get("shots", "exact")
-    shots = None if shots_spec == "exact" else _integer(shots_spec, "shots", 1)
+    shots = None if shots_spec == "exact" else _integer(shots_spec, "shots", 1, MAX_SHOTS)
 
     visibility = _number(doc.get("noise", 1.0), "noise")
     try:
@@ -278,8 +290,6 @@ def parse_config(text: str) -> ScenarioConfig:
     engine = doc.get("engine", "circuit")
     if engine not in ("circuit", "closed"):
         _fail("engine", f"must be 'circuit' or 'closed', got {engine!r}")
-    if engine == "closed" and not noise.is_ideal:
-        _fail("engine", "the closed-form engine cannot model gate noise; use 'circuit'")
 
     return ScenarioConfig(
         rho=rho,
@@ -463,13 +473,15 @@ def compare(path_a: str | Path, path_b: str | Path, tolerance: float) -> tuple[l
     return report, worst <= tolerance and not non_finite
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _int_in(minimum: int, maximum: float = math.inf):
+    """argparse type: an integer in [``minimum``, ``maximum``]."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return integer
@@ -485,11 +497,11 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="evaluate a scenario config and export CSV tables")
     p_run.add_argument("config", help="path to the JSON scenario document")
     p_run.add_argument("--out", default="out", help="output directory (default: ./out)")
-    p_run.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed")
+    p_run.add_argument("--seed", type=_int_in(0), default=None, help="override the config seed")
     mode = p_run.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="force exact (infinite-statistics) mode")
     mode.add_argument(
-        "--shots", type=_int_at_least(1), default=None, help="override the per-setting shot count"
+        "--shots", type=_int_in(1, MAX_SHOTS), default=None, help="override the per-setting shot count"
     )
 
     p_cmp = sub.add_parser("compare", help="diff two exported tables within a tolerance")

@@ -28,6 +28,7 @@ from .core import (
 )
 from .schemes import (
     JointDistribution,
+    _born,
     _weak_joint_states,
     joint_outcome_table,
     probability_table,
@@ -44,6 +45,8 @@ from .quasiprob import (
     mhq_from_weak,
     weak_cq_from_data,
 )
+
+MAX_SHOTS = 10**15  # largest shot count per setting; keeps the int64 count sums exact
 
 __all__ = [
     "CountTable",
@@ -68,9 +71,9 @@ class ZeroCountsError(ValueError):
 class NoiseModel:
     """Gate imperfection as a single visibility parameter in [0, 1].
 
-    Visibility 1 reproduces ideal statistics exactly; lower values mix in a
-    dephased copy of the post-coupling state, attenuating the interference
-    cross-term of the weak-sequential statistics.
+    Visibility 1 is ideal; visibility nu acts on the prepared state as
+    nu rho + (1 - nu) sum_a Pi_a rho Pi_a, dephasing it in A's eigenbasis and
+    attenuating the interference cross-term of the weak-sequential statistics.
     """
 
     gate_visibility: float = 1.0
@@ -110,6 +113,8 @@ def strength_from_waveplate(phi_deg: float) -> float:
     """
     if not 0.0 <= phi_deg <= 22.5:
         raise ValueError(f"waveplate angle must lie in [0, 22.5] degrees, got {phi_deg}")
+    if phi_deg == 22.5:  # the formula rounds to 2.2e-16 here, not to 0
+        return 0.0
     k = 2.0 * math.cos(math.radians(2.0 * phi_deg)) ** 2 - 1.0
     return min(max(k, 0.0), 1.0)
 
@@ -153,6 +158,8 @@ def sample_counts(dist: JointDistribution, shots: int, seed, setting: tuple = ()
         raise ValueError("cannot sample counts from a per-row-normalized table")
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
     rng = np.random.default_rng(seed)
     counts = rng.poisson(shots * dist.values)
     return CountTable(counts, shots_target=int(shots), seed=seed, setting=setting)
@@ -204,6 +211,8 @@ def apply_gate_noise(
     visibility nu returns nu sigma + (1 - nu) D(sigma), where D kills the
     system coherences that feed the interference cross-term.  ``basis`` gives
     the dephasing eigenbasis as columns; the default is computational.
+    The sweep dephases the prepared state instead, as D commutes with the
+    coupling; this joint-state form is the independent oracle of that model.
     """
     nu = model.gate_visibility
     if nu == 1.0:
@@ -251,18 +260,25 @@ def _exact_setting_tables(
     engine: str,
 ) -> dict[float, JointDistribution]:
     """Exact table of each strength setting, evaluated once per setting."""
+    if not noise.is_ideal:  # dephasing in A's basis commutes with the controlled shift
+        nu, w = noise.gate_visibility, obs_a.eigenvectors
+        rho = DensityOperator(nu * rho.matrix + (1.0 - nu) * (w * _born(rho, obs_a)) @ w.conj().T)
     if engine == "closed":
-        if not noise.is_ideal:
-            raise ValueError("the closed-form engine cannot model gate noise")
         return {k: weak_sequential_closed(rho, obs_a, obs_b, k) for k in settings}
     if engine != "circuit":
         raise ValueError(f"unknown engine {engine!r}")
     return {
-        k: probability_table(
-            joint_outcome_table(apply_gate_noise(joint, noise, basis=obs_a.eigenvectors), obs_b)
-        )
+        k: probability_table(joint_outcome_table(joint, obs_b))
         for k, joint in _weak_joint_states(rho, obs_a, settings)
     }
+
+
+def _strength(k: float, d: int) -> WeakStrength:
+    """WeakStrength.from_k, rejecting a weak strength whose cross weight underflows to 0."""
+    strength = WeakStrength.from_k(k, d)
+    if 0.0 < k < 1.0 and strength.cross_weight == 0.0:
+        raise ValueError(f"K={k:g} is too close to 0: its cross weight underflows at d={d}")
+    return strength
 
 
 def run_sweep(
@@ -292,20 +308,21 @@ def run_sweep(
     ----------
     rho, obs_a, obs_b : state and the two observables.
     k_values : iterable of float
-        Strength grid; evaluated in the given order.
+        Strength grid; evaluated in the given order.  A K in (0, 1) whose
+        cross weight underflows to 0 raises ValueError before any evaluation.
     shots : int or None
         Expected total coincidences per setting; None selects exact
         (infinite-statistics) mode, where all standard errors are zero.
     noise : NoiseModel
-        Gate visibility applied to every setting of the simulated experiment.
+        Gate visibility, applied once to the prepared state.
     resamples : int
         Monte Carlo re-draws per setting for the error bars (sampled mode).
     seed : int
         Root seed; every strength point receives an independent spawned
         generator, so records are reproducible bit-for-bit.
     engine : str
-        "circuit" simulates the joint system-pointer evolution (required for
-        noise); "closed" uses the closed-form tables instead.
+        "circuit" simulates the joint system-pointer evolution; "closed" uses
+        the closed-form tables instead.
 
     Returns
     -------
@@ -313,6 +330,7 @@ def run_sweep(
     """
     k_list = [float(k) for k in k_values]
     d = rho.dim
+    strengths = [_strength(k, d) for k in k_list]
     # the projective (K=1) and no-measurement (K=0) reference settings are
     # the same at every point, so each distinct setting is evaluated once
     exact_by_k = _exact_setting_tables(
@@ -321,8 +339,7 @@ def run_sweep(
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(k_list))
     records = []
-    for k, child in zip(k_list, children):
-        strength = WeakStrength.from_k(k, d)
+    for k, strength, child in zip(k_list, strengths, children):
         settings = (k, 1.0, 0.0)
         estimates = [exact_by_k[s] for s in settings]
         if shots is not None:

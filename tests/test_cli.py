@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from weakquasi.cli import ConfigError, compare, main, parse_config, run
 from weakquasi.core import make_pure_state
+from weakquasi.sampling import MAX_SHOTS
 
 MINIMAL = '{"theta0": 10.6}'
 
@@ -130,12 +131,14 @@ def test_parse_rejects_bad_outputs_and_engine():
         parse_config('{"theta0": 10.6, "outputs": ["p_weak", "wigner"]}')
     with pytest.raises(ConfigError, match="engine"):
         parse_config('{"theta0": 10.6, "engine": "magic"}')
-    with pytest.raises(ConfigError, match="gate noise"):
-        parse_config('{"theta0": 10.6, "engine": "closed", "noise": 0.9}')
+    # gate noise acts on the prepared state, so both engines model it
+    config = parse_config('{"theta0": 10.6, "engine": "closed", "noise": 0.9}')
+    assert config.engine == "closed" and config.noise.gate_visibility == 0.9
 
 
 def test_parse_shots_and_noise_validation():
     assert parse_config('{"theta0": 10.6, "shots": 5000}').shots == 5000
+    assert parse_config(json.dumps({"theta0": 10.6, "shots": MAX_SHOTS})).shots == MAX_SHOTS
     with pytest.raises(ConfigError, match="shots"):
         parse_config('{"theta0": 10.6, "shots": 0}')
     with pytest.raises(ConfigError, match="noise"):
@@ -176,6 +179,10 @@ def test_parse_shots_and_noise_validation():
         ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "eigenvalues": {}}}, "observable_a.eigenvalues"),
         ({"observable_a": {"eigenvectors": 5}}, "observable_a.eigenvectors"),
         ({"shots": 1000, "resamples": 99}, "resamples"),
+        # beyond MAX_SHOTS the int64 count sums could overflow
+        ({"shots": 1e19}, "shots"),
+        ({"shots": 10**16}, "shots"),
+        ({"shots": 1e30}, "shots"),
     ],
 )
 def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
@@ -186,6 +193,20 @@ def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: config field '{name}'")
+
+
+def test_parse_rejects_strength_whose_cross_weight_underflows(tmp_path, capsys):
+    # at d=3, K=1e-20 leaves omega0 = 0, so the MHQ inversion would divide by zero
+    basis = np.eye(3).tolist()
+    doc = {"dimension": 3, "state": [1, 0, 0], "observable_a": {"eigenvectors": basis},
+           "observable_b": {"eigenvectors": basis}, "K": [0.5, 1e-20]}
+    with pytest.raises(ConfigError, match="config field 'K': K=1e-20 is too close to 0"):
+        parse_config(json.dumps(doc))
+    path = write_config(tmp_path, "tiny.json", doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: config field 'K'")
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------------- run
@@ -287,6 +308,13 @@ def test_run_shipped_config_matches_golden_export(tmp_path):
         assert ok, (name, report)
     golden_thresholds = json.loads((GOLDEN / "thresholds.json").read_text(encoding="utf-8"))
     assert summary["thresholds"] == golden_thresholds
+
+
+def test_run_phi_grid_keys_endpoints_exactly(tmp_path):
+    # phi = 22.5 is exactly K=0, so no reconstruction row is written there
+    run(parse_config('{"theta0": 10.6, "phi": [0, 11.25, 22.5]}'), tmp_path)
+    assert {r["K"] for r in read_rows(tmp_path / "p_weak.csv")} == {"0", "0.707106781187", "1"}
+    assert {r["K"] for r in read_rows(tmp_path / "mhq_reconstructed.csv")} == {"0.707106781187"}
 
 
 def test_run_sampled_mode_has_nonzero_stderr(tmp_path):
@@ -467,3 +495,12 @@ def test_main_rejects_low_shots_and_bad_overrides(tmp_path, capsys):
             main(["run", str(path), "--out", str(tmp_path / "out"), flag, value])
         assert exit_info.value.code == 2
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+def test_main_rejects_shots_above_max(tmp_path, capsys):
+    path = write_config(tmp_path, "scenario.json", {"theta0": 10.6, "K": [0.5]})
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(path), "--out", str(tmp_path / "out"), "--shots", str(MAX_SHOTS + 1)])
+    assert exit_info.value.code == 2
+    assert f"argument --shots: must be at most {MAX_SHOTS}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

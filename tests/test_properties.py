@@ -1,6 +1,9 @@
-"""Property tests: broadcast data paths and scenario-document parsing."""
+"""Property tests: broadcast data paths, scenario-document parsing and table comparison."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from weakquasi.cli import _CONFIG_FIELDS, ConfigError, parse_config
+from weakquasi.cli import _CONFIG_FIELDS, ConfigError, _fmt, _write_table, compare, parse_config
 from weakquasi.core import WeakStrength
 from weakquasi.quasiprob import (
     _coherence_values,
@@ -101,3 +104,59 @@ def test_any_json_document_parses_or_raises_config_error(doc):
         parse_config(text)
     except ConfigError:
         pass
+
+
+# ------------------------------------------------------------ CSV pairs
+
+row_keys = st.tuples(
+    st.sampled_from(["0", "0.5", "1"]),
+    st.sampled_from(["H", "V"]),
+    st.sampled_from(["D", "A"]),
+    st.sampled_from(["p_weak", "weak_cq", "C"]),
+)
+table_values = st.floats(-2.0, 2.0) | st.sampled_from([math.nan, math.inf, -math.inf, 0.0])
+
+
+@st.composite
+def table_pairs(draw):
+    """Two exported-format tables over one set of (K, a, b, quantity) keys."""
+    keys = draw(st.lists(row_keys, min_size=1, max_size=12, unique=True))
+    values = st.lists(table_values, min_size=len(keys), max_size=len(keys))
+    return keys, draw(values), draw(values)
+
+
+def _rows(keys, values):
+    return [(*key, _fmt(value), _fmt(0.0)) for key, value in zip(keys, values)]
+
+
+def _max_diff(report):
+    line = next(line for line in report if line.startswith("max |diff| = "))
+    return float(line.split()[3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=table_pairs(), tolerance=st.floats(0.0, 1.0), duplicate=st.integers(0, 11))
+def test_compare_is_symmetric_and_rejects_non_finite_and_duplicate_rows(pair, tolerance, duplicate):
+    keys, values_a, values_b = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        path_a, path_b, path_dup = (Path(tmp) / name for name in ("a.csv", "b.csv", "dup.csv"))
+        _write_table(path_a, _rows(keys, values_a))
+        _write_table(path_b, _rows(keys, values_b))
+        report_ab, ok_ab = compare(path_a, path_b, tolerance)
+        report_ba, ok_ba = compare(path_b, path_a, tolerance)
+        assert ok_ab == ok_ba
+        assert _max_diff(report_ab) == _max_diff(report_ba)
+        # the exported text is what compare reads, so judge the parsed values
+        parsed = [(float(_fmt(a)), float(_fmt(b))) for a, b in zip(values_a, values_b)]
+        if not all(math.isfinite(x) for row in parsed for x in row):
+            assert not ok_ab
+        else:
+            assert ok_ab == (max(abs(a - b) for a, b in parsed) <= tolerance)
+        # a repeated (K, a, b, quantity) key is an error, whatever its value
+        rows = _rows(keys, values_a)
+        at = duplicate % len(rows)
+        rows.insert(at, (*rows[at][:4], _fmt(values_b[at]), _fmt(0.0)))
+        _write_table(path_dup, rows)
+        for first, second in ((path_dup, path_b), (path_b, path_dup)):
+            with pytest.raises(ValueError, match="duplicate row key"):
+                compare(first, second, tolerance)

@@ -25,6 +25,7 @@ from weakquasi.sampling import (
     strength_from_waveplate,
 )
 from weakquasi.schemes import (
+    joint_outcome_table,
     marginals,
     probability_table,
     tpm_joint,
@@ -75,6 +76,14 @@ def test_sample_counts_rejects_per_row_tables(scenario_state, obs_z, obs_x):
 def test_sample_counts_rejects_bad_shots():
     with pytest.raises(ValueError, match="shots"):
         sample_counts(UNIFORM4, 0, seed=0)
+    with pytest.raises(ValueError, match="shots must be at most"):
+        sample_counts(UNIFORM4, sampling.MAX_SHOTS + 1, seed=0)
+
+
+def test_sample_counts_at_max_shots_sums_exactly():
+    counts = sample_counts(UNIFORM4, sampling.MAX_SHOTS, seed=0)
+    assert counts.total == int(counts.counts.astype(object).sum())
+    assert abs(counts.total - sampling.MAX_SHOTS) < 1e-6 * sampling.MAX_SHOTS
 
 
 def test_count_table_validation():
@@ -265,9 +274,11 @@ def test_run_sweep_closed_engine_matches_circuit(scenario_state, obs_z, obs_x):
 
 
 @pytest.mark.parametrize("dim", [3, 8])
-def test_noisy_circuit_matches_closed_form_on_dephased_state(dim):
+@pytest.mark.parametrize("engine", ["circuit", "closed"])
+def test_noisy_sweep_matches_closed_form_on_dephased_state(engine, dim):
     # dephasing in A's basis commutes with the controlled shift, so the noisy
-    # circuit equals the closed form on nu rho + (1 - nu) sum_a Pi_a rho Pi_a
+    # experiment equals the closed form on nu rho + (1 - nu) sum_a Pi_a rho Pi_a
+    # and the circuit with the noise applied to the post-coupling joint state
     from conftest import random_instance
 
     rho, obs_a, obs_b = random_instance(np.random.default_rng(500 + dim), dim)
@@ -276,10 +287,15 @@ def test_noisy_circuit_matches_closed_form_on_dephased_state(dim):
     k_grid = [0.0, 0.3, 0.7, 1.0]
     for nu in (1.0, 0.9, 0.5, 0.0):
         target = DensityOperator(nu * rho.matrix + (1.0 - nu) * dephased)
-        records = run_sweep(rho, obs_a, obs_b, k_grid, noise=NoiseModel(nu))
+        records = run_sweep(rho, obs_a, obs_b, k_grid, noise=NoiseModel(nu), engine=engine)
         for k, record in zip(k_grid, records):
             expected = weak_sequential_closed(target, obs_a, obs_b, k).values
             assert np.abs(record.p_weak.values - expected).max() <= 1e-12, (nu, k)
+            noisy_joint = apply_gate_noise(
+                weak_joint_state(rho, obs_a, k), NoiseModel(nu), basis=obs_a.eigenvectors
+            )
+            oracle = joint_outcome_table(noisy_joint, obs_b)
+            assert np.abs(record.p_weak.values - oracle).max() <= 1e-12, (nu, k)
         assert np.abs(records[0].p_tpm.values - tpm_joint(target, obs_a, obs_b).values).max() <= 1e-12
         assert np.abs(records[0].p_fin - marginals(target, obs_a, obs_b).p_fin).max() <= 1e-12
 
@@ -330,9 +346,34 @@ def test_run_sweep_rejects_too_few_resamples(scenario_state, obs_z, obs_x):
     assert run_sweep(scenario_state, obs_z, obs_x, [0.5], resamples=0)[0].errors["p_weak"].max() == 0.0
 
 
-def test_run_sweep_closed_engine_rejects_noise(scenario_state, obs_z, obs_x):
-    with pytest.raises(ValueError, match="noise"):
-        run_sweep(scenario_state, obs_z, obs_x, [0.3], noise=NoiseModel(0.9), engine="closed")
+def test_run_sweep_closed_engine_matches_circuit_under_noise(scenario_state, obs_z, obs_x):
+    k_grid = [0.0, 0.3, 0.7, 1.0]
+    sweeps = [
+        run_sweep(scenario_state, obs_z, obs_x, k_grid, noise=NoiseModel(0.9), engine=engine)
+        for engine in ("circuit", "closed")
+    ]
+    for circuit, closed in zip(*sweeps):
+        for name in ("p_weak", "p_tpm", "weak_cq", "weak_mhq", "mhq_reconstructed"):
+            table_c, table_d = getattr(circuit, name), getattr(closed, name)
+            assert (table_c is None) == (table_d is None), name
+            if table_c is not None:
+                assert np.abs(table_c.values - table_d.values).max() <= 1e-12, name
+        assert np.abs(circuit.p_fin - closed.p_fin).max() <= 1e-12
+        assert np.abs(circuit.coherence - closed.coherence).max() <= 1e-12
+
+
+@pytest.mark.parametrize("engine", ["circuit", "closed"])
+def test_run_sweep_rejects_underflowing_strength_before_evaluating(monkeypatch, engine):
+    # at d=3, K=1e-20 leaves omega0 = 0 and the cross weight 0, so the MHQ
+    # inversion would divide by zero
+    from conftest import random_instance
+
+    assert WeakStrength.from_k(1e-20, 3).cross_weight == 0.0
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(3), 3)
+    evaluations = _count_calls(monkeypatch, sampling, "_exact_setting_tables")
+    with pytest.raises(ValueError, match="K=1e-20 is too close to 0"):
+        run_sweep(rho, obs_a, obs_b, [0.5, 1e-20], engine=engine)
+    assert evaluations == []
 
 
 def test_run_sweep_qutrit_weak_mhq_coverage():
@@ -360,8 +401,13 @@ def test_qubit_scenario_state(cs):
 
 
 def test_strength_from_waveplate():
-    assert strength_from_waveplate(0.0) == pytest.approx(1.0, abs=1e-15)
-    assert strength_from_waveplate(22.5) == pytest.approx(0.0, abs=1e-15)
+    # the endpoints are exact, so they key the CSV rows as K=1 and K=0
+    assert strength_from_waveplate(0.0) == 1.0
+    assert strength_from_waveplate(22.5) == 0.0
+    # every other angle keeps the bits of the formula
+    for phi in np.linspace(0.0, 22.5, 91)[:-1]:
+        k = 2.0 * np.cos(np.radians(2.0 * phi)) ** 2 - 1.0
+        assert strength_from_waveplate(float(phi)) == min(max(float(k), 0.0), 1.0)
     # K = 2 cos^2(2 phi) - 1 at phi = 10 degrees
     assert strength_from_waveplate(10.0) == pytest.approx(
         2 * np.cos(np.radians(20.0)) ** 2 - 1, abs=1e-15
