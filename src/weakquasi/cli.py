@@ -30,6 +30,7 @@ from .core import (
 )
 from .quasiprob import cq, mhq, negativity, threshold_strength
 from .sampling import (
+    MAX_RESAMPLES,
     MAX_SHOTS,
     NoiseModel,
     QubitScenario,
@@ -277,7 +278,7 @@ def parse_config(text: str) -> ScenarioConfig:
     except ValueError as exc:
         _fail("noise", str(exc))
 
-    resamples = _integer(doc.get("resamples", 1000), "resamples", 0)
+    resamples = _integer(doc.get("resamples", 1000), "resamples", 0, MAX_RESAMPLES)
 
     outputs = doc.get("outputs", QUANTITIES)
     if not isinstance(outputs, (list, tuple)) or not all(isinstance(q, str) for q in outputs):
@@ -286,6 +287,9 @@ def parse_config(text: str) -> ScenarioConfig:
     bad = set(outputs) - set(QUANTITIES)
     if bad:
         _fail("outputs", f"unknown quantities {sorted(bad)}; available: {list(QUANTITIES)}")
+    if len(set(outputs)) < len(outputs):
+        repeated = next(q for q in outputs if outputs.count(q) > 1)
+        _fail("outputs", f"quantity {repeated!r} is listed twice")
 
     engine = doc.get("engine", "circuit")
     if engine not in ("circuit", "closed"):

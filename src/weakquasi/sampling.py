@@ -29,10 +29,11 @@ from .core import (
 from .schemes import (
     JointDistribution,
     _born,
-    _weak_joint_states,
-    joint_outcome_table,
+    _kraus_table,
+    # the dense circuit oracle; perfbench/tracing.py looks both names up here
+    joint_outcome_table,  # noqa: F401
     probability_table,
-    weak_joint_state,  # noqa: F401  (looked up here by perfbench/tracing.py)
+    weak_joint_state,  # noqa: F401
     weak_sequential_closed,
 )
 from .quasiprob import (
@@ -47,6 +48,8 @@ from .quasiprob import (
 )
 
 MAX_SHOTS = 10**15  # largest shot count per setting; keeps the int64 count sums exact
+MAX_RESAMPLES = 10**5  # largest Monte Carlo re-draw count per setting
+MIN_CROSS_WEIGHT = 1e-6  # the MHQ inversion multiplies rounding dust by 1 / cross_weight
 
 __all__ = [
     "CountTable",
@@ -169,6 +172,8 @@ def _resampled(counts: np.ndarray, resamples: int, rng: np.random.Generator) -> 
     """Normalized Poisson re-draws centred on observed counts, shape (resamples, d, d)."""
     if resamples < 100:
         raise ValueError(f"need at least 100 resamples, got {resamples}")
+    if resamples > MAX_RESAMPLES:
+        raise ValueError(f"need at most {MAX_RESAMPLES} resamples, got {resamples}")
     draws = rng.poisson(counts, size=(resamples, *counts.shape))
     totals = draws.sum(axis=(1, 2), keepdims=True)
     return draws / np.where(totals > 0, totals, 1.0)
@@ -267,17 +272,17 @@ def _exact_setting_tables(
         return {k: weak_sequential_closed(rho, obs_a, obs_b, k) for k in settings}
     if engine != "circuit":
         raise ValueError(f"unknown engine {engine!r}")
-    return {
-        k: probability_table(joint_outcome_table(joint, obs_b))
-        for k, joint in _weak_joint_states(rho, obs_a, settings)
-    }
+    return {k: probability_table(_kraus_table(rho, obs_a, obs_b, k)) for k in settings}
 
 
 def _strength(k: float, d: int) -> WeakStrength:
-    """WeakStrength.from_k, rejecting a weak strength whose cross weight underflows to 0."""
+    """WeakStrength.from_k, rejecting a weak strength whose cross weight is below MIN_CROSS_WEIGHT."""
     strength = WeakStrength.from_k(k, d)
-    if 0.0 < k < 1.0 and strength.cross_weight == 0.0:
-        raise ValueError(f"K={k:g} is too close to 0: its cross weight underflows at d={d}")
+    if 0.0 < k < 1.0 and strength.cross_weight < MIN_CROSS_WEIGHT:
+        raise ValueError(
+            f"K={k:.15g} is too close to {round(k)}: its cross weight {strength.cross_weight:.3g} "
+            f"is below {MIN_CROSS_WEIGHT:g} at d={d}"
+        )
     return strength
 
 
@@ -298,31 +303,32 @@ def run_sweep(
     strengths 1 and 0, which supply the projective table and the
     final-observable marginal entering the reconstruction formulas.  The
     exact table of each distinct setting is computed once per sweep and
-    shared by every point that uses it; the circuit engine also builds the
-    coupling unitary once.  Per point, sampled mode draws fresh counts for
-    all three settings from that point's own generator, and all derived
-    tables are computed from those (estimated or exact) tables alone,
-    exactly as they would be from laboratory data.
+    shared by every point that uses it.  Per point, sampled mode draws fresh
+    counts for all three settings from that point's own generator, and all
+    derived tables are computed from those (estimated or exact) tables
+    alone, exactly as they would be from laboratory data.
 
     Parameters
     ----------
     rho, obs_a, obs_b : state and the two observables.
     k_values : iterable of float
         Strength grid; evaluated in the given order.  A K in (0, 1) whose
-        cross weight underflows to 0 raises ValueError before any evaluation.
+        cross weight is below MIN_CROSS_WEIGHT raises ValueError before any
+        evaluation.
     shots : int or None
         Expected total coincidences per setting; None selects exact
         (infinite-statistics) mode, where all standard errors are zero.
     noise : NoiseModel
         Gate visibility, applied once to the prepared state.
     resamples : int
-        Monte Carlo re-draws per setting for the error bars (sampled mode).
+        Monte Carlo re-draws per setting for the error bars (sampled mode),
+        between 100 and MAX_RESAMPLES.
     seed : int
         Root seed; every strength point receives an independent spawned
         generator, so records are reproducible bit-for-bit.
     engine : str
-        "circuit" simulates the joint system-pointer evolution; "closed" uses
-        the closed-form tables instead.
+        "circuit" reads the pointer coupling through the weak POVM's Kraus
+        operators; "closed" uses the three-term closed form instead.
 
     Returns
     -------

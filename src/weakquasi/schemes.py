@@ -1,10 +1,10 @@
 """Measurement schemes producing joint outcome tables over pairs (a, b).
 
 Covers the projective two-point scheme, the weak-sequential scheme in both
-its three-term closed form and an explicit system-pointer circuit, and the
-weak variant built from non-selective projective measurements.  The circuit
-and closed-form paths are independent computations of the same statistics
-and are cross-checked in the test suite.
+its three-term closed form and the system-pointer circuit, and the weak
+variant built from non-selective projective measurements.  The sweep reads
+the circuit through the weak POVM's Kraus operators; the explicit d^2 x d^2
+circuit is the independent oracle the test suite checks both against.
 """
 
 from __future__ import annotations
@@ -158,10 +158,10 @@ class Povm:
             raise ValueError(f"expected {d} operators of shape ({d}, {d})")
         if np.abs(elems.sum(axis=0) - np.eye(d)).max() > VALIDATION_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
-        for a in range(d):
-            if np.linalg.eigvalsh(elems[a]).min() < -VALIDATION_ATOL:
-                raise ValueError(f"POVM element {a} is not positive semidefinite")
-        expected = np.einsum("aji,ajk->aik", kraus.conj(), kraus)
+        bad = np.flatnonzero(np.linalg.eigvalsh(elems).min(axis=1) < -VALIDATION_ATOL)
+        if bad.size:
+            raise ValueError(f"POVM element {bad[0]} is not positive semidefinite")
+        expected = kraus.conj().transpose(0, 2, 1) @ kraus
         if np.abs(expected - elems).max() > ALGEBRA_ATOL:
             raise ValueError("elements are not m_a^dagger m_a of the Kraus operators")
         object.__setattr__(self, "kraus_ops", kraus)
@@ -234,7 +234,7 @@ def weak_povm(obs_a: ObservableSpec, k: float) -> Povm:
     strength = WeakStrength.from_k(k, d)
     eye = np.eye(d, dtype=complex)
     kraus = strength.omega0 * obs_a.projectors() + strength.omega1 * eye[None, :, :] / np.sqrt(d)
-    elements = np.einsum("aji,ajk->aik", kraus.conj(), kraus)
+    elements = kraus.conj().transpose(0, 2, 1) @ kraus
     return Povm(kraus, elements, strength)
 
 
@@ -279,27 +279,16 @@ def _three_term(
 
 
 def weak_joint_state(rho: DensityOperator, obs_a: ObservableSpec, k: float) -> DensityOperator:
-    """Joint system-pointer state after the controlled-shift coupling.
+    """Joint system-pointer state U (rho (x) |mu_k><mu_k|) U^dagger after the coupling.
 
     The pointer starts in the strength-k preparation; the returned operator
     lives on the d^2-dimensional system (x) pointer space.
     """
-    return next(_weak_joint_states(rho, obs_a, (k,)))[1]
-
-
-def _weak_joint_states(rho: DensityOperator, obs_a: ObservableSpec, k_values):
-    """Yield (k, U (rho (x) |mu_k><mu_k|) U^dagger) per k, building U once.
-
-    The coupling U depends only on A, so a sweep over strengths shares it.
-    """
     if rho.dim != obs_a.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs_a.dim}")
+    pointer, _ = pointer_for_strength(k, rho.dim)
     u = controlled_shift(obs_a)
-    u_dagger = u.conj().T
-    for k in k_values:
-        pointer, _ = pointer_for_strength(k, rho.dim)
-        joint = np.kron(rho.matrix, pointer.density())
-        yield k, DensityOperator(u @ joint @ u_dagger)
+    return DensityOperator(u @ np.kron(rho.matrix, pointer.density()) @ u.conj().T)
 
 
 def joint_outcome_table(joint: DensityOperator, obs_b: ObservableSpec) -> np.ndarray:
@@ -314,6 +303,18 @@ def joint_outcome_table(joint: DensityOperator, obs_b: ObservableSpec) -> np.nda
     blocks = np.einsum("iaja->aij", sigma)    # pointer-diagonal system blocks
     wb = obs_b.eigenvectors
     return np.einsum("aij,jb,ib->ab", blocks, wb, wb.conj()).real
+
+
+def _kraus_table(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec, k: float) -> np.ndarray:
+    """Outcome table Re <b| m_a rho m_a^dagger |b> over the Kraus operators of weak_povm.
+
+    Reading pointer value a after the coupling applies m_a to the system, so
+    this is :func:`joint_outcome_table` of :func:`weak_joint_state` without
+    the d^2-dimensional joint state.
+    """
+    _check_dims(rho, obs_a, obs_b)
+    bm = obs_b.eigenvectors.conj().T @ weak_povm(obs_a, k).kraus_ops  # [a, b, i] = <b|m_a|i>
+    return ((bm @ rho.matrix) * bm.conj()).sum(axis=2).real
 
 
 def weak_sequential_oracle(

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from weakquasi.cli import ConfigError, compare, main, parse_config, run
 from weakquasi.core import make_pure_state
-from weakquasi.sampling import MAX_SHOTS
+from weakquasi.sampling import MAX_RESAMPLES, MAX_SHOTS
 
 MINIMAL = '{"theta0": 10.6}'
 
@@ -139,6 +139,7 @@ def test_parse_rejects_bad_outputs_and_engine():
 def test_parse_shots_and_noise_validation():
     assert parse_config('{"theta0": 10.6, "shots": 5000}').shots == 5000
     assert parse_config(json.dumps({"theta0": 10.6, "shots": MAX_SHOTS})).shots == MAX_SHOTS
+    assert parse_config(json.dumps({"theta0": 10.6, "resamples": MAX_RESAMPLES})).resamples == MAX_RESAMPLES
     with pytest.raises(ConfigError, match="shots"):
         parse_config('{"theta0": 10.6, "shots": 0}')
     with pytest.raises(ConfigError, match="noise"):
@@ -183,6 +184,12 @@ def test_parse_shots_and_noise_validation():
         ({"shots": 1e19}, "shots"),
         ({"shots": 10**16}, "shots"),
         ({"shots": 1e30}, "shots"),
+        # the MHQ inversion would amplify rounding dust by 1 / cross_weight ~ 6e15
+        ({"K": [1e-20, 1e-12, 0.5]}, "K"),
+        # beyond MAX_RESAMPLES the re-draw stacks run out of memory or time
+        ({"shots": 1000, "resamples": 1e12}, "resamples"),
+        ({"shots": 1000, "resamples": 1e8}, "resamples"),
+        ({"outputs": ["p_weak", "p_weak"]}, "outputs"),
     ],
 )
 def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):

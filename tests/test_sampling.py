@@ -273,7 +273,7 @@ def test_run_sweep_closed_engine_matches_circuit(scenario_state, obs_z, obs_x):
     assert np.abs(circuit.p_weak.values - closed.p_weak.values).max() <= 1e-12
 
 
-@pytest.mark.parametrize("dim", [3, 8])
+@pytest.mark.parametrize("dim", [3, 8, 16])
 @pytest.mark.parametrize("engine", ["circuit", "closed"])
 def test_noisy_sweep_matches_closed_form_on_dephased_state(engine, dim):
     # dephasing in A's basis commutes with the controlled shift, so the noisy
@@ -321,15 +321,26 @@ def test_run_sweep_evaluates_each_distinct_setting_once(
     monkeypatch, scenario_state, obs_z, obs_x, k_grid, evaluations, engine
 ):
     # every point needs its own K plus the references K=1 and K=0, which are
-    # shared: one table per element of set(grid) | {0, 1}
-    readouts = _count_calls(monkeypatch, sampling, "joint_outcome_table")
+    # shared: one table per element of set(grid) | {0, 1}.  The circuit engine
+    # reads each setting through the weak POVM's Kraus operators and never
+    # builds the d^2 x d^2 joint state of the dense oracle
+    readouts = _count_calls(monkeypatch, schemes, "weak_povm")
     closed = _count_calls(monkeypatch, sampling, "weak_sequential_closed")
-    couplings = _count_calls(monkeypatch, schemes, "controlled_shift")
+    dense = [
+        _count_calls(monkeypatch, module, name)
+        for module, name in [
+            (schemes, "controlled_shift"),
+            (schemes, "weak_joint_state"),
+            (schemes, "joint_outcome_table"),
+            (sampling, "weak_joint_state"),
+            (sampling, "joint_outcome_table"),
+        ]
+    ]
     records = run_sweep(scenario_state, obs_z, obs_x, k_grid, engine=engine)
     assert len(records) == len(k_grid)
     assert len(readouts) + len(closed) == evaluations
     assert len(readouts if engine == "circuit" else closed) == evaluations
-    assert len(couplings) == (1 if engine == "circuit" else 0)
+    assert [len(calls) for calls in dense] == [0] * len(dense)
 
 
 def test_run_sweep_sampled_mode_draws_three_tables_per_point(monkeypatch, scenario_state, obs_z, obs_x):
@@ -344,6 +355,16 @@ def test_run_sweep_rejects_too_few_resamples(scenario_state, obs_z, obs_x):
         run_sweep(scenario_state, obs_z, obs_x, [0.5], shots=1000, resamples=99)
     # exact mode draws no resamples, so any count is accepted
     assert run_sweep(scenario_state, obs_z, obs_x, [0.5], resamples=0)[0].errors["p_weak"].max() == 0.0
+
+
+def test_resampling_rejects_more_than_max_resamples(scenario_state, obs_z, obs_x):
+    too_many = sampling.MAX_RESAMPLES + 1
+    message = f"need at most {sampling.MAX_RESAMPLES} resamples, got {too_many}"
+    with pytest.raises(ValueError, match=message):
+        run_sweep(scenario_state, obs_z, obs_x, [0.5], shots=1000, resamples=too_many)
+    counts = sample_counts(UNIFORM4, 1000, seed=1)
+    with pytest.raises(ValueError, match=message):
+        estimate_with_errors(counts, too_many, seed=2)
 
 
 def test_run_sweep_closed_engine_matches_circuit_under_noise(scenario_state, obs_z, obs_x):
@@ -374,6 +395,18 @@ def test_run_sweep_rejects_underflowing_strength_before_evaluating(monkeypatch, 
     with pytest.raises(ValueError, match="K=1e-20 is too close to 0"):
         run_sweep(rho, obs_a, obs_b, [0.5, 1e-20], engine=engine)
     assert evaluations == []
+
+
+@pytest.mark.parametrize("k, edge", [(1e-20, 0), (1e-7, 0), (1.0 - 1e-13, 1)])
+def test_run_sweep_rejects_strength_below_cross_weight_floor(scenario_state, obs_z, obs_x, k, edge):
+    # at d=2, K=1e-20 keeps a cross weight of about 1.6e-16, and dividing by it
+    # turned rounding dust into reconstruction cells of order 0.1
+    assert 0.0 < WeakStrength.from_k(k, 2).cross_weight < sampling.MIN_CROSS_WEIGHT
+    with pytest.raises(ValueError, match=f"K={k:.15g} is too close to {edge}"):
+        run_sweep(scenario_state, obs_z, obs_x, [0.5, k])
+    # a strength whose cross weight clears the floor still reconstructs exactly
+    record = run_sweep(scenario_state, obs_z, obs_x, [1e-5])[0]
+    assert np.abs(record.mhq_reconstructed.values - mhq(scenario_state, obs_z, obs_x).values).max() <= 1e-9
 
 
 def test_run_sweep_qutrit_weak_mhq_coverage():

@@ -15,6 +15,7 @@ from weakquasi.core import (
 )
 from weakquasi.schemes import (
     JointDistribution,
+    Povm,
     joint_outcome_table,
     marginals,
     nonselective_state,
@@ -137,6 +138,13 @@ def test_weak_povm_element_form_matches_strength():
 def test_weak_povm_rejects_bad_strength(obs_z):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         weak_povm(obs_z, 1.5)
+
+
+def test_povm_rejects_non_psd_element_by_index():
+    # the elements sum to the identity, but element 1 has eigenvalue -0.5
+    elements = np.array([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])], dtype=complex)
+    with pytest.raises(ValueError, match="POVM element 1 is not positive semidefinite"):
+        Povm(np.zeros((2, 2, 2)), elements, WeakStrength.from_k(0.5, 2))
 
 
 # ----------------------------------------------------- conditional states
