@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -226,8 +228,9 @@ def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
             _fail("K", str(exc))
     # exported rows are keyed by the formatted strength, so keys must be distinct
     keys = [_fmt(k) for k in values]
-    if len(set(keys)) < len(keys):
-        repeated = next(key for key in keys if keys.count(key) > 1)
+    counts = Counter(keys)
+    if len(counts) < len(keys):
+        repeated = next(key for key in keys if counts[key] > 1)
         _fail(field, f"the grid gives strength K={repeated} twice; CSV rows are keyed by K")
     return tuple(float(k) for k in values)
 
@@ -415,8 +418,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         ]
         summary["thresholds"] = {"per_cell": cells, "global": _threshold(report.global_threshold)}
     with open(out / "summary.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -427,18 +429,25 @@ def _read_table(path: Path) -> dict[tuple, tuple[float, float]]:
         if header != CSV_HEADER:
             raise ValueError(f"schema mismatch in {path}: header {header}, expected {CSV_HEADER}")
         rows = {}
+        # the location is formatted only for the row that fails
         for row in reader:
-            where = f"{path}, line {reader.line_num}"
             if len(row) != len(CSV_HEADER):
-                raise ValueError(f"{where}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+                )
             key = tuple(row[:4])
             if key in rows:
-                raise ValueError(f"{where}: duplicate row key {key}")
+                raise ValueError(f"{path}, line {reader.line_num}: duplicate row key {key}")
             try:
                 rows[key] = (float(row[4]), float(row[5]))
             except ValueError:
-                raise ValueError(f"{where}: value or stderr is not a number") from None
+                raise ValueError(f"{path}, line {reader.line_num}: value or stderr is not a number") from None
     return rows
+
+
+def _location(key: tuple) -> str:
+    """A row key as compare reports it; formatted only for rows that fail."""
+    return f"K={key[0]} ({key[1]},{key[2]}) {key[3]}"
 
 
 def compare(path_a: str | Path, path_b: str | Path, tolerance: float) -> tuple[list[str], bool]:
@@ -462,15 +471,14 @@ def compare(path_a: str | Path, path_b: str | Path, tolerance: float) -> tuple[l
     non_finite = 0
     for key in sorted(rows_a):
         value_a, value_b = rows_a[key][0], rows_b[key][0]
-        where = f"K={key[0]} ({key[1]},{key[2]}) {key[3]}"
         if not (math.isfinite(value_a) and math.isfinite(value_b)):
             non_finite += 1
-            report.append(f"non-finite value at {where}: {value_a!r} vs {value_b!r}")
+            report.append(f"non-finite value at {_location(key)}: {value_a!r} vs {value_b!r}")
             continue
         diff = abs(value_a - value_b)
         worst = max(worst, diff)
         if diff > tolerance:
-            report.append(f"exceeds tolerance at {where}: |diff|={diff:.3e}")
+            report.append(f"exceeds tolerance at {_location(key)}: |diff|={diff:.3e}")
     report.append(f"max |diff| = {worst:.3e} over {len(rows_a)} rows (tolerance {tolerance:g})")
     if non_finite:
         report.append(f"{non_finite} row(s) hold a non-finite value, which no tolerance accepts")
@@ -491,7 +499,9 @@ def _int_in(minimum: int, maximum: float = math.inf):
     return integer
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="weakquasi",
         description="Weak-sequential measurement sweeps and figure-data export.",
@@ -512,8 +522,11 @@ def main(argv=None) -> int:
     p_cmp.add_argument("table_a")
     p_cmp.add_argument("table_b")
     p_cmp.add_argument("--tol", type=float, required=True, help="maximum allowed |difference|")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "run":
         try:
@@ -528,8 +541,8 @@ def main(argv=None) -> int:
         except (OSError, ConfigError, ZeroCountsError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        written = sorted(q for q in config.outputs if q != "thresholds")
-        print(f"wrote {', '.join(q + '.csv' for q in written)} and summary.json to {args.out}")
+        tables = ", ".join(f"{q}.csv" for q in sorted(config.outputs) if q != "thresholds")
+        print(f"wrote {tables + ' and ' if tables else ''}summary.json to {args.out}")
         print(f"runtime: {summary['runtime_seconds']} s, seed {summary['seed']}, shots {summary['shots']}")
         return 0
 

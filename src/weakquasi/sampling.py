@@ -324,8 +324,9 @@ def run_sweep(
         Monte Carlo re-draws per setting for the error bars (sampled mode),
         between 100 and MAX_RESAMPLES.
     seed : int
-        Root seed; every strength point receives an independent spawned
-        generator, so records are reproducible bit-for-bit.
+        Root seed of sampled mode; every strength point receives an
+        independent spawned generator, so records are reproducible
+        bit-for-bit.  Exact mode ignores it.
     engine : str
         "circuit" reads the pointer coupling through the weak POVM's Kraus
         operators; "closed" uses the three-term closed form instead.
@@ -342,8 +343,11 @@ def run_sweep(
     exact_by_k = _exact_setting_tables(
         rho, obs_a, obs_b, sorted(set(k_list) | {0.0, 1.0}), noise, engine
     )
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(len(k_list))
+    # exact mode draws nothing, so it never builds (or imports) numpy.random
+    if shots is None:
+        children = [None] * len(k_list)
+    else:
+        children = np.random.SeedSequence(seed).spawn(len(k_list))
     records = []
     for k, strength, child in zip(k_list, strengths, children):
         settings = (k, 1.0, 0.0)

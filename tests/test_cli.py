@@ -3,13 +3,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from weakquasi.cli import ConfigError, compare, main, parse_config, run
+import weakquasi
+from weakquasi.cli import ConfigError, _parser, compare, main, parse_config, run
 from weakquasi.core import make_pure_state
 from weakquasi.sampling import MAX_RESAMPLES, MAX_SHOTS
 
@@ -190,6 +194,8 @@ def test_parse_shots_and_noise_validation():
         ({"shots": 1000, "resamples": 1e12}, "resamples"),
         ({"shots": 1000, "resamples": 1e8}, "resamples"),
         ({"outputs": ["p_weak", "p_weak"]}, "outputs"),
+        # a long list whose only repeat is its last value: one counting pass, not one per key
+        ({"K": [i / 10_000 for i in range(9_999)] + [0.9998]}, "K"),
     ],
 )
 def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
@@ -200,6 +206,11 @@ def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: config field '{name}'")
+
+
+def test_parse_names_first_repeated_strength_in_grid_order():
+    with pytest.raises(ConfigError, match="strength K=0.7 twice"):
+        parse_config('{"theta0": 10.6, "K": [0.7, 0.3, 0.3, 0.7]}')
 
 
 def test_parse_rejects_strength_whose_cross_weight_underflows(tmp_path, capsys):
@@ -457,6 +468,71 @@ def test_main_run_overrides(tmp_path):
     ) == 0
     summary = json.loads((tmp_path / "reseeded/summary.json").read_text())
     assert summary["seed"] == 7 and summary["shots"] == 500
+
+
+def test_main_reuses_parser_without_leaking_state(tmp_path, capsys):
+    path = write_config(
+        tmp_path, "scenario.json",
+        {"theta0": 10.6, "K": [0.5], "shots": 2000, "seed": 3, "outputs": ["p_weak"]},
+    )
+
+    def summary(name):
+        return json.loads((tmp_path / name / "summary.json").read_text())
+
+    assert _parser() is _parser()  # built once per process
+    assert main(["run", str(path), "--out", str(tmp_path / "override"), "--seed", "5", "--shots", "1000"]) == 0
+    assert (summary("override")["seed"], summary("override")["shots"]) == (5, 1000)
+    assert main(["run", str(path), "--out", str(tmp_path / "plain")]) == 0
+    assert (summary("plain")["seed"], summary("plain")["shots"]) == (3, 2000)
+    assert main(["run", str(path), "--out", str(tmp_path / "exact"), "--exact"]) == 0
+    assert summary("exact")["shots"] == "exact"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(path), "--out", str(tmp_path / "bad"), "--exact", "--shots", "5"])
+    assert exit_info.value.code == 2
+    assert "argument --shots: not allowed with argument --exact" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    assert main(["run", str(path), "--out", str(tmp_path / "again")]) == 0
+    assert (summary("again")["seed"], summary("again")["shots"]) == (3, 2000)
+    assert (tmp_path / "again/p_weak.csv").read_bytes() == (tmp_path / "plain/p_weak.csv").read_bytes()
+
+
+def test_exact_run_never_imports_numpy_random(tmp_path):
+    script = (
+        "import sys\n"
+        "import weakquasi.cli\n"
+        f"assert weakquasi.cli.main(['run', {str(SHIPPED)!r}, '--out', {str(tmp_path / 'exact')!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'exact mode imported numpy.random'\n"
+    )
+    src = str(Path(weakquasi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    # sampled mode does draw: the same seed gives the same bytes
+    for name in ("first", "second"):
+        args = ["run", str(SHIPPED), "--out", str(tmp_path / name), "--shots", "1000", "--seed", "1"]
+        assert main(args) == 0
+    tables = sorted(p.name for p in (tmp_path / "first").glob("*.csv"))
+    assert len(tables) == 7
+    for name in tables:
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "outputs, line",
+    [
+        ([], "wrote summary.json to"),
+        (["thresholds"], "wrote summary.json to"),
+        (["weak_cq", "p_weak", "thresholds"], "wrote p_weak.csv, weak_cq.csv and summary.json to"),
+    ],
+)
+def test_main_run_reports_written_files(tmp_path, capsys, outputs, line):
+    path = write_config(tmp_path, "scenario.json", {"theta0": 10.6, "K": [0.5], "outputs": outputs})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"{line} {out}"
+    written = [f"{q}.csv" for q in outputs if q != "thresholds"] + ["summary.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
 
 
 @pytest.mark.parametrize("resamples", [0, 1, 99])
