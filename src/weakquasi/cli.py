@@ -43,6 +43,7 @@ from .sampling import (
 )
 
 MAX_GRID_POINTS = 10_000  # largest strength grid a "K" range may request
+MAX_DIMENSION = 64  # largest system dimension; an exact noisy 21-point circuit sweep takes about 2 s at d=64
 
 QUANTITIES = ("p_weak", "cq", "mhq", "weak_cq", "weak_mhq", "C", "mhq_reconstructed", "thresholds")
 
@@ -157,11 +158,17 @@ def _parse_state(doc: dict, dim: int) -> DensityOperator:
     if "state" not in doc:
         _fail("state", "a scenario needs 'theta0' or 'state'")
     spec = doc["state"]
+    density = isinstance(spec, dict) and "density" in spec
+    if density:
+        spec = spec["density"]
+    elif isinstance(spec, dict) and "amplitudes" in spec:
+        spec = spec["amplitudes"]
+    # checked before any matrix is built: n amplitudes would build an n x n density
+    if isinstance(spec, list) and len(spec) != dim:
+        _fail("state", f"has dimension {len(spec)}, config says {dim}")
     try:
-        if isinstance(spec, dict) and "density" in spec:
-            return DensityOperator(_complex_matrix(spec["density"], "state.density"))
-        if isinstance(spec, dict) and "amplitudes" in spec:
-            spec = spec["amplitudes"]
+        if density:
+            return DensityOperator(_complex_matrix(spec, "state.density"))
         return make_pure_state([_complex_entry(e, "state") for e in spec])
     except ConfigError:
         raise
@@ -251,10 +258,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
 
-    dim = _integer(doc.get("dimension", 2), "dimension", 2)
+    dim = _integer(doc.get("dimension", 2), "dimension", 2, MAX_DIMENSION)
     rho = _parse_state(doc, dim)
-    if rho.dim != dim:
-        _fail("state", f"has dimension {rho.dim}, config says {dim}")
     obs_a = _parse_observable(doc.get("observable_a", "Z"), "observable_a", dim)
     obs_b = _parse_observable(doc.get("observable_b", "X"), "observable_b", dim)
     if obs_a.dim != dim or obs_b.dim != dim:
@@ -358,40 +363,24 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     negativity_totals: dict[str, dict[str, float]] = {}
     residuals: dict[str, dict[str, float]] = {}
 
-    def emit(quantity: str, k: float, values: np.ndarray, stderr: np.ndarray | None):
+    def emit(quantity: str, key: str, values: np.ndarray, stderr: np.ndarray | None):
         err = np.zeros_like(values) if stderr is None else stderr
         for a in range(values.shape[0]):
             for b in range(values.shape[1]):
                 tables[quantity].append(
-                    (_fmt(k), labels_a[a], labels_b[b], quantity, _fmt(values[a, b]), _fmt(err[a, b]))
+                    (key, labels_a[a], labels_b[b], quantity, _fmt(values[a, b]), _fmt(err[a, b]))
                 )
 
     for record in records:
-        k = record.strength.K
-        key = _fmt(k)
-        per_quantity = {
-            "p_weak": (record.p_weak.values, record.errors["p_weak"]),
-            "cq": (strong["cq"], None),
-            "mhq": (strong["mhq"], None),
-            "weak_cq": (record.weak_cq.values, record.errors["weak_cq"]),
-            "weak_mhq": (
-                (record.weak_mhq.values, record.errors["weak_mhq"])
-                if record.weak_mhq is not None
-                else None
-            ),
-            "C": (record.coherence, record.errors["C"]),
-            "mhq_reconstructed": (
-                (record.mhq_reconstructed.values, record.errors["mhq_reconstructed"])
-                if record.mhq_reconstructed is not None
-                else None
-            ),
-        }
+        key = _fmt(record.strength.K)
+        by_name = {**strong, "p_weak": record.p_weak, "weak_cq": record.weak_cq, "weak_mhq": record.weak_mhq,
+                   "C": record.coherence, "mhq_reconstructed": record.mhq_reconstructed}
         for quantity in tables:
-            entry = per_quantity[quantity]
-            if entry is None:
+            table = by_name[quantity]
+            if table is None:  # no data path reaches this quantity at this strength
                 continue
-            values, stderr = entry
-            emit(quantity, k, values, stderr)
+            values = getattr(table, "values", table)
+            emit(quantity, key, values, record.errors.get(quantity))
             if quantity != "C":  # the cross-term is not itself a distribution
                 negativity_totals.setdefault(quantity, {})[key] = negativity(values)
                 residuals.setdefault(quantity, {})[key] = abs(float(values.sum()) - 1.0)

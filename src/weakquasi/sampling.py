@@ -42,9 +42,10 @@ from .quasiprob import (
     _reconstruct,
     _weak_cq_values,
     _weak_mhq_values,
-    coherence_term,
-    mhq_from_weak,
-    weak_cq_from_data,
+    # the validating per-table wrappers; only perfbench/tracing.py looks them up here
+    coherence_term,  # noqa: F401
+    mhq_from_weak,  # noqa: F401
+    weak_cq_from_data,  # noqa: F401
 )
 
 MAX_SHOTS = 10**15  # largest shot count per setting; keeps the int64 count sums exact
@@ -124,12 +125,10 @@ def strength_from_waveplate(phi_deg: float) -> float:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Integer coincidence counts per outcome pair, with shot metadata."""
+    """Integer coincidence counts per outcome pair, with the requested shot count."""
 
     counts: np.ndarray
     shots_target: int
-    seed: object = None
-    setting: tuple = ()
 
     def __post_init__(self):
         counts = np.array(self.counts, dtype=np.int64)
@@ -150,7 +149,7 @@ class CountTable:
         return probability_table(self.counts.astype(float))
 
 
-def sample_counts(dist: JointDistribution, shots: int, seed, setting: tuple = ()) -> CountTable:
+def sample_counts(dist: JointDistribution, shots: int, seed) -> CountTable:
     """Draw each cell independently as Poisson(shots * p(a, b)).
 
     Deterministic for a fixed seed (an int or a ``numpy.random.SeedSequence``).
@@ -165,7 +164,7 @@ def sample_counts(dist: JointDistribution, shots: int, seed, setting: tuple = ()
         raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
     rng = np.random.default_rng(seed)
     counts = rng.poisson(shots * dist.values)
-    return CountTable(counts, shots_target=int(shots), seed=seed, setting=setting)
+    return CountTable(counts, shots_target=int(shots))
 
 
 def _resampled(counts: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
@@ -241,8 +240,11 @@ class StrengthRecord:
 
     ``mhq_reconstructed`` is None at K in {0, 1}, where the cross-term
     inversion is singular; ``weak_mhq`` is None only at K=1 for dimensions
-    above 2, where no data path reaches it.  ``errors`` maps quantity names to
-    per-cell standard errors (all zeros in exact mode).
+    above 2, where no data path reaches it.  ``errors`` maps the export names
+    p_weak, p_tpm, p_fin, weak_cq, C, mhq_reconstructed and weak_mhq to
+    per-cell standard errors, None where the quantity is None.  In sampled
+    mode they are the spread of the same data paths over the resampled
+    tables; in exact mode they are all zeros.
     """
 
     strength: WeakStrength
@@ -284,6 +286,27 @@ def _strength(k: float, d: int) -> WeakStrength:
             f"is below {MIN_CROSS_WEIGHT:g} at d={d}"
         )
     return strength
+
+
+def _point_quantities(pw: np.ndarray, pt: np.ndarray, p_final: np.ndarray, strength: WeakStrength) -> dict:
+    """The seven quantities of one strength point from its weak, K=1 and K=0 tables, by export name.
+
+    Tables are (..., d, d), so a point estimate and a stack of resampled tables
+    share every data path; a quantity no data path reaches is None.
+    """
+    pf = p_final.sum(axis=-2)
+    wcq = _weak_cq_values(pw, pf)
+    coh = _coherence_values(pw, pt, pf, strength)
+    rec = _reconstruct(coh, strength) if 0.0 < strength.K < 1.0 else None
+    return {
+        "p_weak": pw,
+        "p_tpm": pt,
+        "p_fin": pf,
+        "weak_cq": wcq,
+        "C": coh,
+        "mhq_reconstructed": rec,
+        "weak_mhq": _weak_mhq_values(wcq, rec, pf, strength),
+    }
 
 
 def run_sweep(
@@ -354,10 +377,7 @@ def run_sweep(
         estimates = [exact_by_k[s] for s in settings]
         if shots is not None:
             seeds = child.spawn(4)
-            tables = [
-                sample_counts(table, shots, s, setting=(k, f"K={setting:g}"))
-                for table, setting, s in zip(estimates, settings, seeds)
-            ]
+            tables = [sample_counts(table, shots, s) for table, s in zip(estimates, seeds)]
             for table, setting in zip(tables, settings):
                 if table.total == 0:
                     raise ZeroCountsError(
@@ -365,43 +385,29 @@ def run_sweep(
                         f"at strength point K={k:g}; increase shots"
                     )
             estimates = [t.estimator() for t in tables]
-        p_weak, p_tpm = estimates[0], estimates[1]
-        p_fin = estimates[2].marginal_b()
-        wcq = weak_cq_from_data(p_weak, p_fin, strength)
-        coh = coherence_term(p_weak, p_tpm, p_fin, strength)
-        rec = mhq_from_weak(p_weak, p_tpm, p_fin, strength) if 0.0 < k < 1.0 else None
-        wmh = _weak_mhq_values(wcq.values, None if rec is None else rec.values, p_fin, strength)
-        if wmh is not None:
-            wmh = QuasiDistribution(wmh, family="weakMHQ", strength=strength)
+        point = _point_quantities(*(e.values for e in estimates), strength)
         if shots is None:
-            spread = [np.zeros_like(p_weak.values), np.zeros_like(p_tpm.values), np.zeros_like(p_fin)]
-            spread += [None if t is None else np.zeros((d, d)) for t in (wcq, coh, rec, wmh)]
+            errors = {name: None if v is None else np.zeros_like(v) for name, v in point.items()}
         else:
-            # the same data paths, applied to every resampled set of tables at once
             rng = np.random.default_rng(seeds[3])
-            pw_r, pt_r, p_final_r = [_resampled(t.counts, resamples, rng) for t in tables]
-            pf_r = p_final_r.sum(axis=1)
-            wcq_r = _weak_cq_values(pw_r, pf_r)
-            coh_r = _coherence_values(pw_r, pt_r, pf_r, strength)
-            rec_r = None if rec is None else _reconstruct(coh_r, strength)
-            wmh_r = _weak_mhq_values(wcq_r, rec_r, pf_r, strength)
-            spread = [
-                None if x is None else x.std(axis=0, ddof=1)
-                for x in (pw_r, pt_r, pf_r, wcq_r, coh_r, rec_r, wmh_r)
-            ]
-        names = ("p_weak", "p_tpm", "p_fin", "weak_cq", "C", "mhq_reconstructed", "weak_mhq")
-        errors = dict(zip(names, spread))
+            stacks = _point_quantities(*(_resampled(t.counts, resamples, rng) for t in tables), strength)
+            errors = {name: None if s is None else s.std(axis=0, ddof=1) for name, s in stacks.items()}
+            del stacks  # one point's stacks at a time: freed before the next point draws its own
+        # the records wrap the quasiprobabilities, whose construction checks they are finite
+        quasi = {
+            name: None if point[name] is None
+            else QuasiDistribution(point[name], family=family, strength=strength)
+            for name, family in (("weak_cq", "weakCQ"), ("weak_mhq", "weakMHQ"), ("mhq_reconstructed", "MHQ"))
+        }
         records.append(
             StrengthRecord(
                 strength=strength,
-                p_weak=p_weak,
-                p_tpm=p_tpm,
-                p_fin=p_fin,
-                weak_cq=wcq,
-                weak_mhq=wmh,
-                coherence=coh,
-                mhq_reconstructed=rec,
+                p_weak=estimates[0],
+                p_tpm=estimates[1],
+                p_fin=point["p_fin"],
+                coherence=point["C"],
                 errors=errors,
+                **quasi,
             )
         )
     return records

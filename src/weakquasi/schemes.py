@@ -86,30 +86,30 @@ class _OutcomeTable:
 
 @dataclass(frozen=True)
 class JointDistribution(_OutcomeTable):
-    """Real-valued table over outcome pairs (a, b).
+    """Probability table over outcome pairs (a, b): entries nonnegative, total sum 1.
 
-    ``kind`` distinguishes probability tables (entries nonnegative, total sum 1)
-    from quasiprobability tables; ``normalization`` marks tables whose rows are
-    separately normalized conditional distributions instead.
+    ``normalization`` marks tables whose rows are separately normalized
+    conditional distributions instead.  Quasiprobabilities are
+    ``quasiprob.QuasiDistribution`` tables.
     """
 
     values: np.ndarray
-    kind: str = "probability"
     normalization: str = "total"
 
     def __post_init__(self):
         arr = _real_table(self.values)
-        if self.kind not in ("probability", "quasiprobability"):
-            raise ValueError(f"unknown table kind {self.kind!r}")
         if self.normalization not in ("total", "per_row"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.kind == "probability":
-            if arr.min() < -PROBABILITY_DUST:
-                raise ValueError(f"probability table has negative entry {arr.min()}")
-            sums = arr.sum(axis=1) if self.normalization == "per_row" else arr.sum()
-            if np.abs(np.asarray(sums) - 1.0).max() > VALIDATION_ATOL:
-                raise ValueError("probability table is not normalized within 1e-10")
+        if arr.min() < -PROBABILITY_DUST:
+            raise ValueError(f"probability table has negative entry {arr.min()}")
+        sums = arr.sum(axis=1) if self.normalization == "per_row" else arr.sum()
+        if np.abs(np.asarray(sums) - 1.0).max() > VALIDATION_ATOL:
+            raise ValueError("probability table is not normalized within 1e-10")
         object.__setattr__(self, "values", _freeze(arr))
+
+    @property
+    def kind(self) -> str:
+        return "probability"
 
 
 def probability_table(values, normalization: str = "total") -> JointDistribution:
@@ -135,7 +135,7 @@ def probability_table(values, normalization: str = "total") -> JointDistribution
         if total <= 0.0:
             raise InternalConsistencyError("probability table sums to zero")
         arr = arr / total
-    return JointDistribution(arr, kind="probability", normalization=normalization)
+    return JointDistribution(arr, normalization=normalization)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import weakquasi
-from weakquasi.cli import ConfigError, _parser, compare, main, parse_config, run
+from weakquasi.cli import MAX_DIMENSION, ConfigError, _parser, compare, main, parse_config, run
 from weakquasi.core import make_pure_state
 from weakquasi.sampling import MAX_RESAMPLES, MAX_SHOTS
 
@@ -225,6 +226,32 @@ def test_parse_rejects_strength_whose_cross_weight_underflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: config field 'K'")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        # 20,000 amplitudes would build a 20,000 x 20,000 density (6 GiB) before the size check
+        ({"state": [1.0] + [0.0] * 19_999}, "state"),
+        ({"state": {"density": [[1.0]] + [[0.0]] * 19_999}}, "state"),
+        ({"dimension": 20_000, "state": [1.0] + [0.0] * 19_999}, "dimension"),
+        ({"dimension": MAX_DIMENSION + 1, "state": [1.0] + [0.0] * MAX_DIMENSION}, "dimension"),
+    ],
+)
+def test_parse_rejects_oversized_state_before_allocating(tmp_path, capsys, fields, name):
+    doc = {"K": [0.5], **fields}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"config field '{name}'"):
+            parse_config(json.dumps(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    path = write_config(tmp_path, "big.json", doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: config field '{name}'")
 
 
 # ------------------------------------------------------------------- run

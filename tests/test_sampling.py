@@ -8,8 +8,11 @@ import weakquasi.sampling as sampling
 import weakquasi.schemes as schemes
 from weakquasi.core import DensityOperator, WeakStrength, make_pure_state
 from weakquasi.quasiprob import (
+    coherence_term,
     mhq,
+    mhq_from_weak,
     negativity,
+    weak_cq_from_data,
     weak_cq_closed,
     weak_mhq,
 )
@@ -265,6 +268,66 @@ def test_run_sweep_sampled_mode_reports_errors():
         assert record.errors[key].min() > 0.0
     total = record.p_weak.total()
     assert total == pytest.approx(1.0, abs=1e-12)  # estimators are normalized counts
+
+
+def _weak_mhq_by_rule(k, d, wcq, rec, pf):
+    """The data-path weak-MHQ rule, written out for one table."""
+    if 0.0 < k < 1.0:
+        return k * rec + ((1.0 - k) / d) * pf[None, :]
+    if k == 0.0:
+        return np.tile(pf / d, (d, 1))
+    return wcq if d == 2 else None
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_run_sweep_error_bars_match_brute_force_resampling(dim):
+    # rebuild the sweep's seed tree and draws, push each re-drawn set of tables
+    # through the public per-table functions one at a time, and take the spread
+    from conftest import random_instance
+
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(60 + dim), dim)
+    k_grid, shots, resamples, seed = [0.0, 0.3, 1.0], 10**4, 200, 23
+    records = run_sweep(
+        rho, obs_a, obs_b, k_grid, shots=shots, resamples=resamples, seed=seed, engine="closed"
+    )
+    children = np.random.SeedSequence(seed).spawn(len(k_grid))
+    for k, child, record in zip(k_grid, children, records):
+        strength = WeakStrength.from_k(k, dim)
+        seeds = child.spawn(4)
+        counts = [
+            sample_counts(weak_sequential_closed(rho, obs_a, obs_b, setting), shots, s).counts
+            for setting, s in zip((k, 1.0, 0.0), seeds)
+        ]
+        rng = np.random.default_rng(seeds[3])
+        redraws = [rng.poisson(c, size=(resamples, dim, dim)) for c in counts]
+        samples = {
+            name: []
+            for name in ("p_weak", "p_tpm", "p_fin", "weak_cq", "C", "mhq_reconstructed", "weak_mhq")
+        }
+        for tables in zip(*redraws):
+            pw, pt, p_final = (t / t.sum() for t in tables)
+            pf = p_final.sum(axis=0)
+            wcq = weak_cq_from_data(pw, pf, strength).values
+            rec = mhq_from_weak(pw, pt, pf, strength).values if 0.0 < k < 1.0 else None
+            point = {
+                "p_weak": pw,
+                "p_tpm": pt,
+                "p_fin": pf,
+                "weak_cq": wcq,
+                "C": coherence_term(pw, pt, pf, strength),
+                "mhq_reconstructed": rec,
+                "weak_mhq": _weak_mhq_by_rule(k, dim, wcq, rec, pf),
+            }
+            for name, value in point.items():
+                samples[name].append(value)
+        assert set(record.errors) == set(samples)
+        for name, stack in samples.items():
+            if stack[0] is None:
+                assert record.errors[name] is None, (k, name)
+            else:
+                expected = np.std(stack, axis=0, ddof=1)
+                assert record.errors[name].shape == expected.shape, (k, name)
+                assert np.abs(record.errors[name] - expected).max() <= 1e-12, (k, name)
 
 
 def test_run_sweep_closed_engine_matches_circuit(scenario_state, obs_z, obs_x):

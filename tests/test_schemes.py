@@ -50,9 +50,11 @@ def test_joint_distribution_per_row_checks_rows():
         JointDistribution(np.array([[0.5, 0.5], [0.9, 0.3]]), normalization="per_row")
 
 
-def test_joint_distribution_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        JointDistribution(np.full((2, 2), 0.25), kind="frequency")
+def test_joint_distribution_is_always_a_probability_table():
+    # quasiprobabilities are QuasiDistribution tables, so the kind is fixed
+    assert JointDistribution(np.full((2, 2), 0.25)).kind == "probability"
+    with pytest.raises(TypeError, match="kind"):
+        JointDistribution(np.full((2, 2), 0.25), kind="quasiprobability")
 
 
 def test_probability_table_clamps_dust():
