@@ -84,15 +84,9 @@ class ScenarioConfig:
     k_values: tuple[float, ...]
     shots: int | None
     noise: NoiseModel
-    resamples: int
     seed: int
     outputs: tuple[str, ...]
     engine: str
-
-    def __post_init__(self):
-        # checked on construction, so a CLI override applied with replace() is checked too
-        if self.shots is not None and self.resamples < 100:
-            _fail("resamples", f"need at least 100 in sampled mode, got {self.resamples}")
 
 
 def _fail(field: str, message: str):
@@ -158,6 +152,14 @@ def _parse_state(doc: dict, dim: int) -> DensityOperator:
     if "state" not in doc:
         _fail("state", "a scenario needs 'theta0' or 'state'")
     spec = doc["state"]
+    # a bare list of lists reads as a density matrix and as a list of [re, im]
+    # amplitude pairs alike, so it must say which it is
+    if isinstance(spec, list) and spec and all(isinstance(e, list) for e in spec):
+        _fail(
+            "state",
+            'a bare list of lists is ambiguous: write {"amplitudes": [...]} for [re, im] pairs '
+            'or {"density": [...]} for a density matrix',
+        )
     density = isinstance(spec, dict) and "density" in spec
     if density:
         spec = spec["density"]
@@ -286,7 +288,8 @@ def parse_config(text: str) -> ScenarioConfig:
     except ValueError as exc:
         _fail("noise", str(exc))
 
-    resamples = _integer(doc.get("resamples", 1000), "resamples", 0, MAX_RESAMPLES)
+    # the sweep's error bars are closed-form; the key stays valid for older documents
+    _integer(doc.get("resamples", 1000), "resamples", 0, MAX_RESAMPLES)
 
     outputs = doc.get("outputs", QUANTITIES)
     if not isinstance(outputs, (list, tuple)) or not all(isinstance(q, str) for q in outputs):
@@ -310,7 +313,6 @@ def parse_config(text: str) -> ScenarioConfig:
         k_values=k_values,
         shots=shots,
         noise=noise,
-        resamples=resamples,
         seed=_integer(doc.get("seed", 0), "seed", 0),
         outputs=outputs,
         engine=engine,
@@ -350,7 +352,6 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         k_values,
         shots=config.shots,
         noise=config.noise,
-        resamples=config.resamples,
         seed=config.seed,
         engine=config.engine,
     )

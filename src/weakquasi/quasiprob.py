@@ -115,7 +115,7 @@ def _vector(x, name: str) -> np.ndarray:
 
 
 # Data-path formulas, each written once.  Tables are (..., d, d) and p_fin is
-# (..., d), so point estimates and stacks of resampled tables share the code.
+# (..., d), so point estimates and the sweep's error-bar stacks share the code.
 
 
 def _weak_cq_values(pw: np.ndarray, pf: np.ndarray) -> np.ndarray:

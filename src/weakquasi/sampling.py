@@ -1,9 +1,12 @@
 """Finite-statistics simulation of the photonic weak-measurement experiment.
 
-Coincidence counts are drawn cell-wise from independent Poisson laws, point
-estimates are normalized counts, and error bars come from a Monte Carlo
-procedure that re-draws count tables around the observed ones.  A single
-gate-visibility parameter models imperfect interference at the coupling gate.
+Coincidence counts are drawn cell-wise from independent Poisson laws and
+point estimates are normalized counts.  The sweep's error bars propagate each
+table's Poisson covariance through the data paths to first order in closed
+form.  :func:`estimate_with_errors` keeps the Monte Carlo procedure that
+re-draws count tables around the observed ones; the closed form is its limit
+as the re-draws grow.  A single gate-visibility parameter models imperfect
+interference at the coupling gate.
 
 All sampling uses explicitly seeded, splittable generators; identical seeds
 give bit-identical results, and independent strength points may be evaluated
@@ -49,7 +52,7 @@ from .quasiprob import (
 )
 
 MAX_SHOTS = 10**15  # largest shot count per setting; keeps the int64 count sums exact
-MAX_RESAMPLES = 10**5  # largest Monte Carlo re-draw count per setting
+MAX_RESAMPLES = 10**5  # largest Monte Carlo re-draw count of estimate_with_errors
 MIN_CROSS_WEIGHT = 1e-6  # the MHQ inversion multiplies rounding dust by 1 / cross_weight
 
 __all__ = [
@@ -243,8 +246,9 @@ class StrengthRecord:
     above 2, where no data path reaches it.  ``errors`` maps the export names
     p_weak, p_tpm, p_fin, weak_cq, C, mhq_reconstructed and weak_mhq to
     per-cell standard errors, None where the quantity is None.  In sampled
-    mode they are the spread of the same data paths over the resampled
-    tables; in exact mode they are all zeros.
+    mode they are the Poisson covariance of the three count tables carried
+    through the same data paths to first order; in exact mode they are all
+    zeros.
     """
 
     strength: WeakStrength
@@ -309,6 +313,37 @@ def _point_quantities(pw: np.ndarray, pt: np.ndarray, p_final: np.ndarray, stren
     }
 
 
+def _point_errors(tables, totals, strength: WeakStrength) -> dict:
+    """First-order Poisson standard errors of the seven quantities of one point, by export name.
+
+    A table p = n/N normalized by its total count N has covariance
+    (diag(p) - p p^T)/N, and the three tables of a point are independent.
+    Every quantity Q is linear in them and mixes rows only within one column,
+    so with S_a the table that holds row a of sqrt(p) and nothing else,
+    sum_a Q(S_a)^2 = sum_cells l^2 p and Var Q = (sum_a Q(S_a)^2 - Q(p)^2)/N
+    per table.  One (d+1)-table block per table, the other two tables zero,
+    carries this through ``_point_quantities``; it is the limit of infinitely
+    many Poisson re-draws around the counts.
+    """
+    d = tables[0].shape[-1]
+    m = d + 1  # per table: S_0 .. S_{d-1}, then p
+    stack = np.zeros((3, 3 * m, d, d))
+    weights = np.empty(3 * m)
+    rows = np.arange(d)
+    for t, (p, total) in enumerate(zip(tables, totals)):
+        block = stack[t, t * m : (t + 1) * m]
+        block[rows, rows] = np.sqrt(p)
+        block[d] = p
+        weights[t * m : (t + 1) * m] = 1.0 / total
+        weights[t * m + d] = -1.0 / total
+    errors = {}
+    for name, q in _point_quantities(*stack, strength).items():
+        if q is not None:  # a vanishing variance (p_fin of an eigenstate of B) can round below 0
+            q = np.sqrt(np.maximum(np.tensordot(weights, q * q, axes=1), 0.0))
+        errors[name] = q
+    return errors
+
+
 def run_sweep(
     rho: DensityOperator,
     obs_a: ObservableSpec,
@@ -316,7 +351,6 @@ def run_sweep(
     k_values,
     shots: int | None = None,
     noise: NoiseModel = NoiseModel(),
-    resamples: int = 1000,
     seed: int = 0,
     engine: str = "circuit",
 ) -> list[StrengthRecord]:
@@ -340,12 +374,11 @@ def run_sweep(
         evaluation.
     shots : int or None
         Expected total coincidences per setting; None selects exact
-        (infinite-statistics) mode, where all standard errors are zero.
+        (infinite-statistics) mode, where all standard errors are zero.  In
+        sampled mode the standard errors propagate the Poisson covariance of
+        the three drawn tables to first order.
     noise : NoiseModel
         Gate visibility, applied once to the prepared state.
-    resamples : int
-        Monte Carlo re-draws per setting for the error bars (sampled mode),
-        between 100 and MAX_RESAMPLES.
     seed : int
         Root seed of sampled mode; every strength point receives an
         independent spawned generator, so records are reproducible
@@ -376,8 +409,7 @@ def run_sweep(
         settings = (k, 1.0, 0.0)
         estimates = [exact_by_k[s] for s in settings]
         if shots is not None:
-            seeds = child.spawn(4)
-            tables = [sample_counts(table, shots, s) for table, s in zip(estimates, seeds)]
+            tables = [sample_counts(table, shots, s) for table, s in zip(estimates, child.spawn(3))]
             for table, setting in zip(tables, settings):
                 if table.total == 0:
                     raise ZeroCountsError(
@@ -389,10 +421,7 @@ def run_sweep(
         if shots is None:
             errors = {name: None if v is None else np.zeros_like(v) for name, v in point.items()}
         else:
-            rng = np.random.default_rng(seeds[3])
-            stacks = _point_quantities(*(_resampled(t.counts, resamples, rng) for t in tables), strength)
-            errors = {name: None if s is None else s.std(axis=0, ddof=1) for name, s in stacks.items()}
-            del stacks  # one point's stacks at a time: freed before the next point draws its own
+            errors = _point_errors([e.values for e in estimates], [t.total for t in tables], strength)
         # the records wrap the quasiprobabilities, whose construction checks they are finite
         quasi = {
             name: None if point[name] is None
@@ -418,7 +447,6 @@ def run_scenario(
     k_values,
     shots: int | None = None,
     noise: NoiseModel = NoiseModel(),
-    resamples: int = 1000,
     seed: int = 0,
 ) -> list[StrengthRecord]:
     """Run the polarisation-qubit scenario over a strength grid.
@@ -432,6 +460,5 @@ def run_scenario(
         k_values,
         shots=shots,
         noise=noise,
-        resamples=resamples,
         seed=seed,
     )

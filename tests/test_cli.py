@@ -86,6 +86,20 @@ def test_parse_rejects_nonphysical_state():
         parse_config('{"state": {"density": [[1.5, 0], [0, -0.5]]}}')
 
 
+def test_parse_requires_a_key_for_a_bare_list_of_lists():
+    for spec in ([[0.5, 0], [0, 0.5]], [[1, 0], [0, 1]], [[0.6, 0.0], [0.0, 0.8]]):
+        with pytest.raises(ConfigError, match="config field 'state'") as info:
+            parse_config(json.dumps({"state": spec}))
+        assert '{"amplitudes": [...]}' in str(info.value) and '{"density": [...]}' in str(info.value)
+    # [re, im] pairs stay valid under "amplitudes" and beside plain numbers
+    pairs = parse_config('{"state": {"amplitudes": [[0.6, 0.0], [0.0, 0.8]]}}').rho.matrix
+    mixed = parse_config('{"state": [0.6, [0.0, 0.8]]}').rho.matrix
+    assert_allclose(pairs, mixed, atol=1e-15)
+    assert_allclose(pairs, make_pure_state([0.6, 0.8j]).matrix, atol=1e-15)
+    density = parse_config('{"state": {"density": [[0.5, 0], [0, 0.5]]}}').rho.matrix
+    assert_allclose(density, np.eye(2) / 2, atol=1e-15)
+
+
 def test_parse_rejects_both_state_specs():
     with pytest.raises(ConfigError, match="not both"):
         parse_config('{"theta0": 10.6, "state": [1, 0]}')
@@ -93,7 +107,7 @@ def test_parse_rejects_both_state_specs():
 
 def test_parse_custom_observable_and_amplitudes():
     doc = {
-        "state": [[0.6, 0.0], [0.0, 0.8]],
+        "state": {"amplitudes": [[0.6, 0.0], [0.0, 0.8]]},
         "observable_a": {
             "eigenvectors": [[1, 0], [0, 1]],
             "eigenvalues": [0.5, -0.5],
@@ -144,7 +158,8 @@ def test_parse_rejects_bad_outputs_and_engine():
 def test_parse_shots_and_noise_validation():
     assert parse_config('{"theta0": 10.6, "shots": 5000}').shots == 5000
     assert parse_config(json.dumps({"theta0": 10.6, "shots": MAX_SHOTS})).shots == MAX_SHOTS
-    assert parse_config(json.dumps({"theta0": 10.6, "resamples": MAX_RESAMPLES})).resamples == MAX_RESAMPLES
+    # the key is still validated, though the sweep's error bars no longer read it
+    assert not hasattr(parse_config(json.dumps({"theta0": 10.6, "resamples": MAX_RESAMPLES})), "resamples")
     with pytest.raises(ConfigError, match="shots"):
         parse_config('{"theta0": 10.6, "shots": 0}')
     with pytest.raises(ConfigError, match="noise"):
@@ -184,7 +199,7 @@ def test_parse_shots_and_noise_validation():
         ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "labels": 5}}, "observable_a.labels"),
         ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "eigenvalues": {}}}, "observable_a.eigenvalues"),
         ({"observable_a": {"eigenvectors": 5}}, "observable_a.eigenvectors"),
-        ({"shots": 1000, "resamples": 99}, "resamples"),
+        ({"shots": 1000, "resamples": -1}, "resamples"),
         # beyond MAX_SHOTS the int64 count sums could overflow
         ({"shots": 1e19}, "shots"),
         ({"shots": 10**16}, "shots"),
@@ -197,10 +212,12 @@ def test_parse_shots_and_noise_validation():
         ({"outputs": ["p_weak", "p_weak"]}, "outputs"),
         # a long list whose only repeat is its last value: one counting pass, not one per key
         ({"K": [i / 10_000 for i in range(9_999)] + [0.9998]}, "K"),
+        # the maximally mixed density without its "density" key also parses as [re, im] pairs
+        ({"state": [[0.5, 0], [0, 0.5]]}, "state"),
     ],
 )
 def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
-    doc = {"theta0": 10.6, **fields}
+    doc = {**({} if "state" in fields else {"theta0": 10.6}), **fields}
     with pytest.raises(ConfigError, match=f"config field '{name}'"):
         parse_config(json.dumps(doc))
     path = write_config(tmp_path, "bad.json", doc)
@@ -353,6 +370,33 @@ def test_run_shipped_config_matches_golden_export(tmp_path):
         assert ok, (name, report)
     golden_thresholds = json.loads((GOLDEN / "thresholds.json").read_text(encoding="utf-8"))
     assert summary["thresholds"] == golden_thresholds
+
+
+GOLDEN_SAMPLED = GOLDEN.parent / "golden_sampled"
+GOLDEN_RESAMPLES = 1000  # the Monte Carlo re-draws behind the golden stderr column
+STDERR_SIGMAS = 5.0  # closed-form vs Monte Carlo stderr: within 5 / sqrt(2 R), relative
+
+
+def test_run_shipped_config_matches_golden_sampled_export(tmp_path):
+    # the golden tables were written with Monte Carlo error bars; the counts, and
+    # so every value, come from the same seed tree and must not move by one byte
+    assert main(["run", str(SHIPPED), "--out", str(tmp_path), "--shots", "1000000", "--seed", "1"]) == 0
+    tables = sorted(p.name for p in GOLDEN_SAMPLED.glob("*.csv"))
+    assert tables == sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert len(tables) == 7
+    bound = STDERR_SIGMAS / math.sqrt(2 * GOLDEN_RESAMPLES)
+    for name in tables:
+        with open(GOLDEN_SAMPLED / name, encoding="utf-8", newline="") as fh:
+            golden = list(csv.reader(fh))
+        with open(tmp_path / name, encoding="utf-8", newline="") as fh:
+            fresh = list(csv.reader(fh))
+        assert [row[:5] for row in fresh] == [row[:5] for row in golden], name
+        for old, new in zip(golden[1:], fresh[1:]):
+            old_err, new_err = float(old[5]), float(new[5])
+            if old_err == 0.0:  # the strong cq/mhq tables carry no error bar
+                assert new_err == 0.0, (name, old[:4])
+            else:
+                assert abs(new_err / old_err - 1.0) <= bound, (name, old[:4], old_err, new_err)
 
 
 def test_run_phi_grid_keys_endpoints_exactly(tmp_path):
@@ -563,14 +607,17 @@ def test_main_run_reports_written_files(tmp_path, capsys, outputs, line):
 
 
 @pytest.mark.parametrize("resamples", [0, 1, 99])
-def test_main_checks_resamples_after_shots_override(tmp_path, capsys, resamples):
-    path = write_config(tmp_path, "scenario.json", {"theta0": 10.6, "K": [0.5], "resamples": resamples})
-    assert parse_config(path.read_text()).resamples == resamples  # exact mode never resamples
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--out", str(out), "--shots", "1000"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: config field 'resamples': need at least 100")
-    assert not out.exists()
+def test_main_ignores_resamples_after_shots_override(tmp_path, capsys, resamples):
+    # the error bars are closed-form, so a valid resamples value changes no byte of a sampled run
+    doc = {"theta0": 10.6, "K": [0.0, 0.5, 1.0]}
+    for name, fields in (("plain", {}), ("keyed", {"resamples": resamples})):
+        path = write_config(tmp_path, f"{name}.json", {**doc, **fields})
+        assert main(["run", str(path), "--out", str(tmp_path / name), "--shots", "1000", "--seed", "3"]) == 0
+    capsys.readouterr()
+    tables = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
+    assert len(tables) == 7
+    for name in tables:
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "keyed" / name).read_bytes()
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

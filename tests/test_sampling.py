@@ -1,12 +1,14 @@
 """Tests for Poisson sampling, estimators, gate noise, and the sweep runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import weakquasi.sampling as sampling
 import weakquasi.schemes as schemes
-from weakquasi.core import DensityOperator, WeakStrength, make_pure_state
+from weakquasi.core import DensityOperator, WeakStrength, make_pure_state, pauli_x, pauli_z
 from weakquasi.quasiprob import (
     coherence_term,
     mhq,
@@ -129,6 +131,9 @@ def test_estimate_validation():
     counts = CountTable(np.full((2, 2), 100), shots_target=400)
     with pytest.raises(ValueError, match="resamples"):
         estimate_with_errors(counts, resamples=10, seed=0)
+    with pytest.raises(ValueError, match="need at least 100 resamples, got 99"):
+        estimate_with_errors(counts, resamples=99, seed=0)
+    assert estimate_with_errors(counts, resamples=100, seed=0)[1].max() > 0.0
 
 
 # ------------------------------------------------------------- gate noise
@@ -279,55 +284,107 @@ def _weak_mhq_by_rule(k, d, wcq, rec, pf):
     return wcq if d == 2 else None
 
 
+def _data_paths(k, pw, pt, p_final):
+    """A point's seven exported quantities from three 2-D tables, through the public functions."""
+    d = pw.shape[0]
+    strength = WeakStrength.from_k(k, d)
+    pf = p_final.sum(axis=0)
+    wcq = weak_cq_from_data(pw, pf, strength).values
+    rec = mhq_from_weak(pw, pt, pf, strength).values if 0.0 < k < 1.0 else None
+    return {
+        "p_weak": pw,
+        "p_tpm": pt,
+        "p_fin": pf,
+        "weak_cq": wcq,
+        "C": coherence_term(pw, pt, pf, strength),
+        "mhq_reconstructed": rec,
+        "weak_mhq": _weak_mhq_by_rule(k, d, wcq, rec, pf),
+    }
+
+
+def _sweep_counts(rho, obs_a, obs_b, k_grid, shots, seed):
+    """The three count tables of each point, drawn from the sweep's own seed tree."""
+    children = np.random.SeedSequence(seed).spawn(len(k_grid))
+    return [
+        [
+            sample_counts(weak_sequential_closed(rho, obs_a, obs_b, setting), shots, s).counts
+            for setting, s in zip((k, 1.0, 0.0), child.spawn(3))
+        ]
+        for k, child in zip(k_grid, children)
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_run_sweep_error_bars_match_first_order_quadratic_form(dim):
+    # Var Q = sum over tables of l^T (diag(p) - p p^T) l / N, with the gradient l
+    # of every output cell read off the public functions on all d^2 basis tables
+    # of each table slot; no assumption on which cells a data path mixes
+    from conftest import random_instance
+
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(70 + dim), dim)
+    k_grid, shots, seed = [0.0, 0.3, 1.0], 10**4, 31
+    records = run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed, engine="closed")
+    for k, counts, record in zip(k_grid, _sweep_counts(rho, obs_a, obs_b, k_grid, shots, seed), records):
+        variance = {}
+        for slot, n in enumerate(counts):
+            p = (n / n.sum()).ravel()
+            cov = (np.diag(p) - np.outer(p, p)) / n.sum()
+            gradients = []
+            for cell in range(dim * dim):
+                tables = [np.zeros((dim, dim)) for _ in range(3)]
+                tables[slot].flat[cell] = 1.0
+                gradients.append(_data_paths(k, *tables))
+            for name, value in gradients[0].items():
+                if value is None:
+                    variance[name] = None
+                    continue
+                grad = np.array([g[name] for g in gradients]).reshape(dim * dim, -1)
+                variance[name] = variance.get(name, 0.0) + np.einsum("ci,cd,di->i", grad, cov, grad)
+        assert set(record.errors) == set(variance)
+        for name, var in variance.items():
+            if var is None:
+                assert record.errors[name] is None, (k, name)
+            else:
+                expected = np.sqrt(var).reshape(record.errors[name].shape)
+                assert np.abs(record.errors[name] - expected).max() <= 1e-12, (k, name)
+
+
+MC_RESAMPLES = 2000
+MC_SIGMAS = 5.0  # a Monte Carlo std over R draws has relative spread 1 / sqrt(2 R)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_run_sweep_error_bars_match_brute_force_resampling(dim):
-    # rebuild the sweep's seed tree and draws, push each re-drawn set of tables
-    # through the public per-table functions one at a time, and take the spread
+    # the first-order error bars are the limit of infinitely many Poisson re-draws
+    # around the observed counts: rebuild the sweep's draws, push each re-drawn
+    # set of tables through the public per-table functions one at a time, and
+    # take the spread.  Checked from 100 to 1e6 expected counts per table
     from conftest import random_instance
 
     rho, obs_a, obs_b = random_instance(np.random.default_rng(60 + dim), dim)
-    k_grid, shots, resamples, seed = [0.0, 0.3, 1.0], 10**4, 200, 23
-    records = run_sweep(
-        rho, obs_a, obs_b, k_grid, shots=shots, resamples=resamples, seed=seed, engine="closed"
-    )
-    children = np.random.SeedSequence(seed).spawn(len(k_grid))
-    for k, child, record in zip(k_grid, children, records):
-        strength = WeakStrength.from_k(k, dim)
-        seeds = child.spawn(4)
-        counts = [
-            sample_counts(weak_sequential_closed(rho, obs_a, obs_b, setting), shots, s).counts
-            for setting, s in zip((k, 1.0, 0.0), seeds)
-        ]
-        rng = np.random.default_rng(seeds[3])
-        redraws = [rng.poisson(c, size=(resamples, dim, dim)) for c in counts]
-        samples = {
-            name: []
-            for name in ("p_weak", "p_tpm", "p_fin", "weak_cq", "C", "mhq_reconstructed", "weak_mhq")
-        }
-        for tables in zip(*redraws):
-            pw, pt, p_final = (t / t.sum() for t in tables)
-            pf = p_final.sum(axis=0)
-            wcq = weak_cq_from_data(pw, pf, strength).values
-            rec = mhq_from_weak(pw, pt, pf, strength).values if 0.0 < k < 1.0 else None
-            point = {
-                "p_weak": pw,
-                "p_tpm": pt,
-                "p_fin": pf,
-                "weak_cq": wcq,
-                "C": coherence_term(pw, pt, pf, strength),
-                "mhq_reconstructed": rec,
-                "weak_mhq": _weak_mhq_by_rule(k, dim, wcq, rec, pf),
-            }
-            for name, value in point.items():
-                samples[name].append(value)
-        assert set(record.errors) == set(samples)
-        for name, stack in samples.items():
-            if stack[0] is None:
-                assert record.errors[name] is None, (k, name)
-            else:
+    k_grid, seed = [0.0, 0.3, 1.0], 23
+    bound = MC_SIGMAS / np.sqrt(2 * MC_RESAMPLES)
+    for shots in (10**2, 10**3, 10**4, 10**6):
+        records = run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed, engine="closed")
+        rng = np.random.default_rng(shots)
+        for k, counts, record in zip(k_grid, _sweep_counts(rho, obs_a, obs_b, k_grid, shots, seed), records):
+            redraws = [rng.poisson(c, size=(MC_RESAMPLES, dim, dim)) for c in counts]
+            samples = {}
+            for tables in zip(*redraws):
+                for name, value in _data_paths(k, *(t / t.sum() for t in tables)).items():
+                    samples.setdefault(name, []).append(value)
+            assert set(record.errors) == set(samples)
+            for name, stack in samples.items():
+                if stack[0] is None:
+                    assert record.errors[name] is None, (shots, k, name)
+                    continue
                 expected = np.std(stack, axis=0, ddof=1)
-                assert record.errors[name].shape == expected.shape, (k, name)
-                assert np.abs(record.errors[name] - expected).max() <= 1e-12, (k, name)
+                err = record.errors[name]
+                assert err.shape == expected.shape, (shots, k, name)
+                # a cell no count reaches never fluctuates, in either method
+                assert ((err == 0.0) == (expected == 0.0)).all(), (shots, k, name)
+                moving = expected > 0.0
+                assert np.abs(err[moving] / expected[moving] - 1.0).max() <= bound, (shots, k, name)
 
 
 def test_run_sweep_closed_engine_matches_circuit(scenario_state, obs_z, obs_x):
@@ -407,24 +464,44 @@ def test_run_sweep_evaluates_each_distinct_setting_once(
 
 
 def test_run_sweep_sampled_mode_draws_three_tables_per_point(monkeypatch, scenario_state, obs_z, obs_x):
+    # the error bars are closed-form: no re-draws, and no generator beyond the three draws
     k_grid = [0.3, 0.55, 0.55, 0.9]
     draws = _count_calls(monkeypatch, sampling, "sample_counts")
-    run_sweep(scenario_state, obs_z, obs_x, k_grid, shots=10**4, resamples=100, seed=9)
-    assert len(draws) == 3 * len(k_grid)
+    resampled = _count_calls(monkeypatch, sampling, "_resampled")
+    generators = _count_calls(monkeypatch, np.random, "default_rng")
+    run_sweep(scenario_state, obs_z, obs_x, k_grid, shots=10**4, seed=9)
+    assert len(draws) == len(generators) == 3 * len(k_grid)
+    assert resampled == []
 
 
-def test_run_sweep_rejects_too_few_resamples(scenario_state, obs_z, obs_x):
-    with pytest.raises(ValueError, match="need at least 100 resamples, got 99"):
-        run_sweep(scenario_state, obs_z, obs_x, [0.5], shots=1000, resamples=99)
-    # exact mode draws no resamples, so any count is accepted
-    assert run_sweep(scenario_state, obs_z, obs_x, [0.5], resamples=0)[0].errors["p_weak"].max() == 0.0
+def test_run_sweep_error_bars_of_a_certain_final_outcome_vanish():
+    # |+> is an eigenstate of X, so every K=0 count lands in one column and
+    # p_fin has no variance; its two first-order terms cancel only to rounding
+    rho = make_pure_state([1.0, 1.0])
+    for seed in range(10):
+        records = run_sweep(rho, pauli_z(), pauli_x(), [0.0, 0.5, 1.0], shots=10**4, seed=seed)
+        for record in records:
+            assert record.errors["p_fin"].max() <= 1e-9
+            assert all(np.isfinite(e).all() for e in record.errors.values() if e is not None)
 
 
-def test_resampling_rejects_more_than_max_resamples(scenario_state, obs_z, obs_x):
+def test_run_sweep_sampled_memory_stays_cubic_in_dimension():
+    # one point's error bars need 3 (d + 1) tables of d x d, not d^2 perturbed tables
+    from conftest import random_instance
+
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(32), 32)
+    tracemalloc.start()
+    try:
+        run_sweep(rho, obs_a, obs_b, [0.0, 0.5, 1.0], shots=10**6, seed=1, engine="closed")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_resampling_rejects_more_than_max_resamples():
     too_many = sampling.MAX_RESAMPLES + 1
     message = f"need at most {sampling.MAX_RESAMPLES} resamples, got {too_many}"
-    with pytest.raises(ValueError, match=message):
-        run_sweep(scenario_state, obs_z, obs_x, [0.5], shots=1000, resamples=too_many)
     counts = sample_counts(UNIFORM4, 1000, seed=1)
     with pytest.raises(ValueError, match=message):
         estimate_with_errors(counts, too_many, seed=2)
