@@ -7,124 +7,13 @@ and Margenau-Hill quasiprobability distributions, their weak variants, and
 reconstruction from finite-statistics data.
 """
 
-from .core import (
-    DensityOperator,
-    InternalConsistencyError,
-    ObservableSpec,
-    PointerState,
-    WeakStrength,
-    born_probability,
-    controlled_shift,
-    coupling_unitary,
-    evolve_observable,
-    evolve_projector,
-    make_pure_state,
-    pauli_x,
-    pauli_z,
-    pointer_for_strength,
-    random_density_operator,
-    random_observable,
-    shift_operator,
-)
-from .schemes import (
-    JointDistribution,
-    Marginals,
-    Povm,
-    joint_outcome_table,
-    marginals,
-    nonselective_state,
-    post_measurement_state,
-    probability_table,
-    tpm_joint,
-    weak_joint_state,
-    weak_povm,
-    weak_sequential_closed,
-    weak_sequential_oracle,
-    weak_tpm_joint,
-)
-from .quasiprob import (
-    NEVER_NEGATIVE,
-    QuasiDistribution,
-    ThresholdReport,
-    cq,
-    coherence_term,
-    mhq,
-    mhq_from_weak,
-    mhq_from_weak_tpm,
-    negativity,
-    threshold_strength,
-    weak_cq_closed,
-    weak_cq_from_data,
-    weak_mhq,
-)
-from .sampling import (
-    CountTable,
-    NoiseModel,
-    QubitScenario,
-    StrengthRecord,
-    apply_gate_noise,
-    estimate_with_errors,
-    run_scenario,
-    run_sweep,
-    sample_counts,
-    strength_from_waveplate,
-)
+from . import core, quasiprob, sampling, schemes
+from .core import *  # noqa: F401,F403
+from .schemes import *  # noqa: F401,F403
+from .quasiprob import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CountTable",
-    "DensityOperator",
-    "InternalConsistencyError",
-    "JointDistribution",
-    "Marginals",
-    "NEVER_NEGATIVE",
-    "NoiseModel",
-    "ObservableSpec",
-    "PointerState",
-    "Povm",
-    "WeakStrength",
-    "QuasiDistribution",
-    "QubitScenario",
-    "StrengthRecord",
-    "ThresholdReport",
-    "apply_gate_noise",
-    "born_probability",
-    "controlled_shift",
-    "coupling_unitary",
-    "cq",
-    "coherence_term",
-    "estimate_with_errors",
-    "evolve_observable",
-    "evolve_projector",
-    "joint_outcome_table",
-    "make_pure_state",
-    "marginals",
-    "mhq",
-    "mhq_from_weak",
-    "mhq_from_weak_tpm",
-    "negativity",
-    "nonselective_state",
-    "pauli_x",
-    "pauli_z",
-    "pointer_for_strength",
-    "post_measurement_state",
-    "probability_table",
-    "random_density_operator",
-    "random_observable",
-    "run_scenario",
-    "run_sweep",
-    "sample_counts",
-    "shift_operator",
-    "strength_from_waveplate",
-    "threshold_strength",
-    "tpm_joint",
-    "weak_cq_closed",
-    "weak_cq_from_data",
-    "weak_joint_state",
-    "weak_mhq",
-    "weak_povm",
-    "weak_sequential_closed",
-    "weak_sequential_oracle",
-    "weak_tpm_joint",
-]
+# the public names are each module's own __all__
+__all__ = [*core.__all__, *schemes.__all__, *quasiprob.__all__, *sampling.__all__]

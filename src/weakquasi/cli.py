@@ -30,7 +30,8 @@ from .core import (
     pauli_x,
     pauli_z,
 )
-from .quasiprob import cq, mhq, negativity, threshold_strength
+from .quasiprob import _negativity, cq, mhq, threshold_strength
+from .quasiprob import negativity  # noqa: F401  (perfbench/tracing.py looks it up here)
 from .sampling import (
     MAX_RESAMPLES,
     MAX_SHOTS,
@@ -41,9 +42,10 @@ from .sampling import (
     run_sweep,
     strength_from_waveplate,
 )
+from .schemes import _totals
 
 MAX_GRID_POINTS = 10_000  # largest strength grid a "K" range may request
-MAX_DIMENSION = 64  # largest system dimension; an exact noisy 21-point circuit sweep takes about 2 s at d=64
+MAX_DIMENSION = 64  # largest system dimension; at d=64 a 21-point sweep takes 10 ms and its CSV export about 3 s
 
 QUANTITIES = ("p_weak", "cq", "mhq", "weak_cq", "weak_mhq", "C", "mhq_reconstructed", "thresholds")
 
@@ -86,7 +88,6 @@ class ScenarioConfig:
     noise: NoiseModel
     seed: int
     outputs: tuple[str, ...]
-    engine: str
 
 
 def _fail(field: str, message: str):
@@ -254,6 +255,8 @@ def parse_config(text: str) -> ScenarioConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ConfigError("the document nests arrays or objects too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError("the scenario document must be a JSON object")
     unknown = set(doc) - _CONFIG_FIELDS
@@ -302,6 +305,7 @@ def parse_config(text: str) -> ScenarioConfig:
         repeated = next(q for q in outputs if outputs.count(q) > 1)
         _fail("outputs", f"quantity {repeated!r} is listed twice")
 
+    # the sweep has one engine, the closed form; the key stays valid for older documents
     engine = doc.get("engine", "circuit")
     if engine not in ("circuit", "closed"):
         _fail("engine", f"must be 'circuit' or 'closed', got {engine!r}")
@@ -315,7 +319,6 @@ def parse_config(text: str) -> ScenarioConfig:
         noise=noise,
         seed=_integer(doc.get("seed", 0), "seed", 0),
         outputs=outputs,
-        engine=engine,
     )
 
 
@@ -345,7 +348,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     k_values = tuple(sorted(config.k_values))
-    records = run_sweep(
+    sweep = run_sweep(
         config.rho,
         config.obs_a,
         config.obs_b,
@@ -353,48 +356,42 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         shots=config.shots,
         noise=config.noise,
         seed=config.seed,
-        engine=config.engine,
     )
     labels_a = config.obs_a.labels
     labels_b = config.obs_b.labels
+    cells = [(a, b, la, lb) for a, la in enumerate(labels_a) for b, lb in enumerate(labels_b)]
+    keys = [_fmt(k) for k in k_values]
     strong = {"cq": cq(config.rho, config.obs_a, config.obs_b).values,
               "mhq": mhq(config.rho, config.obs_a, config.obs_b).values}
+    zeros = np.zeros((len(labels_a), len(labels_b)))  # the stderr of every exact table
 
-    tables: dict[str, list[tuple]] = {q: [] for q in config.outputs if q != "thresholds"}
     negativity_totals: dict[str, dict[str, float]] = {}
     residuals: dict[str, dict[str, float]] = {}
-
-    def emit(quantity: str, key: str, values: np.ndarray, stderr: np.ndarray | None):
-        err = np.zeros_like(values) if stderr is None else stderr
-        for a in range(values.shape[0]):
-            for b in range(values.shape[1]):
-                tables[quantity].append(
-                    (key, labels_a[a], labels_b[b], quantity, _fmt(values[a, b]), _fmt(err[a, b]))
-                )
-
-    for record in records:
-        key = _fmt(record.strength.K)
-        by_name = {**strong, "p_weak": record.p_weak, "weak_cq": record.weak_cq, "weak_mhq": record.weak_mhq,
-                   "C": record.coherence, "mhq_reconstructed": record.mhq_reconstructed}
-        for quantity in tables:
-            table = by_name[quantity]
-            if table is None:  # no data path reaches this quantity at this strength
-                continue
-            values = getattr(table, "values", table)
-            emit(quantity, key, values, record.errors.get(quantity))
-            if quantity != "C":  # the cross-term is not itself a distribution
-                negativity_totals.setdefault(quantity, {})[key] = negativity(values)
-                residuals.setdefault(quantity, {})[key] = abs(float(values.sum()) - 1.0)
-
-    for quantity, rows in tables.items():
+    for quantity in config.outputs:
+        if quantity == "thresholds":
+            continue
+        if quantity in strong:  # the theory tables are the same at every strength
+            values, errors = np.broadcast_to(strong[quantity], (len(keys), *zeros.shape)), None
+        else:
+            values, errors = sweep.values[quantity], sweep.errors and sweep.errors[quantity]
+        points = np.flatnonzero(sweep.reached(quantity))  # the points a data path reaches
+        rows = []
+        for i in points:
+            table, err = values[i], zeros if errors is None else errors[i]
+            rows.extend(
+                (keys[i], la, lb, quantity, _fmt(table[a, b]), _fmt(err[a, b])) for a, b, la, lb in cells
+            )
         _write_table(out / f"{quantity}.csv", rows)
+        if quantity != "C" and points.size:  # the cross-term is not itself a distribution
+            point_keys = [keys[i] for i in points]
+            negativity_totals[quantity] = dict(zip(point_keys, _negativity(values[points]).tolist()))
+            residuals[quantity] = dict(zip(point_keys, np.abs(_totals(values[points]) - 1.0).tolist()))
 
     summary = {
         "seed": config.seed,
         "shots": config.shots if config.shots is not None else "exact",
         "gate_visibility": config.noise.gate_visibility,
-        "engine": config.engine,
-        "k_values": [_fmt(k) for k in k_values],
+        "k_values": keys,
         "negativity": negativity_totals,
         "normalization_residuals": residuals,
         "runtime_seconds": round(time.monotonic() - started, 3),
@@ -444,9 +441,10 @@ def compare(path_a: str | Path, path_b: str | Path, tolerance: float) -> tuple[l
     """Row-wise absolute differences between two exported tables.
 
     Returns (report lines, ok); ok is False when any value differs by more
-    than the tolerance or either value is NaN or infinite.  Mismatched
-    headers or row sets, malformed or duplicated rows, and a tolerance that
-    is negative or not finite raise ValueError.
+    than the tolerance, either value is NaN or infinite, or either stderr is
+    NaN, infinite or negative.  Stderr values are checked but never diffed.
+    Mismatched headers or row sets, malformed or duplicated rows, and a
+    tolerance that is negative or not finite raise ValueError.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
@@ -458,9 +456,12 @@ def compare(path_a: str | Path, path_b: str | Path, tolerance: float) -> tuple[l
         raise ValueError(f"row sets differ (e.g. only in a: {only_a}, only in b: {only_b})")
     report = []
     worst = 0.0
-    non_finite = 0
+    non_finite = bad_stderr = 0
     for key in sorted(rows_a):
-        value_a, value_b = rows_a[key][0], rows_b[key][0]
+        (value_a, err_a), (value_b, err_b) = rows_a[key], rows_b[key]
+        if not (math.isfinite(err_a) and err_a >= 0.0 and math.isfinite(err_b) and err_b >= 0.0):
+            bad_stderr += 1
+            report.append(f"invalid stderr at {_location(key)}: {err_a!r} vs {err_b!r}")
         if not (math.isfinite(value_a) and math.isfinite(value_b)):
             non_finite += 1
             report.append(f"non-finite value at {_location(key)}: {value_a!r} vs {value_b!r}")
@@ -472,7 +473,9 @@ def compare(path_a: str | Path, path_b: str | Path, tolerance: float) -> tuple[l
     report.append(f"max |diff| = {worst:.3e} over {len(rows_a)} rows (tolerance {tolerance:g})")
     if non_finite:
         report.append(f"{non_finite} row(s) hold a non-finite value, which no tolerance accepts")
-    return report, worst <= tolerance and not non_finite
+    if bad_stderr:
+        report.append(f"{bad_stderr} row(s) hold a NaN, infinite or negative stderr")
+    return report, worst <= tolerance and not non_finite and not bad_stderr
 
 
 def _int_in(minimum: int, maximum: float = math.inf):
@@ -520,7 +523,12 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         try:
-            config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+            try:
+                text = Path(args.config).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                message = f"{args.config} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+                raise ConfigError(message) from None
+            config = parse_config(text)
             if args.seed is not None:
                 config = replace(config, seed=args.seed)
             if args.exact:

@@ -175,12 +175,18 @@ class WeakStrength:
             raise ValueError(f"dimension must be at least 2, got {dim}")
         omega1 = math.sqrt(1.0 - k)
         omega0 = -omega1 / math.sqrt(dim) + math.sqrt(1.0 - omega1**2 * (dim - 1) / dim)
-        return cls(float(k), int(dim), max(omega0, 0.0), omega1)
+        # at k=0 the two terms cancel only to rounding (1.1e-16 at d=2); no measurement is omega0 = 0
+        return cls(float(k), int(dim), 0.0 if k == 0.0 else max(omega0, 0.0), omega1)
 
     @property
     def cross_weight(self) -> float:
         """Coefficient 2 omega0 omega1 / sqrt(d) of the interference term."""
         return 2.0 * self.omega0 * self.omega1 / math.sqrt(self.dim)
+
+    @property
+    def weights(self) -> tuple[float, float, float]:
+        """(omega0^2, omega1^2/d, cross_weight): the weights of p, p_fin and q_MH in p_weak."""
+        return self.omega0**2, self.omega1**2 / self.dim, self.cross_weight
 
 
 @dataclass(frozen=True)

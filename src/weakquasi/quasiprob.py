@@ -33,6 +33,7 @@ from .schemes import (
     _OutcomeTable,
     _real_table,
     _three_term,
+    _totals,
     _tpm_table,
     weak_tpm_joint,
 )
@@ -115,7 +116,9 @@ def _vector(x, name: str) -> np.ndarray:
 
 
 # Data-path formulas, each written once.  Tables are (..., d, d) and p_fin is
-# (..., d), so point estimates and the sweep's error-bar stacks share the code.
+# (..., d), so point estimates, the sweep's K axis and its error-bar stacks
+# share the code.  ``strength`` is a WeakStrength, or the sweep's grid whose
+# K and weights are (nK, 1, 1) columns; the K in {0, 1} cases are masks.
 
 
 def _weak_cq_values(pw: np.ndarray, pf: np.ndarray) -> np.ndarray:
@@ -124,33 +127,42 @@ def _weak_cq_values(pw: np.ndarray, pf: np.ndarray) -> np.ndarray:
     return pw + (pf[..., None, :] - pw.sum(axis=-2, keepdims=True)) / d
 
 
-def _coherence_values(pw: np.ndarray, pt: np.ndarray, pf: np.ndarray, strength: WeakStrength) -> np.ndarray:
+def _coherence_values(pw: np.ndarray, pt: np.ndarray, pf: np.ndarray, strength) -> np.ndarray:
     """Cross-term p_weak - omega0^2 p - (omega1^2/d) p_fin."""
-    return pw - strength.omega0**2 * pt - (strength.omega1**2 / strength.dim) * pf[..., None, :]
+    w_p, w_fin, _ = strength.weights
+    return pw - w_p * pt - w_fin * pf[..., None, :]
 
 
-def _reconstruct(coh: np.ndarray, strength: WeakStrength) -> np.ndarray:
-    """MHQ inversion q_MH = C / cross_weight; singular at K in {0, 1}."""
-    return coh / strength.cross_weight
+def _reach(strength):
+    """Masks (reconstructed, weak MHQ): where a data path reaches mhq_reconstructed and weak_mhq.
+
+    The MHQ inversion needs 0 < K < 1; the weak MHQ is out of reach only at
+    K=1 above d=2.
+    """
+    k = strength.K
+    return (k > 0.0) & (k < 1.0), (k < 1.0) | (strength.dim == 2)
 
 
-def _weak_mhq_mix(k: float, q_mh: np.ndarray, pf: np.ndarray, d: int) -> np.ndarray:
+def _reconstruct(coh: np.ndarray, strength) -> np.ndarray:
+    """MHQ inversion q_MH = C / cross_weight; singular at K in {0, 1}, where C is returned as is."""
+    return coh / np.where(_reach(strength)[0], strength.weights[2], 1.0)
+
+
+def _weak_mhq_mix(k, q_mh: np.ndarray, pf: np.ndarray, d: int) -> np.ndarray:
     """Weak Margenau-Hill quasiprobability K q_MH + ((1-K)/d) p_fin."""
     return k * q_mh + ((1.0 - k) / d) * pf[..., None, :]
 
 
-def _weak_mhq_values(wcq: np.ndarray, rec, pf: np.ndarray, strength: WeakStrength):
-    """Weak MHQ reached from data, or None where no data path reaches it.
+def _weak_mhq_values(wcq: np.ndarray, rec: np.ndarray, pf: np.ndarray, strength) -> np.ndarray:
+    """Weak MHQ reached from data.
 
     Inside 0 < K < 1 it mixes the reconstructed MHQ ``rec``; at K=0 every row
-    is p_fin/d; at K=1 only the qubit identity weak-MHQ == weak-CQ applies.
+    is p_fin/d; at K=1 the qubit identity weak-MHQ == weak-CQ applies, and
+    above d=2 the weak CQ fills a slice no data path reaches (see _reach).
     """
     k, d = strength.K, strength.dim
-    if 0.0 < k < 1.0:
-        return _weak_mhq_mix(k, rec, pf, d)
-    if k == 0.0:
-        return np.broadcast_to(pf[..., None, :] / d, wcq.shape).copy()
-    return wcq if d == 2 else None
+    mixed = _weak_mhq_mix(k, rec, pf, d)
+    return np.where(k == 0.0, pf[..., None, :] / d, np.where(k == 1.0, wcq, mixed))
 
 
 def cq(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> QuasiDistribution:
@@ -193,7 +205,8 @@ def weak_cq_closed(
     """
     d = _check_dims(rho, obs_a, obs_b)
     strength = WeakStrength.from_k(k, d)
-    values = _three_term(strength, cq(rho, obs_a, obs_b).values, rho, obs_a, obs_b)
+    p_fin, q_mh = _born(rho, obs_b), _mh_table(rho, obs_a, obs_b)
+    values = _three_term(strength, cq(rho, obs_a, obs_b).values, p_fin, q_mh)
     return QuasiDistribution(values, family="weakCQ", strength=strength)
 
 
@@ -282,5 +295,9 @@ def threshold_strength(
 
 def negativity(table) -> float:
     """Total negativity sum_ab max(0, -q(a,b)); zero iff the table is a probability."""
-    values = _values_of(table)
-    return float(np.clip(-values, 0.0, None).sum())
+    return float(_negativity(_values_of(table)))
+
+
+def _negativity(values: np.ndarray) -> np.ndarray:
+    """Total negativity of each table of a (..., d, d) stack."""
+    return _totals(np.clip(-values, 0.0, None))

@@ -1,12 +1,14 @@
 """Finite-statistics simulation of the photonic weak-measurement experiment.
 
-Coincidence counts are drawn cell-wise from independent Poisson laws and
-point estimates are normalized counts.  The sweep's error bars propagate each
-table's Poisson covariance through the data paths to first order in closed
-form.  :func:`estimate_with_errors` keeps the Monte Carlo procedure that
-re-draws count tables around the observed ones; the closed form is its limit
-as the re-draws grow.  A single gate-visibility parameter models imperfect
-interference at the coupling gate.
+The strength sweep is array-valued: the exact tables of every strength come
+from one broadcast of the three-term closed form, and every derived quantity
+is one array over the K axis.  Coincidence counts are drawn cell-wise from
+independent Poisson laws and point estimates are normalized counts.  The
+sweep's error bars propagate each table's Poisson covariance through the data
+paths to first order in closed form.  :func:`estimate_with_errors` keeps the
+Monte Carlo procedure that re-draws count tables around the observed ones;
+the closed form is its limit as the re-draws grow.  A single gate-visibility
+parameter models imperfect interference at the coupling gate.
 
 All sampling uses explicitly seeded, splittable generators; identical seeds
 give bit-identical results, and independent strength points may be evaluated
@@ -16,7 +18,9 @@ concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,16 +36,22 @@ from .core import (
 from .schemes import (
     JointDistribution,
     _born,
-    _kraus_table,
-    # the dense circuit oracle; perfbench/tracing.py looks both names up here
-    joint_outcome_table,  # noqa: F401
+    _check_dims,
+    _finite,
+    _mh_table,
+    _probability_stack,
+    _three_term,
+    _tpm_table,
     probability_table,
+    # the dense circuit oracle and the per-setting closed form; perfbench/tracing.py looks them up here
+    joint_outcome_table,  # noqa: F401
     weak_joint_state,  # noqa: F401
-    weak_sequential_closed,
+    weak_sequential_closed,  # noqa: F401
 )
 from .quasiprob import (
     QuasiDistribution,
     _coherence_values,
+    _reach,
     _reconstruct,
     _weak_cq_values,
     _weak_mhq_values,
@@ -60,6 +70,7 @@ __all__ = [
     "NoiseModel",
     "QubitScenario",
     "StrengthRecord",
+    "Sweep",
     "ZeroCountsError",
     "apply_gate_noise",
     "estimate_with_errors",
@@ -248,7 +259,8 @@ class StrengthRecord:
     per-cell standard errors, None where the quantity is None.  In sampled
     mode they are the Poisson covariance of the three count tables carried
     through the same data paths to first order; in exact mode they are all
-    zeros.
+    zeros.  A :class:`Sweep` builds its records on demand from slices of its
+    arrays.
     """
 
     strength: WeakStrength
@@ -262,23 +274,66 @@ class StrengthRecord:
     errors: dict = field(default_factory=dict)
 
 
-def _exact_setting_tables(
-    rho: DensityOperator,
-    obs_a: ObservableSpec,
-    obs_b: ObservableSpec,
-    settings,
-    noise: NoiseModel,
-    engine: str,
-) -> dict[float, JointDistribution]:
-    """Exact table of each strength setting, evaluated once per setting."""
-    if not noise.is_ideal:  # dephasing in A's basis commutes with the controlled shift
-        nu, w = noise.gate_visibility, obs_a.eigenvectors
-        rho = DensityOperator(nu * rho.matrix + (1.0 - nu) * (w * _born(rho, obs_a)) @ w.conj().T)
-    if engine == "closed":
-        return {k: weak_sequential_closed(rho, obs_a, obs_b, k) for k in settings}
-    if engine != "circuit":
-        raise ValueError(f"unknown engine {engine!r}")
-    return {k: probability_table(_kraus_table(rho, obs_a, obs_b, k)) for k in settings}
+_QUASI = {"weak_cq": "weakCQ", "weak_mhq": "weakMHQ", "mhq_reconstructed": "MHQ"}
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep(Sequence):
+    """A strength sweep as arrays over the K axis, and as a sequence of StrengthRecords.
+
+    ``values`` maps the export names p_weak, p_tpm, p_fin, weak_cq, C,
+    mhq_reconstructed and weak_mhq to read-only arrays whose first axis is the
+    grid: (nK, d, d), and (nK, d) for p_fin.  ``errors`` holds their standard
+    errors in the same shapes, or is None in exact mode, where every error is
+    zero.  ``masks`` maps mhq_reconstructed and weak_mhq to the (nK,) masks of
+    the points a data path reaches; their other slices hold finite filler.
+    Indexing builds the point's :class:`StrengthRecord`.
+    """
+
+    strengths: tuple[WeakStrength, ...]
+    values: dict
+    errors: dict | None
+    masks: dict
+
+    def reached(self, name: str) -> np.ndarray:
+        """(nK,) mask of the points where a data path reaches quantity ``name``."""
+        return self.masks.get(name, np.ones(len(self), dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.strengths)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        strength = self.strengths[i]
+        point, errors = {}, {}
+        for name, values in self.values.items():
+            if self.reached(name)[i]:
+                point[name] = values[i]
+                errors[name] = np.zeros_like(values[i]) if self.errors is None else self.errors[name][i]
+            else:
+                point[name] = errors[name] = None
+        quasi = {
+            name: None if point[name] is None else QuasiDistribution(point[name], family, strength)
+            for name, family in _QUASI.items()
+        }
+        return StrengthRecord(
+            strength=strength,
+            p_weak=JointDistribution(point["p_weak"]),
+            p_tpm=JointDistribution(point["p_tpm"]),
+            p_fin=point["p_fin"],
+            coherence=point["C"],
+            errors=errors,
+            **quasi,
+        )
+
+
+def _grid(strengths, d: int) -> SimpleNamespace:
+    """The K and weights of WeakStrengths as (nK, 1, 1) columns, which broadcast over a K axis."""
+    k = np.array([s.K for s in strengths], dtype=float).reshape(-1, 1, 1)
+    weights = np.array([s.weights for s in strengths], dtype=float).reshape(-1, 3)
+    return SimpleNamespace(K=k, dim=d, weights=tuple(weights.T[:, :, None, None]))
 
 
 def _strength(k: float, d: int) -> WeakStrength:
@@ -292,16 +347,17 @@ def _strength(k: float, d: int) -> WeakStrength:
     return strength
 
 
-def _point_quantities(pw: np.ndarray, pt: np.ndarray, p_final: np.ndarray, strength: WeakStrength) -> dict:
-    """The seven quantities of one strength point from its weak, K=1 and K=0 tables, by export name.
+def _point_quantities(pw: np.ndarray, pt: np.ndarray, p_final: np.ndarray, strength) -> dict:
+    """The seven quantities of strength points from their weak, K=1 and K=0 tables, by export name.
 
-    Tables are (..., d, d), so a point estimate and a stack of resampled tables
-    share every data path; a quantity no data path reaches is None.
+    Tables are (..., d, d), so the sweep's K axis and a point's stack of
+    error-bar tables share every data path.  Slices that no data path
+    reaches hold finite filler (see _reach).
     """
     pf = p_final.sum(axis=-2)
     wcq = _weak_cq_values(pw, pf)
     coh = _coherence_values(pw, pt, pf, strength)
-    rec = _reconstruct(coh, strength) if 0.0 < strength.K < 1.0 else None
+    rec = _reconstruct(coh, strength)
     return {
         "p_weak": pw,
         "p_tpm": pt,
@@ -336,12 +392,34 @@ def _point_errors(tables, totals, strength: WeakStrength) -> dict:
         block[d] = p
         weights[t * m : (t + 1) * m] = 1.0 / total
         weights[t * m + d] = -1.0 / total
-    errors = {}
-    for name, q in _point_quantities(*stack, strength).items():
-        if q is not None:  # a vanishing variance (p_fin of an eigenstate of B) can round below 0
-            q = np.sqrt(np.maximum(np.tensordot(weights, q * q, axes=1), 0.0))
-        errors[name] = q
-    return errors
+    # a vanishing variance (p_fin of an eigenstate of B) can round below 0
+    return {
+        name: np.sqrt(np.maximum(np.tensordot(weights, q * q, axes=1), 0.0))
+        for name, q in _point_quantities(*stack, strength).items()
+    }
+
+
+def _sampled_tables(exact: np.ndarray, k_list, shots: int, seed: int):
+    """Normalized count tables (weak, K=1, K=0) of every point, as (3, nK, d, d), and their totals.
+
+    ``exact`` stacks the exact tables of the grid, then of K=1 and K=0.
+    Every point draws its three tables from its own spawned generator.
+    """
+    references = [JointDistribution(table) for table in exact[-2:]]
+    counts = np.empty((3, len(k_list), *exact.shape[1:]))
+    totals = []
+    for i, (k, child) in enumerate(zip(k_list, np.random.SeedSequence(seed).spawn(len(k_list)))):
+        settings = (JointDistribution(exact[i]), *references)
+        drawn = [sample_counts(table, shots, s) for table, s in zip(settings, child.spawn(3))]
+        for table, setting in zip(drawn, (k, 1.0, 0.0)):
+            if table.total == 0:
+                raise ZeroCountsError(
+                    f"shots={shots} drew an all-zero count table for setting K={setting:g} "
+                    f"at strength point K={k:g}; increase shots"
+                )
+        counts[:, i] = [table.counts for table in drawn]
+        totals.append([table.total for table in drawn])
+    return _probability_stack(counts), totals
 
 
 def run_sweep(
@@ -352,18 +430,19 @@ def run_sweep(
     shots: int | None = None,
     noise: NoiseModel = NoiseModel(),
     seed: int = 0,
-    engine: str = "circuit",
-) -> list[StrengthRecord]:
+) -> Sweep:
     """Evaluate the weak-sequential experiment over a grid of strengths.
 
     Every strength point K uses three settings, K itself plus the reference
     strengths 1 and 0, which supply the projective table and the
     final-observable marginal entering the reconstruction formulas.  The
-    exact table of each distinct setting is computed once per sweep and
-    shared by every point that uses it.  Per point, sampled mode draws fresh
-    counts for all three settings from that point's own generator, and all
-    derived tables are computed from those (estimated or exact) tables
-    alone, exactly as they would be from laboratory data.
+    exact tables are the three-term closed form w0^2 p + (w1^2/d) p_fin +
+    cross q_MH on the noise-dephased state: p, p_fin and q_MH are computed
+    once, and one broadcast over the grid's weights gives every table.  Per
+    point, sampled mode draws fresh counts for all three settings from that
+    point's own generator, and all derived tables are computed from those
+    (estimated or exact) tables alone, exactly as they would be from
+    laboratory data, as one array over the grid.
 
     Parameters
     ----------
@@ -383,63 +462,40 @@ def run_sweep(
         Root seed of sampled mode; every strength point receives an
         independent spawned generator, so records are reproducible
         bit-for-bit.  Exact mode ignores it.
-    engine : str
-        "circuit" reads the pointer coupling through the weak POVM's Kraus
-        operators; "closed" uses the three-term closed form instead.
 
     Returns
     -------
-    list of StrengthRecord
+    Sweep
+        The quantities as arrays over the grid; indexing it gives each
+        point's StrengthRecord.
     """
+    d = _check_dims(rho, obs_a, obs_b)
     k_list = [float(k) for k in k_values]
-    d = rho.dim
-    strengths = [_strength(k, d) for k in k_list]
-    # the projective (K=1) and no-measurement (K=0) reference settings are
-    # the same at every point, so each distinct setting is evaluated once
-    exact_by_k = _exact_setting_tables(
-        rho, obs_a, obs_b, sorted(set(k_list) | {0.0, 1.0}), noise, engine
+    strengths = tuple(_strength(k, d) for k in k_list)
+    if not noise.is_ideal:  # dephasing in A's basis commutes with the controlled shift
+        nu, w = noise.gate_visibility, obs_a.eigenvectors
+        rho = DensityOperator(nu * rho.matrix + (1.0 - nu) * (w * _born(rho, obs_a)) @ w.conj().T)
+    # the grid's settings, then the projective (K=1) and no-measurement (K=0) references
+    settings = _grid([*strengths, WeakStrength.from_k(1.0, d), WeakStrength.from_k(0.0, d)], d)
+    exact = _probability_stack(
+        _three_term(settings, _tpm_table(rho, obs_a, obs_b), _born(rho, obs_b), _mh_table(rho, obs_a, obs_b))
     )
-    # exact mode draws nothing, so it never builds (or imports) numpy.random
-    if shots is None:
-        children = [None] * len(k_list)
+    grid = _grid(strengths, d)
+    if shots is None:  # exact mode draws nothing, so it never builds (or imports) numpy.random
+        values, errors = _point_quantities(exact[:-2], exact[-2], exact[-1], grid), None
     else:
-        children = np.random.SeedSequence(seed).spawn(len(k_list))
-    records = []
-    for k, strength, child in zip(k_list, strengths, children):
-        settings = (k, 1.0, 0.0)
-        estimates = [exact_by_k[s] for s in settings]
-        if shots is not None:
-            tables = [sample_counts(table, shots, s) for table, s in zip(estimates, child.spawn(3))]
-            for table, setting in zip(tables, settings):
-                if table.total == 0:
-                    raise ZeroCountsError(
-                        f"shots={shots} drew an all-zero count table for setting K={setting:g} "
-                        f"at strength point K={k:g}; increase shots"
-                    )
-            estimates = [t.estimator() for t in tables]
-        point = _point_quantities(*(e.values for e in estimates), strength)
-        if shots is None:
-            errors = {name: None if v is None else np.zeros_like(v) for name, v in point.items()}
-        else:
-            errors = _point_errors([e.values for e in estimates], [t.total for t in tables], strength)
-        # the records wrap the quasiprobabilities, whose construction checks they are finite
-        quasi = {
-            name: None if point[name] is None
-            else QuasiDistribution(point[name], family=family, strength=strength)
-            for name, family in (("weak_cq", "weakCQ"), ("weak_mhq", "weakMHQ"), ("mhq_reconstructed", "MHQ"))
-        }
-        records.append(
-            StrengthRecord(
-                strength=strength,
-                p_weak=estimates[0],
-                p_tpm=estimates[1],
-                p_fin=point["p_fin"],
-                coherence=point["C"],
-                errors=errors,
-                **quasi,
-            )
-        )
-    return records
+        tables, totals = _sampled_tables(exact, k_list, shots, seed)
+        values = _point_quantities(*tables, grid)
+        per_point = [_point_errors(tables[:, i], totals[i], s) for i, s in enumerate(strengths)]
+        stacked = {name: np.array([e[name] for e in per_point]).reshape(v.shape) for name, v in values.items()}
+        errors = {name: _freeze(e) for name, e in stacked.items()}
+    for name, family in _QUASI.items():  # QuasiDistribution's check, once per stack
+        _finite(values[name], f"{family} table")
+    # read-only views; exact mode shares one p_tpm and p_fin across the grid
+    shapes = {name: (len(strengths), d) if name == "p_fin" else (len(strengths), d, d) for name in values}
+    values = {name: np.broadcast_to(v, shapes[name]) for name, v in values.items()}
+    masks = {name: m.reshape(-1) for name, m in zip(("mhq_reconstructed", "weak_mhq"), _reach(grid))}
+    return Sweep(strengths, values, errors, masks)
 
 
 def run_scenario(
@@ -448,17 +504,10 @@ def run_scenario(
     shots: int | None = None,
     noise: NoiseModel = NoiseModel(),
     seed: int = 0,
-) -> list[StrengthRecord]:
+) -> Sweep:
     """Run the polarisation-qubit scenario over a strength grid.
 
     Thin wrapper over :func:`run_sweep` with the fixed observables A=Z, B=X.
     """
-    return run_sweep(
-        scenario.state(),
-        scenario.observable_a,
-        scenario.observable_b,
-        k_values,
-        shots=shots,
-        noise=noise,
-        seed=seed,
-    )
+    obs_a, obs_b = scenario.observable_a, scenario.observable_b
+    return run_sweep(scenario.state(), obs_a, obs_b, k_values, shots=shots, noise=noise, seed=seed)

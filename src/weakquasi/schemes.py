@@ -2,9 +2,9 @@
 
 Covers the projective two-point scheme, the weak-sequential scheme in both
 its three-term closed form and the system-pointer circuit, and the weak
-variant built from non-selective projective measurements.  The sweep reads
-the circuit through the weak POVM's Kraus operators; the explicit d^2 x d^2
-circuit is the independent oracle the test suite checks both against.
+variant built from non-selective projective measurements.  The sweep uses
+the closed form alone; the explicit d^2 x d^2 circuit is the independent
+oracle the test suite checks it against.
 """
 
 from __future__ import annotations
@@ -56,9 +56,51 @@ def _real_table(values, name: str = "table") -> np.ndarray:
     arr = np.array(arr, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D outcome table, got shape {arr.shape}")
+    return _finite(arr, name)
+
+
+def _finite(arr: np.ndarray, name: str = "table") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _totals(arr: np.ndarray) -> np.ndarray:
+    """Sum of each table of a (..., d, d) stack, added up as a lone table's ``sum()`` is."""
+    return arr.reshape(*arr.shape[:-2], -1).sum(axis=-1)
+
+
+def _check_normalized(arr: np.ndarray, per_row: bool = False):
+    sums = arr.sum(axis=-1) if per_row else _totals(arr)
+    if np.abs(sums - 1.0).max(initial=0.0) > VALIDATION_ATOL:
+        raise ValueError("probability table is not normalized within 1e-10")
+
+
+def _normalized(arr: np.ndarray, per_row: bool = False) -> np.ndarray:
+    """Clamp dust-level negatives of a real (..., d, d) stack and renormalize each table, or each row.
+
+    Entries below -1e-12 indicate a genuine bug upstream and raise
+    InternalConsistencyError rather than being silently repaired.
+    """
+    if arr.min(initial=0.0) < -PROBABILITY_DUST:
+        bad = np.unravel_index(arr.argmin(), arr.shape)
+        raise InternalConsistencyError(
+            f"probability entry {arr.min()} at cell {bad} is negative beyond dust tolerance"
+        )
+    arr = np.clip(arr, 0.0, None)
+    sums = arr.sum(axis=-1, keepdims=True) if per_row else _totals(arr)[..., None, None]
+    if (sums <= 0.0).any():
+        raise InternalConsistencyError(
+            "per-row table has an all-zero row" if per_row else "probability table sums to zero"
+        )
+    return arr / sums
+
+
+def _probability_stack(values: np.ndarray) -> np.ndarray:
+    """:func:`probability_table`'s rules, run once over a (..., d, d) stack; read-only result."""
+    arr = _normalized(_finite(values))
+    _check_normalized(arr)
+    return _freeze(arr)
 
 
 class _OutcomeTable:
@@ -102,9 +144,7 @@ class JointDistribution(_OutcomeTable):
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if arr.min() < -PROBABILITY_DUST:
             raise ValueError(f"probability table has negative entry {arr.min()}")
-        sums = arr.sum(axis=1) if self.normalization == "per_row" else arr.sum()
-        if np.abs(np.asarray(sums) - 1.0).max() > VALIDATION_ATOL:
-            raise ValueError("probability table is not normalized within 1e-10")
+        _check_normalized(arr, self.normalization == "per_row")
         object.__setattr__(self, "values", _freeze(arr))
 
     @property
@@ -118,23 +158,7 @@ def probability_table(values, normalization: str = "total") -> JointDistribution
     Entries below -1e-12 indicate a genuine bug upstream and raise
     InternalConsistencyError rather than being silently repaired.
     """
-    arr = _real_table(values)
-    if arr.min() < -PROBABILITY_DUST:
-        bad = np.unravel_index(arr.argmin(), arr.shape)
-        raise InternalConsistencyError(
-            f"probability entry {arr.min()} at cell {bad} is negative beyond dust tolerance"
-        )
-    arr = np.clip(arr, 0.0, None)
-    if normalization == "per_row":
-        rows = arr.sum(axis=1, keepdims=True)
-        if (rows <= 0.0).any():
-            raise InternalConsistencyError("per-row table has an all-zero row")
-        arr = arr / rows
-    else:
-        total = arr.sum()
-        if total <= 0.0:
-            raise InternalConsistencyError("probability table sums to zero")
-        arr = arr / total
+    arr = _normalized(_real_table(values), normalization == "per_row")
     return JointDistribution(arr, normalization=normalization)
 
 
@@ -260,22 +284,19 @@ def weak_sequential_closed(
     """
     d = _check_dims(rho, obs_a, obs_b)
     strength = WeakStrength.from_k(k, d)
-    return probability_table(_three_term(strength, _tpm_table(rho, obs_a, obs_b), rho, obs_a, obs_b))
+    p_fin, q_mh = _born(rho, obs_b), _mh_table(rho, obs_a, obs_b)
+    return probability_table(_three_term(strength, _tpm_table(rho, obs_a, obs_b), p_fin, q_mh))
 
 
-def _three_term(
-    strength: WeakStrength, first, rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec
-) -> np.ndarray:
+def _three_term(strength, first, p_fin: np.ndarray, q_mh: np.ndarray) -> np.ndarray:
     """omega0^2 first + (omega1^2/d) p_fin + cross q_MH, the weak-sequential decomposition.
 
     ``first`` is the two-point table p for p_weak, and q_C for the weak CQ.
+    ``strength.weights`` are floats, or (nK, 1, 1) columns that give one
+    table per strength.
     """
-    p_fin = _born(rho, obs_b)
-    return (
-        strength.omega0**2 * first
-        + (strength.omega1**2 / strength.dim) * p_fin[None, :]
-        + strength.cross_weight * _mh_table(rho, obs_a, obs_b)
-    )
+    w_p, w_fin, w_cross = strength.weights
+    return w_p * first + w_fin * p_fin[None, :] + w_cross * q_mh
 
 
 def weak_joint_state(rho: DensityOperator, obs_a: ObservableSpec, k: float) -> DensityOperator:
@@ -303,18 +324,6 @@ def joint_outcome_table(joint: DensityOperator, obs_b: ObservableSpec) -> np.nda
     blocks = np.einsum("iaja->aij", sigma)    # pointer-diagonal system blocks
     wb = obs_b.eigenvectors
     return np.einsum("aij,jb,ib->ab", blocks, wb, wb.conj()).real
-
-
-def _kraus_table(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec, k: float) -> np.ndarray:
-    """Outcome table Re <b| m_a rho m_a^dagger |b> over the Kraus operators of weak_povm.
-
-    Reading pointer value a after the coupling applies m_a to the system, so
-    this is :func:`joint_outcome_table` of :func:`weak_joint_state` without
-    the d^2-dimensional joint state.
-    """
-    _check_dims(rho, obs_a, obs_b)
-    bm = obs_b.eigenvectors.conj().T @ weak_povm(obs_a, k).kraus_ops  # [a, b, i] = <b|m_a|i>
-    return ((bm @ rho.matrix) * bm.conj()).sum(axis=2).real
 
 
 def weak_sequential_oracle(

@@ -150,9 +150,10 @@ def test_parse_rejects_bad_outputs_and_engine():
         parse_config('{"theta0": 10.6, "outputs": ["p_weak", "wigner"]}')
     with pytest.raises(ConfigError, match="engine"):
         parse_config('{"theta0": 10.6, "engine": "magic"}')
-    # gate noise acts on the prepared state, so both engines model it
-    config = parse_config('{"theta0": 10.6, "engine": "closed", "noise": 0.9}')
-    assert config.engine == "closed" and config.noise.gate_visibility == 0.9
+    # the sweep has one engine, so a valid key is checked and then ignored
+    for engine in ("circuit", "closed"):
+        config = parse_config(json.dumps({"theta0": 10.6, "engine": engine, "noise": 0.9}))
+        assert not hasattr(config, "engine") and config.noise.gate_visibility == 0.9
 
 
 def test_parse_shots_and_noise_validation():
@@ -224,6 +225,28 @@ def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: config field '{name}'")
+
+
+def test_parse_rejects_deeply_nested_document(tmp_path, capsys):
+    # json.loads recurses once per level and raises RecursionError past the interpreter's limit
+    for text in ("[" * 100_000, '{"theta0": ' + "[" * 100_000, '{"a": ' * 100_000):
+        with pytest.raises(ConfigError, match="nests arrays or objects too deeply"):
+            parse_config(text)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: the document nests")
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b'{"theta0": 10.6, "outputs": ["\xe9"]}'])
+def test_main_reports_a_config_that_is_not_utf8(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path} is not UTF-8 text: invalid")
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_names_first_repeated_strength_in_grid_order():
@@ -465,6 +488,21 @@ def test_compare_fails_on_non_finite_values(tmp_path, capsys, bad):
     assert main(["compare", str(tmp_path / "y.csv"), str(tmp_path / "y.csv"), "--tol", "nan"]) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1e-9"])
+def test_compare_fails_on_invalid_stderr(tmp_path, capsys, bad):
+    # stderr values are never diffed, but each must be a finite number >= 0
+    (tmp_path / "x.csv").write_text(HEADER + f"0,H,D,p_weak,0.25,{bad}\n0,H,A,p_weak,0.5,0.1\n")
+    (tmp_path / "y.csv").write_text(HEADER + "0,H,D,p_weak,0.25,0\n0,H,A,p_weak,0.5,0.2\n")
+    for first, second in (("x", "y"), ("y", "x"), ("x", "x")):
+        report, ok = compare(tmp_path / f"{first}.csv", tmp_path / f"{second}.csv", 0.0)
+        assert not ok
+        assert sum("invalid stderr at K=0 (H,D) p_weak" in line for line in report) == 1
+        assert report[-1] == "1 row(s) hold a NaN, infinite or negative stderr"
+    assert compare(tmp_path / "y.csv", tmp_path / "y.csv", 0.0)[1]
+    assert main(["compare", str(tmp_path / "x.csv"), str(tmp_path / "y.csv"), "--tol", "0"]) == 1
+    assert "invalid stderr" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
@@ -485,11 +523,19 @@ def test_compare_rejects_malformed_rows(tmp_path, capsys, body, message):
 
 
 def test_compare_circuit_vs_closed_engines(tmp_path):
-    base = {"theta0": 10.6, "K": [0.0, 0.3, 0.7, 1.0], "outputs": ["p_weak"]}
-    run(parse_config(json.dumps(base)), tmp_path / "circuit")
-    run(parse_config(json.dumps({**base, "engine": "closed"})), tmp_path / "closed")
-    report, ok = compare(tmp_path / "circuit/p_weak.csv", tmp_path / "closed/p_weak.csv", 1e-10)
-    assert ok
+    # the engine key selects nothing: both values write the same bytes, exact and sampled
+    base = {"theta0": 10.6, "K": [0.0, 0.3, 0.7, 1.0], "noise": 0.9}
+    for shots in ("exact", 10**5):
+        for engine in ("circuit", "closed"):
+            config = parse_config(json.dumps({**base, "engine": engine, "shots": shots, "seed": 7}))
+            run(config, tmp_path / f"{engine}-{shots}")
+        tables = sorted(p.name for p in (tmp_path / f"circuit-{shots}").glob("*.csv"))
+        assert len(tables) == 7
+        for name in tables:
+            circuit, closed = tmp_path / f"circuit-{shots}" / name, tmp_path / f"closed-{shots}" / name
+            assert circuit.read_bytes() == closed.read_bytes(), (shots, name)
+            report, ok = compare(circuit, closed, 0.0)
+            assert ok and report[-1].startswith("max |diff| = 0.000e+00"), (shots, name)
 
 
 def test_compare_noise_diff_lands_in_derived_rows(tmp_path):

@@ -211,6 +211,13 @@ def test_weak_strength_normalization_holds():
             assert s.omega0 >= 0.0
 
 
+def test_weak_strength_endpoints_are_exact():
+    # the omega0 root cancels to 1.1e-16 at K=0, d=2; no measurement must have no cross term
+    for d in range(2, 65):
+        assert WeakStrength.from_k(0.0, d).weights == (0.0, 1.0 / d, 0.0)
+        assert WeakStrength.from_k(1.0, d).weights == (1.0, 0.0, 0.0)
+
+
 def test_weak_strength_rejects_unnormalized_coefficients():
     with pytest.raises(ValueError, match="normalized"):
         WeakStrength(0.5, 2, 0.9, 0.9)

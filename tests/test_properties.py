@@ -1,4 +1,4 @@
-"""Property tests: broadcast data paths, scenario-document parsing and table comparison."""
+"""Property tests: broadcast data paths, the sweep's K axis, scenario-document parsing and table comparison."""
 
 import json
 import math
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import random_instance
 from weakquasi.cli import _CONFIG_FIELDS, ConfigError, _fmt, _write_table, compare, parse_config
 from weakquasi.core import WeakStrength
 from weakquasi.quasiprob import (
@@ -22,6 +23,8 @@ from weakquasi.quasiprob import (
     mhq_from_weak,
     weak_cq_from_data,
 )
+from weakquasi.sampling import run_sweep, sample_counts
+from weakquasi.schemes import weak_sequential_closed
 
 strengths = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
@@ -48,7 +51,7 @@ def test_broadcast_data_paths_match_public_functions_slice_by_slice(stacks, k):
     interior = 0.0 < k < 1.0
     wcq = _weak_cq_values(pw, pf)
     coh = _coherence_values(pw, pt, pf, strength)
-    rec = _reconstruct(coh, strength) if interior else None
+    rec = _reconstruct(coh, strength)
     wmh = _weak_mhq_values(wcq, rec, pf, strength)
     for i in range(pw.shape[0]):
         point_wcq = weak_cq_from_data(pw[i], pf[i], strength).values
@@ -62,11 +65,65 @@ def test_broadcast_data_paths_match_public_functions_slice_by_slice(stacks, k):
         else:  # K so close to 0 that the cross weight underflows: the table check rejects it
             with pytest.raises(ValueError, match="non-finite"):
                 mhq_from_weak(pw[i], pt[i], pf[i], strength)
-        point_wmh = _weak_mhq_values(point_wcq, None if rec is None else rec[i], pf[i], strength)
-        if wmh is None:
-            assert point_wmh is None
-        else:
-            assert wmh[i].tobytes() == point_wmh.tobytes()
+        point_wmh = _weak_mhq_values(point_wcq, rec[i], pf[i], strength)
+        assert wmh[i].tobytes() == point_wmh.tobytes()
+
+
+def _weak_mhq_by_rule(k, wcq, rec, pf):
+    """The data-path weak-MHQ rule of one table; None where no data path reaches it."""
+    d = wcq.shape[0]
+    if 0.0 < k < 1.0:
+        return k * rec + ((1.0 - k) / d) * pf[None, :]
+    if k == 0.0:
+        return np.tile(pf / d, (d, 1))
+    return wcq if d == 2 else None
+
+
+@st.composite
+def sweeps(draw):
+    """(d, grid, seed, shots): a grid holding 0, 1 and up to five interior strengths, in any order."""
+    d = draw(st.integers(2, 8))
+    interior = draw(st.lists(st.floats(1e-4, 1.0 - 1e-4), max_size=5))
+    grid = draw(st.permutations([0.0, 1.0, *interior]))
+    return d, grid, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([None, 10**4]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sweeps())
+def test_run_sweep_matches_per_point_public_functions_byte_for_byte(case):
+    # each K slice of every quantity equals the per-point weak_sequential_closed
+    # tables (or their seeded draws) fed through the 2-D public functions
+    d, grid, seed, shots = case
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(seed), d)
+    sweep = run_sweep(rho, obs_a, obs_b, grid, shots=shots, seed=seed)
+    children = np.random.SeedSequence(seed).spawn(len(grid)) if shots else [None] * len(grid)
+    for i, (k, child) in enumerate(zip(grid, children)):
+        tables = [weak_sequential_closed(rho, obs_a, obs_b, setting) for setting in (k, 1.0, 0.0)]
+        if shots is not None:
+            tables = [sample_counts(t, shots, s).estimator() for t, s in zip(tables, child.spawn(3))]
+        pw, pt, p_final = (t.values for t in tables)
+        strength = WeakStrength.from_k(k, d)
+        pf = p_final.sum(axis=0)
+        wcq = weak_cq_from_data(pw, pf, strength).values
+        rec = mhq_from_weak(pw, pt, pf, strength).values if 0.0 < k < 1.0 else None
+        expected = {
+            "p_weak": pw,
+            "p_tpm": pt,
+            "p_fin": pf,
+            "weak_cq": wcq,
+            "C": coherence_term(pw, pt, pf, strength),
+            "mhq_reconstructed": rec,
+            "weak_mhq": _weak_mhq_by_rule(k, wcq, rec, pf),
+        }
+        record = sweep[i]
+        assert record.strength == strength
+        for name, table in expected.items():
+            assert bool(sweep.reached(name)[i]) == (table is not None), (k, name)
+            assert (record.errors[name] is None) == (table is None), (k, name)
+            if table is not None:
+                assert sweep.values[name][i].tobytes() == table.tobytes(), (k, name)
+                if shots is None:
+                    assert not record.errors[name].any(), (k, name)
 
 
 # keys that appear at the top level or inside the nested objects of a scenario

@@ -323,7 +323,7 @@ def test_run_sweep_error_bars_match_first_order_quadratic_form(dim):
 
     rho, obs_a, obs_b = random_instance(np.random.default_rng(70 + dim), dim)
     k_grid, shots, seed = [0.0, 0.3, 1.0], 10**4, 31
-    records = run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed, engine="closed")
+    records = run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed)
     for k, counts, record in zip(k_grid, _sweep_counts(rho, obs_a, obs_b, k_grid, shots, seed), records):
         variance = {}
         for slot, n in enumerate(counts):
@@ -365,7 +365,7 @@ def test_run_sweep_error_bars_match_brute_force_resampling(dim):
     k_grid, seed = [0.0, 0.3, 1.0], 23
     bound = MC_SIGMAS / np.sqrt(2 * MC_RESAMPLES)
     for shots in (10**2, 10**3, 10**4, 10**6):
-        records = run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed, engine="closed")
+        records = run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed)
         rng = np.random.default_rng(shots)
         for k, counts, record in zip(k_grid, _sweep_counts(rho, obs_a, obs_b, k_grid, shots, seed), records):
             redraws = [rng.poisson(c, size=(MC_RESAMPLES, dim, dim)) for c in counts]
@@ -387,18 +387,40 @@ def test_run_sweep_error_bars_match_brute_force_resampling(dim):
                 assert np.abs(err[moving] / expected[moving] - 1.0).max() <= bound, (shots, k, name)
 
 
+def _dense_circuit(rho, obs_a, obs_b, k, nu=1.0):
+    """The oracle table: the d^2 x d^2 system-pointer circuit, gate noise on its joint state."""
+    joint = apply_gate_noise(weak_joint_state(rho, obs_a, k), NoiseModel(nu), basis=obs_a.eigenvectors)
+    return joint_outcome_table(joint, obs_b)
+
+
+def _assert_sweep_matches_dense_circuit(rho, obs_a, obs_b, k_grid, nu):
+    # every quantity of the sweep, as arrays and as records, against the dense
+    # circuit's three tables per point fed through the public per-table functions
+    sweep = run_sweep(rho, obs_a, obs_b, k_grid, noise=NoiseModel(nu))
+    references = [_dense_circuit(rho, obs_a, obs_b, k, nu) for k in (1.0, 0.0)]
+    for i, (k, record) in enumerate(zip(k_grid, sweep)):
+        expected = _data_paths(k, _dense_circuit(rho, obs_a, obs_b, k, nu), *references)
+        for name, table in expected.items():
+            assert bool(sweep.reached(name)[i]) == (table is not None), (nu, k, name)
+            assert (record.errors[name] is None) == (table is None), (nu, k, name)
+            if table is not None:
+                assert np.abs(sweep.values[name][i] - table).max() <= 1e-12, (nu, k, name)
+        assert np.abs(record.p_weak.values - expected["p_weak"]).max() <= 1e-12, (nu, k)
+        assert np.abs(record.coherence - expected["C"]).max() <= 1e-12, (nu, k)
+
+
 def test_run_sweep_closed_engine_matches_circuit(scenario_state, obs_z, obs_x):
-    circuit = run_sweep(scenario_state, obs_z, obs_x, [0.3], engine="circuit")[0]
-    closed = run_sweep(scenario_state, obs_z, obs_x, [0.3], engine="closed")[0]
-    assert np.abs(circuit.p_weak.values - closed.p_weak.values).max() <= 1e-12
+    # the sweep's one engine, the closed form, against the dense circuit oracle
+    _assert_sweep_matches_dense_circuit(scenario_state, obs_z, obs_x, [0.0, 0.3, 0.5, 0.9, 1.0], 1.0)
 
 
 @pytest.mark.parametrize("dim", [3, 8, 16])
-@pytest.mark.parametrize("engine", ["circuit", "closed"])
-def test_noisy_sweep_matches_closed_form_on_dephased_state(engine, dim):
+@pytest.mark.parametrize("oracle", ["circuit", "closed"])
+def test_noisy_sweep_matches_closed_form_on_dephased_state(oracle, dim):
     # dephasing in A's basis commutes with the controlled shift, so the noisy
     # experiment equals the closed form on nu rho + (1 - nu) sum_a Pi_a rho Pi_a
-    # and the circuit with the noise applied to the post-coupling joint state
+    # ("closed") and the dense circuit with the noise applied to the
+    # post-coupling joint state ("circuit")
     from conftest import random_instance
 
     rho, obs_a, obs_b = random_instance(np.random.default_rng(500 + dim), dim)
@@ -407,17 +429,17 @@ def test_noisy_sweep_matches_closed_form_on_dephased_state(engine, dim):
     k_grid = [0.0, 0.3, 0.7, 1.0]
     for nu in (1.0, 0.9, 0.5, 0.0):
         target = DensityOperator(nu * rho.matrix + (1.0 - nu) * dephased)
-        records = run_sweep(rho, obs_a, obs_b, k_grid, noise=NoiseModel(nu), engine=engine)
-        for k, record in zip(k_grid, records):
-            expected = weak_sequential_closed(target, obs_a, obs_b, k).values
+        if oracle == "closed":
+            tables = [weak_sequential_closed(target, obs_a, obs_b, k).values for k in k_grid]
+            p_tpm, p_fin = tpm_joint(target, obs_a, obs_b).values, marginals(target, obs_a, obs_b).p_fin
+        else:
+            tables = [_dense_circuit(rho, obs_a, obs_b, k, nu) for k in k_grid]
+            p_tpm, p_fin = tables[-1], tables[0].sum(axis=0)
+        records = run_sweep(rho, obs_a, obs_b, k_grid, noise=NoiseModel(nu))
+        for k, record, expected in zip(k_grid, records, tables):
             assert np.abs(record.p_weak.values - expected).max() <= 1e-12, (nu, k)
-            noisy_joint = apply_gate_noise(
-                weak_joint_state(rho, obs_a, k), NoiseModel(nu), basis=obs_a.eigenvectors
-            )
-            oracle = joint_outcome_table(noisy_joint, obs_b)
-            assert np.abs(record.p_weak.values - oracle).max() <= 1e-12, (nu, k)
-        assert np.abs(records[0].p_tpm.values - tpm_joint(target, obs_a, obs_b).values).max() <= 1e-12
-        assert np.abs(records[0].p_fin - marginals(target, obs_a, obs_b).p_fin).max() <= 1e-12
+        assert np.abs(records[0].p_tpm.values - p_tpm).max() <= 1e-12
+        assert np.abs(records[0].p_fin - p_fin).max() <= 1e-12
 
 
 def _count_calls(monkeypatch, module, name):
@@ -432,35 +454,33 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize(
-    "k_grid, evaluations",
-    [(np.linspace(0.0, 1.0, 21), 21), ([0.3, 0.55, 0.55, 0.9], 5)],
-)
-@pytest.mark.parametrize("engine", ["circuit", "closed"])
-def test_run_sweep_evaluates_each_distinct_setting_once(
-    monkeypatch, scenario_state, obs_z, obs_x, k_grid, evaluations, engine
-):
-    # every point needs its own K plus the references K=1 and K=0, which are
-    # shared: one table per element of set(grid) | {0, 1}.  The circuit engine
-    # reads each setting through the weak POVM's Kraus operators and never
-    # builds the d^2 x d^2 joint state of the dense oracle
-    readouts = _count_calls(monkeypatch, schemes, "weak_povm")
-    closed = _count_calls(monkeypatch, sampling, "weak_sequential_closed")
-    dense = [
+@pytest.mark.parametrize("k_grid", [np.linspace(0.0, 1.0, 21), [0.3, 0.55, 0.55, 0.9]])
+def test_run_sweep_mixes_the_three_tables_once_per_grid(monkeypatch, scenario_state, obs_z, obs_x, k_grid):
+    # exact mode: one three-term broadcast and one validation over the whole
+    # grid and its K=1, K=0 references; no table, POVM or joint state per
+    # setting, and no wrapper object until a record is indexed
+    mixes = _count_calls(monkeypatch, sampling, "_three_term")
+    validations = _count_calls(monkeypatch, sampling, "_probability_stack")
+    per_setting = [
         _count_calls(monkeypatch, module, name)
         for module, name in [
+            (schemes, "weak_povm"),
+            (schemes, "weak_sequential_closed"),
             (schemes, "controlled_shift"),
             (schemes, "weak_joint_state"),
-            (schemes, "joint_outcome_table"),
+            (sampling, "weak_sequential_closed"),
             (sampling, "weak_joint_state"),
             (sampling, "joint_outcome_table"),
+            (sampling, "JointDistribution"),
+            (sampling, "QuasiDistribution"),
         ]
     ]
-    records = run_sweep(scenario_state, obs_z, obs_x, k_grid, engine=engine)
-    assert len(records) == len(k_grid)
-    assert len(readouts) + len(closed) == evaluations
-    assert len(readouts if engine == "circuit" else closed) == evaluations
-    assert [len(calls) for calls in dense] == [0] * len(dense)
+    sweep = run_sweep(scenario_state, obs_z, obs_x, k_grid)
+    assert len(sweep) == len(k_grid)
+    assert (len(mixes), len(validations)) == (1, 1)
+    assert mixes[0][0].K.shape == (len(k_grid) + 2, 1, 1)  # the grid, then K=1 and K=0
+    assert [len(calls) for calls in per_setting] == [0] * len(per_setting)
+    assert sweep[1].p_weak.values.tobytes() == sweep.values["p_weak"][1].tobytes()
 
 
 def test_run_sweep_sampled_mode_draws_three_tables_per_point(monkeypatch, scenario_state, obs_z, obs_x):
@@ -492,7 +512,7 @@ def test_run_sweep_sampled_memory_stays_cubic_in_dimension():
     rho, obs_a, obs_b = random_instance(np.random.default_rng(32), 32)
     tracemalloc.start()
     try:
-        run_sweep(rho, obs_a, obs_b, [0.0, 0.5, 1.0], shots=10**6, seed=1, engine="closed")
+        run_sweep(rho, obs_a, obs_b, [0.0, 0.5, 1.0], shots=10**6, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -508,32 +528,40 @@ def test_resampling_rejects_more_than_max_resamples():
 
 
 def test_run_sweep_closed_engine_matches_circuit_under_noise(scenario_state, obs_z, obs_x):
+    # every quantity, with the K=0 and K=1 masks, at d=2 and at d=16
+    from conftest import random_instance
+
     k_grid = [0.0, 0.3, 0.7, 1.0]
-    sweeps = [
-        run_sweep(scenario_state, obs_z, obs_x, k_grid, noise=NoiseModel(0.9), engine=engine)
-        for engine in ("circuit", "closed")
-    ]
-    for circuit, closed in zip(*sweeps):
-        for name in ("p_weak", "p_tpm", "weak_cq", "weak_mhq", "mhq_reconstructed"):
-            table_c, table_d = getattr(circuit, name), getattr(closed, name)
-            assert (table_c is None) == (table_d is None), name
-            if table_c is not None:
-                assert np.abs(table_c.values - table_d.values).max() <= 1e-12, name
-        assert np.abs(circuit.p_fin - closed.p_fin).max() <= 1e-12
-        assert np.abs(circuit.coherence - closed.coherence).max() <= 1e-12
+    _assert_sweep_matches_dense_circuit(scenario_state, obs_z, obs_x, k_grid, 0.9)
+    _assert_sweep_matches_dense_circuit(*random_instance(np.random.default_rng(16), 16), k_grid, 0.9)
 
 
-@pytest.mark.parametrize("engine", ["circuit", "closed"])
-def test_run_sweep_rejects_underflowing_strength_before_evaluating(monkeypatch, engine):
+def test_run_sweep_exact_memory_stays_within_the_grid_arrays():
+    # a d=32, 200-point noisy sweep holds five (nK, d, d) arrays of 1.6 MiB
+    # each (p_tpm and p_fin are views of one table), not objects per point
+    from conftest import random_instance
+
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(33), 32)
+    tracemalloc.start()
+    try:
+        sweep = run_sweep(rho, obs_a, obs_b, np.linspace(0.0, 1.0, 200), noise=NoiseModel(0.9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sweep) == 200
+    assert peak < 20 * 2**20
+
+
+def test_run_sweep_rejects_underflowing_strength_before_evaluating(monkeypatch):
     # at d=3, K=1e-20 leaves omega0 = 0 and the cross weight 0, so the MHQ
     # inversion would divide by zero
     from conftest import random_instance
 
     assert WeakStrength.from_k(1e-20, 3).cross_weight == 0.0
     rho, obs_a, obs_b = random_instance(np.random.default_rng(3), 3)
-    evaluations = _count_calls(monkeypatch, sampling, "_exact_setting_tables")
+    evaluations = _count_calls(monkeypatch, sampling, "_three_term")
     with pytest.raises(ValueError, match="K=1e-20 is too close to 0"):
-        run_sweep(rho, obs_a, obs_b, [0.5, 1e-20], engine=engine)
+        run_sweep(rho, obs_a, obs_b, [0.5, 1e-20])
     assert evaluations == []
 
 
