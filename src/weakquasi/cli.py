@@ -17,6 +17,7 @@ import math
 import sys
 import time
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,6 +95,23 @@ def _fail(field: str, message: str):
     raise ConfigError(f"config field '{field}': {message}")
 
 
+def _check_keys(spec: dict, allowed, field: str | None, what: str = "keys"):
+    """Reject keys of ``spec`` outside ``allowed``; field None is the document itself."""
+    unknown = set(spec) - set(allowed)
+    if not unknown:
+        return
+    if field is None:
+        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
+    _fail(field, f"unknown {what} {sorted(unknown)}")
+
+
+def _sized(spec, field: str, dim: int):
+    """``spec`` itself; a list of the wrong length fails before any matrix is built from it."""
+    if isinstance(spec, list) and len(spec) != dim:
+        _fail(field, f"has dimension {len(spec)}, config says {dim}")
+    return spec
+
+
 def _number(value, field: str) -> float:
     try:
         if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
@@ -161,14 +179,15 @@ def _parse_state(doc: dict, dim: int) -> DensityOperator:
             'a bare list of lists is ambiguous: write {"amplitudes": [...]} for [re, im] pairs '
             'or {"density": [...]} for a density matrix',
         )
-    density = isinstance(spec, dict) and "density" in spec
-    if density:
-        spec = spec["density"]
-    elif isinstance(spec, dict) and "amplitudes" in spec:
-        spec = spec["amplitudes"]
+    density = False
+    if isinstance(spec, dict):
+        _check_keys(spec, ("amplitudes", "density"), "state")
+        if len(spec) != 1:
+            _fail("state", 'give exactly one of "amplitudes" or "density"')
+        density = "density" in spec
+        spec = spec["density" if density else "amplitudes"]
     # checked before any matrix is built: n amplitudes would build an n x n density
-    if isinstance(spec, list) and len(spec) != dim:
-        _fail("state", f"has dimension {len(spec)}, config says {dim}")
+    _sized(spec, "state", dim)
     try:
         if density:
             return DensityOperator(_complex_matrix(spec, "state.density"))
@@ -189,7 +208,8 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
         return presets[spec]()
     if not isinstance(spec, dict) or "eigenvectors" not in spec:
         _fail(field, "expected a preset name or an object with 'eigenvectors'")
-    vecs = _complex_matrix(spec["eigenvectors"], f"{field}.eigenvectors")
+    _check_keys(spec, ("eigenvectors", "eigenvalues", "labels", "name"), field)
+    vecs = _complex_matrix(_sized(spec["eigenvectors"], field, dim), f"{field}.eigenvectors")
     eigenvalues = spec.get("eigenvalues", list(range(len(vecs))))
     if not isinstance(eigenvalues, list):
         _fail(f"{field}.eigenvalues", f"expected a list of numbers, got {eigenvalues!r}")
@@ -201,8 +221,11 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
     if len(set(labels)) != len(labels):
         _fail(f"{field}.labels", f"labels must be distinct, got {labels!r}")
     labels = tuple(labels)
+    name = spec.get("name", "")
+    if not isinstance(name, str):
+        _fail(f"{field}.name", f"expected a string, got {name!r}")
     try:
-        return ObservableSpec(vecs, eigenvalues, name=spec.get("name", ""), labels=labels)
+        return ObservableSpec(vecs, eigenvalues, name=name, labels=labels)
     except ValueError as exc:
         _fail(field, str(exc))
 
@@ -213,9 +236,7 @@ def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
     field = "phi" if "phi" in doc else "K"
     spec = doc.get(field, {"start": 0.0, "stop": 1.0, "num": 11})
     if field == "K" and isinstance(spec, dict):
-        extra = set(spec) - {"start", "stop", "num"}
-        if extra:
-            _fail("K", f"unknown range keys {sorted(extra)}")
+        _check_keys(spec, ("start", "stop", "num"), "K", "range keys")
         num = _integer(spec.get("num", 11), "K.num", 1, MAX_GRID_POINTS)
         values = np.linspace(
             _number(spec.get("start", 0.0), "K.start"), _number(spec.get("stop", 1.0), "K.stop"), num
@@ -259,19 +280,15 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("the document nests arrays or objects too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError("the scenario document must be a JSON object")
-    unknown = set(doc) - _CONFIG_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
+    _check_keys(doc, _CONFIG_FIELDS, None)
 
     dim = _integer(doc.get("dimension", 2), "dimension", 2, MAX_DIMENSION)
     rho = _parse_state(doc, dim)
     obs_a = _parse_observable(doc.get("observable_a", "Z"), "observable_a", dim)
     obs_b = _parse_observable(doc.get("observable_b", "X"), "observable_b", dim)
-    if obs_a.dim != dim or obs_b.dim != dim:
-        _fail("observable_a", f"observables must have dimension {dim}")
 
     if "hamiltonian" in doc:
-        h = _complex_matrix(doc["hamiltonian"], "hamiltonian")
+        h = _complex_matrix(_sized(doc["hamiltonian"], "hamiltonian", dim), "hamiltonian")
         dt = _number(doc.get("dt", 1.0), "dt")
         try:
             obs_b = evolve_observable(obs_b, h, dt)
@@ -330,7 +347,7 @@ def _threshold(value: float):
     return "never-negative" if math.isinf(value) else float(_fmt(value))
 
 
-def _write_table(path: Path, rows: list[tuple]):
+def _write_table(path: Path, rows: Iterable[tuple]):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
@@ -343,6 +360,8 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     Returns the summary document.  Tables carry one row per (K, cell) in
     ascending K order with 12-significant-digit decimal values; the
     reconstructed-MHQ table covers only strengths where the inversion exists.
+    Each table's rows are formatted from the sweep's arrays as they are
+    written, so no row list is kept.
     """
     started = time.monotonic()
     out = Path(out_dir)
@@ -363,24 +382,23 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     keys = [_fmt(k) for k in k_values]
     strong = {"cq": cq(config.rho, config.obs_a, config.obs_b).values,
               "mhq": mhq(config.rho, config.obs_a, config.obs_b).values}
-    zeros = np.zeros((len(labels_a), len(labels_b)))  # the stderr of every exact table
 
     negativity_totals: dict[str, dict[str, float]] = {}
     residuals: dict[str, dict[str, float]] = {}
     for quantity in config.outputs:
         if quantity == "thresholds":
             continue
-        if quantity in strong:  # the theory tables are the same at every strength
-            values, errors = np.broadcast_to(strong[quantity], (len(keys), *zeros.shape)), None
+        if quantity in strong:  # the exact theory tables are the same at every strength
+            values = np.broadcast_to(strong[quantity], (len(keys), *strong[quantity].shape))
+            errors = np.broadcast_to(0.0, values.shape)
         else:
-            values, errors = sweep.values[quantity], sweep.errors and sweep.errors[quantity]
+            values, errors = sweep.values[quantity], sweep.errors[quantity]
         points = np.flatnonzero(sweep.reached(quantity))  # the points a data path reaches
-        rows = []
-        for i in points:
-            table, err = values[i], zeros if errors is None else errors[i]
-            rows.extend(
-                (keys[i], la, lb, quantity, _fmt(table[a, b]), _fmt(err[a, b])) for a, b, la, lb in cells
-            )
+        rows = (
+            (keys[i], la, lb, quantity, _fmt(values[i, a, b]), _fmt(errors[i, a, b]))
+            for i in points
+            for a, b, la, lb in cells
+        )
         _write_table(out / f"{quantity}.csv", rows)
         if quantity != "C" and points.size:  # the cross-term is not itself a distribution
             point_keys = [keys[i] for i in points]

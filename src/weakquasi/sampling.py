@@ -258,9 +258,9 @@ class StrengthRecord:
     p_weak, p_tpm, p_fin, weak_cq, C, mhq_reconstructed and weak_mhq to
     per-cell standard errors, None where the quantity is None.  In sampled
     mode they are the Poisson covariance of the three count tables carried
-    through the same data paths to first order; in exact mode they are all
-    zeros.  A :class:`Sweep` builds its records on demand from slices of its
-    arrays.
+    through the same data paths to first order; in exact mode they are
+    read-only zero arrays, never None.  A :class:`Sweep` builds its records
+    on demand from slices of its arrays.
     """
 
     strength: WeakStrength
@@ -283,16 +283,17 @@ class Sweep(Sequence):
 
     ``values`` maps the export names p_weak, p_tpm, p_fin, weak_cq, C,
     mhq_reconstructed and weak_mhq to read-only arrays whose first axis is the
-    grid: (nK, d, d), and (nK, d) for p_fin.  ``errors`` holds their standard
-    errors in the same shapes, or is None in exact mode, where every error is
-    zero.  ``masks`` maps mhq_reconstructed and weak_mhq to the (nK,) masks of
-    the points a data path reaches; their other slices hold finite filler.
+    grid: (nK, d, d), and (nK, d) for p_fin.  ``errors`` maps the same names
+    to read-only arrays of their standard errors in the same shapes; in exact
+    mode each is a broadcast zero, which allocates nothing.  ``masks`` maps
+    mhq_reconstructed and weak_mhq to the (nK,) masks of the points a data
+    path reaches; their other slices hold finite filler.
     Indexing builds the point's :class:`StrengthRecord`.
     """
 
     strengths: tuple[WeakStrength, ...]
     values: dict
-    errors: dict | None
+    errors: dict
     masks: dict
 
     def reached(self, name: str) -> np.ndarray:
@@ -310,8 +311,7 @@ class Sweep(Sequence):
         point, errors = {}, {}
         for name, values in self.values.items():
             if self.reached(name)[i]:
-                point[name] = values[i]
-                errors[name] = np.zeros_like(values[i]) if self.errors is None else self.errors[name][i]
+                point[name], errors[name] = values[i], self.errors[name][i]
             else:
                 point[name] = errors[name] = None
         quasi = {
@@ -399,27 +399,30 @@ def _point_errors(tables, totals, strength: WeakStrength) -> dict:
     }
 
 
-def _sampled_tables(exact: np.ndarray, k_list, shots: int, seed: int):
-    """Normalized count tables (weak, K=1, K=0) of every point, as (3, nK, d, d), and their totals.
+def _sampled_points(exact: np.ndarray, strengths, shots: int, seed: int):
+    """Normalized count tables (weak, K=1, K=0) of every point as (3, nK, d, d), and their errors by name.
 
     ``exact`` stacks the exact tables of the grid, then of K=1 and K=0.
     Every point draws its three tables from its own spawned generator.
     """
     references = [JointDistribution(table) for table in exact[-2:]]
-    counts = np.empty((3, len(k_list), *exact.shape[1:]))
-    totals = []
-    for i, (k, child) in enumerate(zip(k_list, np.random.SeedSequence(seed).spawn(len(k_list)))):
+    tables = np.empty((3, len(strengths), *exact.shape[1:]))
+    errors = {}
+    for i, (strength, child) in enumerate(zip(strengths, np.random.SeedSequence(seed).spawn(len(strengths)))):
         settings = (JointDistribution(exact[i]), *references)
         drawn = [sample_counts(table, shots, s) for table, s in zip(settings, child.spawn(3))]
-        for table, setting in zip(drawn, (k, 1.0, 0.0)):
+        for table, setting in zip(drawn, (strength.K, 1.0, 0.0)):
             if table.total == 0:
                 raise ZeroCountsError(
                     f"shots={shots} drew an all-zero count table for setting K={setting:g} "
-                    f"at strength point K={k:g}; increase shots"
+                    f"at strength point K={strength.K:g}; increase shots"
                 )
-        counts[:, i] = [table.counts for table in drawn]
-        totals.append([table.total for table in drawn])
-    return _probability_stack(counts), totals
+        tables[:, i] = _probability_stack(np.array([table.counts for table in drawn], dtype=float))
+        for name, e in _point_errors(tables[:, i], [table.total for table in drawn], strength).items():
+            if i == 0:
+                errors[name] = np.empty((len(strengths), *e.shape))
+            errors[name][i] = e
+    return tables, errors
 
 
 def run_sweep(
@@ -470,8 +473,7 @@ def run_sweep(
         point's StrengthRecord.
     """
     d = _check_dims(rho, obs_a, obs_b)
-    k_list = [float(k) for k in k_values]
-    strengths = tuple(_strength(k, d) for k in k_list)
+    strengths = tuple(_strength(float(k), d) for k in k_values)
     if not noise.is_ideal:  # dephasing in A's basis commutes with the controlled shift
         nu, w = noise.gate_visibility, obs_a.eigenvectors
         rho = DensityOperator(nu * rho.matrix + (1.0 - nu) * (w * _born(rho, obs_a)) @ w.conj().T)
@@ -480,20 +482,18 @@ def run_sweep(
     exact = _probability_stack(
         _three_term(settings, _tpm_table(rho, obs_a, obs_b), _born(rho, obs_b), _mh_table(rho, obs_a, obs_b))
     )
-    grid = _grid(strengths, d)
     if shots is None:  # exact mode draws nothing, so it never builds (or imports) numpy.random
-        values, errors = _point_quantities(exact[:-2], exact[-2], exact[-1], grid), None
+        tables, errors = (exact[:-2], exact[-2], exact[-1]), {}
     else:
-        tables, totals = _sampled_tables(exact, k_list, shots, seed)
-        values = _point_quantities(*tables, grid)
-        per_point = [_point_errors(tables[:, i], totals[i], s) for i, s in enumerate(strengths)]
-        stacked = {name: np.array([e[name] for e in per_point]).reshape(v.shape) for name, v in values.items()}
-        errors = {name: _freeze(e) for name, e in stacked.items()}
+        tables, errors = _sampled_points(exact, strengths, shots, seed)
+    grid = _grid(strengths, d)
+    values = _point_quantities(*tables, grid)
     for name, family in _QUASI.items():  # QuasiDistribution's check, once per stack
         _finite(values[name], f"{family} table")
-    # read-only views; exact mode shares one p_tpm and p_fin across the grid
+    # read-only views; exact mode shares one p_tpm and p_fin across the grid, and its errors are zeros
     shapes = {name: (len(strengths), d) if name == "p_fin" else (len(strengths), d, d) for name in values}
     values = {name: np.broadcast_to(v, shapes[name]) for name, v in values.items()}
+    errors = {name: np.broadcast_to(errors.get(name, 0.0), shapes[name]) for name in values}
     masks = {name: m.reshape(-1) for name, m in zip(("mhq_reconstructed", "weak_mhq"), _reach(grid))}
     return Sweep(strengths, values, errors, masks)
 

@@ -14,9 +14,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import weakquasi
-from weakquasi.cli import MAX_DIMENSION, ConfigError, _parser, compare, main, parse_config, run
+from weakquasi.cli import (
+    MAX_DIMENSION, ConfigError, ScenarioConfig, _parser, compare, main, parse_config, run,
+)
 from weakquasi.core import make_pure_state
-from weakquasi.sampling import MAX_RESAMPLES, MAX_SHOTS
+from weakquasi.sampling import MAX_RESAMPLES, MAX_SHOTS, NoiseModel
 
 MINIMAL = '{"theta0": 10.6}'
 
@@ -215,6 +217,16 @@ def test_parse_shots_and_noise_validation():
         ({"K": [i / 10_000 for i in range(9_999)] + [0.9998]}, "K"),
         # the maximally mixed density without its "density" key also parses as [re, im] pairs
         ({"state": [[0.5, 0], [0, 0.5]]}, "state"),
+        # a matrix of the wrong size is named by its own field, before any matrix is built from it
+        ({"observable_a": {"eigenvectors": np.eye(3).tolist()}}, "observable_a"),
+        ({"observable_b": {"eigenvectors": np.eye(3).tolist()}}, "observable_b"),
+        ({"hamiltonian": np.eye(3).tolist()}, "hamiltonian"),
+        # nested objects reject unknown keys, as the document and the K range do
+        ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "eigenvalue": [5, 6]}}, "observable_a"),
+        ({"observable_b": {"eigenvectors": [[1, 0], [0, 1]], "name": 5}}, "observable_b.name"),
+        ({"state": {"amplitudes": [1, 0], "density": [[1, 0], [0, 0]]}}, "state"),
+        ({"state": {"amplitudes": [1, 0], "phase": 0}}, "state"),
+        ({"state": {}}, "state"),
     ],
 )
 def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
@@ -225,6 +237,26 @@ def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: config field '{name}'")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # a wrong-sized matrix is named by its own field, with its size
+        ({"observable_b": {"eigenvectors": np.eye(3).tolist()}}, "config field 'observable_b': has dimension 3"),
+        ({"observable_a": {"eigenvectors": np.eye(3).tolist()}}, "config field 'observable_a': has dimension 3"),
+        ({"hamiltonian": np.eye(3).tolist()}, "config field 'hamiltonian': has dimension 3"),
+        # one unknown-key rule, which keeps the messages of the document and the K range
+        ({"x": 1}, "unknown config field(s): ['x']"),
+        ({"K": {"num": 3, "step": 1}}, "config field 'K': unknown range keys ['step']"),
+        ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "eigenvalue": [5, 6]}},
+         "config field 'observable_a': unknown keys ['eigenvalue']"),
+    ],
+)
+def test_parse_error_messages(fields, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps({"theta0": 10.6, **fields}))
+    assert str(info.value).startswith(message)
 
 
 def test_parse_rejects_deeply_nested_document(tmp_path, capsys):
@@ -427,6 +459,27 @@ def test_run_phi_grid_keys_endpoints_exactly(tmp_path):
     run(parse_config('{"theta0": 10.6, "phi": [0, 11.25, 22.5]}'), tmp_path)
     assert {r["K"] for r in read_rows(tmp_path / "p_weak.csv")} == {"0", "0.707106781187", "1"}
     assert {r["K"] for r in read_rows(tmp_path / "mhq_reconstructed.csv")} == {"0.707106781187"}
+
+
+def test_run_peak_memory_does_not_grow_with_the_row_count(tmp_path):
+    # Each table is streamed to its file, so 400 points may add only the
+    # sweep's own arrays (about seven (nK, d, d) tables of 0.2 MiB at d=8);
+    # a row list of p_weak alone would add about 4 MiB.
+    from conftest import random_instance
+
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(8), 8)
+    peaks = []
+    for num in (21, 400):
+        config = ScenarioConfig(rho, obs_a, obs_b, tuple(np.linspace(0.0, 1.0, num)), None,
+                                NoiseModel(0.9), 0, ("p_weak", "cq"))
+        tracemalloc.start()
+        try:
+            run(config, tmp_path / str(num))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(read_rows(tmp_path / "400" / "cq.csv")) == 400 * 64
+    assert peaks[1] - peaks[0] < 3 * 2**20
 
 
 def test_run_sampled_mode_has_nonzero_stderr(tmp_path):

@@ -222,6 +222,11 @@ def test_run_scenario_exact_matches_closed_forms(scenario_state, obs_z, obs_x):
         else:
             assert record.mhq_reconstructed is None
         assert record.errors["p_weak"].max() == 0.0
+    # exact errors are read-only zero arrays of each value's shape, never None
+    assert len(records.errors) == 7 and records.errors.keys() == records.values.keys()
+    for name, values in records.values.items():
+        errors = records.errors[name]
+        assert errors.shape == values.shape and not errors.flags.writeable and not errors.any(), name
 
 
 def test_run_scenario_zero_strength_record(scenario_state, obs_z, obs_x):
