@@ -46,7 +46,8 @@ from .sampling import (
 from .schemes import _totals
 
 MAX_GRID_POINTS = 10_000  # largest strength grid a "K" range may request
-MAX_DIMENSION = 64  # largest system dimension; at d=64 a 21-point sweep takes 10 ms and its CSV export about 3 s
+# at d=64 a 21-point exact sweep takes 10 ms, and exporting all seven of its tables 1.6-1.9 s
+MAX_DIMENSION = 64  # largest system dimension
 
 QUANTITIES = ("p_weak", "cq", "mhq", "weak_cq", "weak_mhq", "C", "mhq_reconstructed", "thresholds")
 
@@ -112,9 +113,14 @@ def _sized(spec, field: str, dim: int):
     return spec
 
 
+def _is_real(value) -> bool:
+    """A JSON number; bool is an int subclass, so JSON true/false would otherwise read as 1 and 0."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, field: str) -> float:
     try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        if _is_real(value) and math.isfinite(value):
             return float(value)
     except OverflowError:  # an integer beyond the float range
         pass
@@ -122,11 +128,7 @@ def _number(value, field: str) -> float:
 
 
 def _integer(value, field: str, minimum: int, maximum: float = math.inf) -> int:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
-    ):
+    if not _is_real(value) or (isinstance(value, float) and not value.is_integer()):
         _fail(field, f"expected an integer, got {value!r}")
     if value < minimum:
         _fail(field, f"must be at least {minimum}, got {int(value)}")
@@ -136,9 +138,9 @@ def _integer(value, field: str, minimum: int, maximum: float = math.inf) -> int:
 
 
 def _complex_entry(entry, field: str) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_real(entry):
         return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_real, entry)):
         return complex(entry[0], entry[1])
     _fail(field, f"expected a number or an [re, im] pair, got {entry!r}")
 
@@ -150,8 +152,8 @@ def _complex_matrix(rows, field: str) -> np.ndarray:
         _fail(field, "matrix rows differ in length")
     try:
         matrix = np.array([[_complex_entry(e, field) for e in row] for row in rows], dtype=complex)
-    except (TypeError, OverflowError):  # a non-number in an [re, im] pair, or a huge integer
-        _fail(field, "entries must be numbers or [re, im] pairs of numbers")
+    except OverflowError:  # an integer beyond the float range
+        _fail(field, "entries must be finite")
     if not np.isfinite(matrix).all():
         _fail(field, "entries must be finite")
     return matrix
@@ -186,6 +188,8 @@ def _parse_state(doc: dict, dim: int) -> DensityOperator:
             _fail("state", 'give exactly one of "amplitudes" or "density"')
         density = "density" in spec
         spec = spec["density" if density else "amplitudes"]
+    if not density and not isinstance(spec, list):
+        _fail("state", f"expected a list of amplitudes (numbers or [re, im] pairs), got {spec!r}")
     # checked before any matrix is built: n amplitudes would build an n x n density
     _sized(spec, "state", dim)
     try:
@@ -347,6 +351,19 @@ def _threshold(value: float):
     return "never-negative" if math.isinf(value) else float(_fmt(value))
 
 
+def _formatted(array: np.ndarray, points, cells) -> Iterable[list[str]]:
+    """For each point ``i``, the cells of ``array[i]`` formatted in ``cells`` order.
+
+    A column with stride 0 on the K axis holds one slice at every point (the
+    strong theory tables, and every exact-mode error bar), so it is formatted
+    once and that list is reused.
+    """
+    if array.strides[0] == 0 and points.size:
+        once = [_fmt(array[0, a, b]) for a, b, _, _ in cells]
+        return (once for _ in points)
+    return ([_fmt(array[i, a, b]) for a, b, _, _ in cells] for i in points)
+
+
 def _write_table(path: Path, rows: Iterable[tuple]):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -361,7 +378,8 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     ascending K order with 12-significant-digit decimal values; the
     reconstructed-MHQ table covers only strengths where the inversion exists.
     Each table's rows are formatted from the sweep's arrays as they are
-    written, so no row list is kept.
+    written, so no row list is kept; a column that is the same at every K is
+    formatted once.
     """
     started = time.monotonic()
     out = Path(out_dir)
@@ -395,9 +413,11 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
             values, errors = sweep.values[quantity], sweep.errors[quantity]
         points = np.flatnonzero(sweep.reached(quantity))  # the points a data path reaches
         rows = (
-            (keys[i], la, lb, quantity, _fmt(values[i, a, b]), _fmt(errors[i, a, b]))
-            for i in points
-            for a, b, la, lb in cells
+            (keys[i], la, lb, quantity, value, error)
+            for i, point_values, point_errors in zip(
+                points, _formatted(values, points, cells), _formatted(errors, points, cells)
+            )
+            for (_, _, la, lb), value, error in zip(cells, point_values, point_errors)
         )
         _write_table(out / f"{quantity}.csv", rows)
         if quantity != "C" and points.size:  # the cross-term is not itself a distribution

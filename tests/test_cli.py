@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 import weakquasi
 from weakquasi.cli import (
-    MAX_DIMENSION, ConfigError, ScenarioConfig, _parser, compare, main, parse_config, run,
+    MAX_DIMENSION, QUANTITIES, ConfigError, ScenarioConfig, _parser, compare, main, parse_config, run,
 )
 from weakquasi.core import make_pure_state
 from weakquasi.sampling import MAX_RESAMPLES, MAX_SHOTS, NoiseModel
@@ -227,6 +227,11 @@ def test_parse_shots_and_noise_validation():
         ({"state": {"amplitudes": [1, 0], "density": [[1, 0], [0, 0]]}}, "state"),
         ({"state": {"amplitudes": [1, 0], "phase": 0}}, "state"),
         ({"state": {}}, "state"),
+        # JSON booleans are not numbers, though bool is an int subclass
+        ({"state": [True, False]}, "state"),
+        ({"state": {"density": [[True, False], [False, False]]}}, "state.density"),
+        ({"observable_a": {"eigenvectors": [[True, False], [False, True]]}}, "observable_a.eigenvectors"),
+        ({"hamiltonian": [[True, False], [False, True]]}, "hamiltonian"),
     ],
 )
 def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
@@ -251,11 +256,21 @@ def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
         ({"K": {"num": 3, "step": 1}}, "config field 'K': unknown range keys ['step']"),
         ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "eigenvalue": [5, 6]}},
          "config field 'observable_a': unknown keys ['eigenvalue']"),
+        # amplitudes that are not a list say what was expected, not Python's iteration error
+        ({"state": 5}, "config field 'state': expected a list of amplitudes (numbers or [re, im] pairs), got 5"),
+        ({"state": {"amplitudes": 5}},
+         "config field 'state': expected a list of amplitudes (numbers or [re, im] pairs), got 5"),
+        # an [re, im] pair holds two numbers, neither a string nor a boolean
+        ({"state": {"amplitudes": [["a", 1], [0, 0]]}},
+         "config field 'state': expected a number or an [re, im] pair, got ['a', 1]"),
+        ({"state": {"density": [[[True, 0], 0], [0, 0]]}},
+         "config field 'state.density': expected a number or an [re, im] pair, got [True, 0]"),
+        ({"hamiltonian": [[10**400, 0], [0, 1]]}, "config field 'hamiltonian': entries must be finite"),
     ],
 )
 def test_parse_error_messages(fields, message):
     with pytest.raises(ConfigError) as info:
-        parse_config(json.dumps({"theta0": 10.6, **fields}))
+        parse_config(json.dumps({**({} if "state" in fields else {"theta0": 10.6}), **fields}))
     assert str(info.value).startswith(message)
 
 
@@ -452,6 +467,46 @@ def test_run_shipped_config_matches_golden_sampled_export(tmp_path):
                 assert new_err == 0.0, (name, old[:4])
             else:
                 assert abs(new_err / old_err - 1.0) <= bound, (name, old[:4], old_err, new_err)
+
+
+PINNED = {  # the shipped config's tables, byte for byte, as each run mode writes them
+    "pinned_exact": [],
+    "pinned_seed7": ["--shots", "100000", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("pinned", sorted(PINNED))
+def test_run_shipped_config_writes_the_pinned_bytes(tmp_path, pinned):
+    assert main(["run", str(SHIPPED), "--out", str(tmp_path), *PINNED[pinned]]) == 0
+    expected = GOLDEN.parent / pinned
+    tables = sorted(p.name for p in expected.glob("*.csv"))
+    assert tables == sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert len(tables) == 7
+    for name in tables:
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_run_formats_each_k_constant_cell_once(tmp_path, monkeypatch):
+    # The strong cq/mhq tables and every exact-mode error bar are the same at
+    # each K, so their cells are formatted once, not once per point: 2,381
+    # _fmt calls when every cell is formatted at every K, 989 otherwise.
+    from conftest import random_instance
+
+    calls = 0
+    fmt = weakquasi.cli._fmt
+
+    def counting(value):
+        nonlocal calls
+        calls += 1
+        return fmt(value)
+
+    monkeypatch.setattr(weakquasi.cli, "_fmt", counting)
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(4), 4)
+    config = ScenarioConfig(rho, obs_a, obs_b, tuple(np.linspace(0.0, 1.0, 11)), None,
+                            NoiseModel(0.9), 0, QUANTITIES)
+    run(config, tmp_path)
+    assert len(read_rows(tmp_path / "cq.csv")) == 11 * 16
+    assert calls <= 1000
 
 
 def test_run_phi_grid_keys_endpoints_exactly(tmp_path):
