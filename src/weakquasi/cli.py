@@ -409,9 +409,10 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         if quantity in strong:  # the exact theory tables are the same at every strength
             values = np.broadcast_to(strong[quantity], (len(keys), *strong[quantity].shape))
             errors = np.broadcast_to(0.0, values.shape)
+            points = np.arange(len(keys))
         else:
             values, errors = sweep.values[quantity], sweep.errors[quantity]
-        points = np.flatnonzero(sweep.reached(quantity))  # the points a data path reaches
+            points = np.flatnonzero(sweep.reached(quantity))  # the points a data path reaches
         rows = (
             (keys[i], la, lb, quantity, value, error)
             for i, point_values, point_errors in zip(

@@ -18,8 +18,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,7 +48,6 @@ from .schemes import (
     weak_sequential_closed,  # noqa: F401
 )
 from .quasiprob import (
-    QuasiDistribution,
     _coherence_values,
     _reach,
     _reconstruct,
@@ -69,7 +67,6 @@ __all__ = [
     "CountTable",
     "NoiseModel",
     "QubitScenario",
-    "StrengthRecord",
     "Sweep",
     "ZeroCountsError",
     "apply_gate_noise",
@@ -145,7 +142,12 @@ class CountTable:
     shots_target: int
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
+        raw = np.asarray(self.counts)
+        if raw.dtype.kind not in "bi":  # the int64 cast would truncate, or wrap, such a count
+            raw = raw.astype(float)
+            if not (np.isfinite(raw) & (raw == np.round(raw)) & (np.abs(raw) < 2.0**63)).all():
+                raise ValueError("counts must be finite integers within the int64 range")
+        counts = raw.astype(np.int64)
         if counts.ndim != 2:
             raise ValueError(f"counts must be a 2-D table, got shape {counts.shape}")
         if (counts < 0).any():
@@ -248,47 +250,22 @@ def apply_gate_noise(
     return DensityOperator(nu * sigma + (1.0 - nu) * dephased)
 
 
-@dataclass(frozen=True)
-class StrengthRecord:
-    """All tables derived from one strength point of a sweep.
-
-    ``mhq_reconstructed`` is None at K in {0, 1}, where the cross-term
-    inversion is singular; ``weak_mhq`` is None only at K=1 for dimensions
-    above 2, where no data path reaches it.  ``errors`` maps the export names
-    p_weak, p_tpm, p_fin, weak_cq, C, mhq_reconstructed and weak_mhq to
-    per-cell standard errors, None where the quantity is None.  In sampled
-    mode they are the Poisson covariance of the three count tables carried
-    through the same data paths to first order; in exact mode they are
-    read-only zero arrays, never None.  A :class:`Sweep` builds its records
-    on demand from slices of its arrays.
-    """
-
-    strength: WeakStrength
-    p_weak: JointDistribution
-    p_tpm: JointDistribution
-    p_fin: np.ndarray
-    weak_cq: QuasiDistribution
-    weak_mhq: QuasiDistribution | None
-    coherence: np.ndarray
-    mhq_reconstructed: QuasiDistribution | None
-    errors: dict = field(default_factory=dict)
-
-
 _QUASI = {"weak_cq": "weakCQ", "weak_mhq": "weakMHQ", "mhq_reconstructed": "MHQ"}
 
 
 @dataclass(frozen=True, eq=False)
-class Sweep(Sequence):
-    """A strength sweep as arrays over the K axis, and as a sequence of StrengthRecords.
+class Sweep:
+    """A strength sweep as arrays over the K axis.
 
     ``values`` maps the export names p_weak, p_tpm, p_fin, weak_cq, C,
     mhq_reconstructed and weak_mhq to read-only arrays whose first axis is the
     grid: (nK, d, d), and (nK, d) for p_fin.  ``errors`` maps the same names
-    to read-only arrays of their standard errors in the same shapes; in exact
-    mode each is a broadcast zero, which allocates nothing.  ``masks`` maps
-    mhq_reconstructed and weak_mhq to the (nK,) masks of the points a data
-    path reaches; their other slices hold finite filler.
-    Indexing builds the point's :class:`StrengthRecord`.
+    to read-only arrays of their standard errors in the same shapes: in
+    sampled mode the Poisson covariance of each point's three count tables
+    carried through the data paths to first order; in exact mode a broadcast
+    zero, which allocates nothing.  ``masks`` maps mhq_reconstructed and
+    weak_mhq to the (nK,) masks of the points a data path reaches; their other
+    slices hold finite filler.
     """
 
     strengths: tuple[WeakStrength, ...]
@@ -298,35 +275,9 @@ class Sweep(Sequence):
 
     def reached(self, name: str) -> np.ndarray:
         """(nK,) mask of the points where a data path reaches quantity ``name``."""
-        return self.masks.get(name, np.ones(len(self), dtype=bool))
-
-    def __len__(self) -> int:
-        return len(self.strengths)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]
-        strength = self.strengths[i]
-        point, errors = {}, {}
-        for name, values in self.values.items():
-            if self.reached(name)[i]:
-                point[name], errors[name] = values[i], self.errors[name][i]
-            else:
-                point[name] = errors[name] = None
-        quasi = {
-            name: None if point[name] is None else QuasiDistribution(point[name], family, strength)
-            for name, family in _QUASI.items()
-        }
-        return StrengthRecord(
-            strength=strength,
-            p_weak=JointDistribution(point["p_weak"]),
-            p_tpm=JointDistribution(point["p_tpm"]),
-            p_fin=point["p_fin"],
-            coherence=point["C"],
-            errors=errors,
-            **quasi,
-        )
+        if name not in self.values:
+            raise KeyError(f"unknown quantity {name!r}; expected one of {', '.join(self.values)}")
+        return self.masks.get(name, np.ones(len(self.strengths), dtype=bool))
 
 
 def _grid(strengths, d: int) -> SimpleNamespace:
@@ -463,14 +414,14 @@ def run_sweep(
         Gate visibility, applied once to the prepared state.
     seed : int
         Root seed of sampled mode; every strength point receives an
-        independent spawned generator, so records are reproducible
+        independent spawned generator, so sweeps are reproducible
         bit-for-bit.  Exact mode ignores it.
 
     Returns
     -------
     Sweep
-        The quantities as arrays over the grid; indexing it gives each
-        point's StrengthRecord.
+        The seven quantities and their standard errors as arrays over the
+        grid, with the masks of the points a data path reaches.
     """
     d = _check_dims(rho, obs_a, obs_b)
     strengths = tuple(_strength(float(k), d) for k in k_values)
@@ -494,7 +445,7 @@ def run_sweep(
     shapes = {name: (len(strengths), d) if name == "p_fin" else (len(strengths), d, d) for name in values}
     values = {name: np.broadcast_to(v, shapes[name]) for name, v in values.items()}
     errors = {name: np.broadcast_to(errors.get(name, 0.0), shapes[name]) for name in values}
-    masks = {name: m.reshape(-1) for name, m in zip(("mhq_reconstructed", "weak_mhq"), _reach(grid))}
+    masks = {name: _freeze(m.reshape(-1)) for name, m in zip(("mhq_reconstructed", "weak_mhq"), _reach(grid))}
     return Sweep(strengths, values, errors, masks)
 
 

@@ -166,8 +166,8 @@ def test_coherence_witness():
     rho, obs_a, obs_b = scenario.state(), scenario.observable_a, scenario.observable_b
     q_mh_signs = np.sign(mhq(rho, obs_a, obs_b).values)
     for k in np.linspace(0.01, 0.99, 25):
-        record = run_scenario(scenario, [k])[0]
-        assert (np.sign(record.coherence) == q_mh_signs).all()
+        sweep = run_scenario(scenario, [k])
+        assert (np.sign(sweep.values["C"][0]) == q_mh_signs).all()
 
 
 @criterion(8, "estimator error follows the 1/sqrt(N) law and sampling is byte-exact")
@@ -190,16 +190,11 @@ def test_shot_noise_convergence():
 
     first = run_scenario(scenario, [0.25, 0.75], shots=10**5, seed=21)
     second = run_scenario(scenario, [0.25, 0.75], shots=10**5, seed=21)
-    for a, b in zip(first, second):
-        assert a.p_weak.values.tobytes() == b.p_weak.values.tobytes()
-        assert a.p_tpm.values.tobytes() == b.p_tpm.values.tobytes()
-        assert a.p_fin.tobytes() == b.p_fin.tobytes()
-        assert a.weak_cq.values.tobytes() == b.weak_cq.values.tobytes()
-        assert a.weak_mhq.values.tobytes() == b.weak_mhq.values.tobytes()
-        assert a.coherence.tobytes() == b.coherence.tobytes()
-        assert a.mhq_reconstructed.values.tobytes() == b.mhq_reconstructed.values.tobytes()
-        for key, err in a.errors.items():
-            assert err.tobytes() == b.errors[key].tobytes()
+    for i in range(2):
+        for name in ("p_weak", "p_tpm", "p_fin", "weak_cq", "weak_mhq", "C", "mhq_reconstructed"):
+            assert first.values[name][i].tobytes() == second.values[name][i].tobytes()
+        for key, err in first.errors.items():
+            assert err[i].tobytes() == second.errors[key][i].tobytes()
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     return f"slope {slope:.3f}, {elapsed:.2f} s"

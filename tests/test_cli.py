@@ -426,17 +426,18 @@ def test_run_summary_contents(tmp_path):
     assert on_disk["negativity"]["weak_mhq"]["0.5"] > 0.0
 
 
-GOLDEN = Path(__file__).parent / "data" / "golden_exact"
+GOLDEN = Path(__file__).parent / "data" / "golden_exact"  # the shipped config's thresholds
+PINNED_EXACT = GOLDEN.parent / "pinned_exact"
 SHIPPED = Path(__file__).parent.parent / "configs" / "qubit_theta10p6.json"
 
 
 def test_run_shipped_config_matches_golden_export(tmp_path):
     summary = run(parse_config(SHIPPED.read_text(encoding="utf-8")), tmp_path)
-    tables = sorted(p.name for p in GOLDEN.glob("*.csv"))
+    tables = sorted(p.name for p in PINNED_EXACT.glob("*.csv"))
     assert tables == sorted(p.name for p in tmp_path.glob("*.csv"))
     assert len(tables) == 7
     for name in tables:
-        report, ok = compare(GOLDEN / name, tmp_path / name, 1e-12)
+        report, ok = compare(PINNED_EXACT / name, tmp_path / name, 0.0)
         assert ok, (name, report)
     golden_thresholds = json.loads((GOLDEN / "thresholds.json").read_text(encoding="utf-8"))
     assert summary["thresholds"] == golden_thresholds

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import weakquasi.quasiprob as quasiprob
 import weakquasi.sampling as sampling
 import weakquasi.schemes as schemes
 from weakquasi.core import DensityOperator, WeakStrength, make_pure_state, pauli_x, pauli_z
@@ -98,6 +99,15 @@ def test_count_table_validation():
         CountTable(np.zeros((2, 2), dtype=int), shots_target=0).estimator()
 
 
+@pytest.mark.parametrize("counts", [[[1.5, 2.7], [0, 1]], [[np.nan, 2], [0, 1]], [[1e30, 2], [0, 1]]])
+def test_count_table_rejects_counts_the_int64_cast_would_change(counts):
+    # a truncated, NaN or overflowing cell used to become some other integer
+    with pytest.raises(ValueError, match="counts must be finite integers within the int64 range"):
+        CountTable(counts, 10)
+    # integral floats keep their value
+    assert CountTable([[1.0, 2.0], [0.0, 1.0]], 4).counts.tolist() == [[1, 2], [0, 1]]
+
+
 # -------------------------------------------------------------- estimator
 
 def test_estimate_uniform_stderr():
@@ -164,15 +174,15 @@ def test_apply_gate_noise_rejects_non_joint_dimension(scenario_state):
 def test_full_dephasing_strips_coherent_content(scenario_state, obs_z, obs_x):
     # visibility 0 removes everything the weak measurement preserves of the
     # initial coherence: the reconstruction collapses to the two-point table
-    records = run_sweep(scenario_state, obs_z, obs_x, [0.5], noise=NoiseModel(0.0))
+    sweep = run_sweep(scenario_state, obs_z, obs_x, [0.5], noise=NoiseModel(0.0))
     p = tpm_joint(scenario_state, obs_z, obs_x).values
-    assert np.abs(records[0].mhq_reconstructed.values - p).max() <= 1e-12
+    assert np.abs(sweep.values["mhq_reconstructed"][0] - p).max() <= 1e-12
 
 
 def test_full_dephasing_keeps_projective_table(scenario_state, obs_z, obs_x):
-    records = run_sweep(scenario_state, obs_z, obs_x, [1.0], noise=NoiseModel(0.0))
+    sweep = run_sweep(scenario_state, obs_z, obs_x, [1.0], noise=NoiseModel(0.0))
     p = tpm_joint(scenario_state, obs_z, obs_x).values
-    assert np.abs(records[0].p_weak.values - p).max() <= 1e-12
+    assert np.abs(sweep.values["p_weak"][0] - p).max() <= 1e-12
 
 
 def test_partial_dephasing_shifts_reconstruction_proportionally(scenario_state, obs_z, obs_x):
@@ -181,8 +191,8 @@ def test_partial_dephasing_shifts_reconstruction_proportionally(scenario_state, 
     p = tpm_joint(scenario_state, obs_z, obs_x).values
     q_mh = mhq(scenario_state, obs_z, obs_x).values
     for nu in (0.95, 0.8):
-        records = run_sweep(scenario_state, obs_z, obs_x, [0.5], noise=NoiseModel(nu))
-        rec = records[0].mhq_reconstructed.values
+        sweep = run_sweep(scenario_state, obs_z, obs_x, [0.5], noise=NoiseModel(nu))
+        rec = sweep.values["mhq_reconstructed"][0]
         assert np.abs(rec - (nu * q_mh + (1 - nu) * p)).max() <= 1e-12
 
 
@@ -192,66 +202,66 @@ def test_run_scenario_deterministic():
     scenario = QubitScenario(10.6)
     first = run_scenario(scenario, [0.3, 0.7], shots=10**5, seed=11)
     second = run_scenario(scenario, [0.3, 0.7], shots=10**5, seed=11)
-    for a, b in zip(first, second):
-        assert a.p_weak.values.tobytes() == b.p_weak.values.tobytes()
-        assert a.weak_cq.values.tobytes() == b.weak_cq.values.tobytes()
-        assert a.errors["p_weak"].tobytes() == b.errors["p_weak"].tobytes()
+    for i in range(2):
+        assert first.values["p_weak"][i].tobytes() == second.values["p_weak"][i].tobytes()
+        assert first.values["weak_cq"][i].tobytes() == second.values["weak_cq"][i].tobytes()
+        assert first.errors["p_weak"][i].tobytes() == second.errors["p_weak"][i].tobytes()
     third = run_scenario(scenario, [0.3, 0.7], shots=10**5, seed=12)
-    assert (first[0].p_weak.values != third[0].p_weak.values).any()
+    assert (first.values["p_weak"][0] != third.values["p_weak"][0]).any()
 
 
 def test_run_scenario_exact_matches_closed_forms(scenario_state, obs_z, obs_x):
     scenario = QubitScenario(10.6)
     k_grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    records = run_scenario(scenario, k_grid)
+    sweep = run_scenario(scenario, k_grid)
     q_mh = mhq(scenario_state, obs_z, obs_x).values
-    for record, k in zip(records, k_grid):
+    for i, k in enumerate(k_grid):
         strength = WeakStrength.from_k(k, 2)
         assert np.abs(
-            record.p_weak.values - weak_sequential_closed(scenario_state, obs_z, obs_x, k).values
+            sweep.values["p_weak"][i] - weak_sequential_closed(scenario_state, obs_z, obs_x, k).values
         ).max() <= 1e-12
         assert np.abs(
-            record.weak_cq.values - weak_cq_closed(scenario_state, obs_z, obs_x, k).values
+            sweep.values["weak_cq"][i] - weak_cq_closed(scenario_state, obs_z, obs_x, k).values
         ).max() <= 1e-12
         assert np.abs(
-            record.weak_mhq.values - weak_mhq(scenario_state, obs_z, obs_x, k).values
+            sweep.values["weak_mhq"][i] - weak_mhq(scenario_state, obs_z, obs_x, k).values
         ).max() <= 1e-12
-        assert np.abs(record.coherence - strength.cross_weight * q_mh).max() <= 1e-12
+        assert np.abs(sweep.values["C"][i] - strength.cross_weight * q_mh).max() <= 1e-12
         if 0.0 < k < 1.0:
-            assert np.abs(record.mhq_reconstructed.values - q_mh).max() <= 1e-12
+            assert np.abs(sweep.values["mhq_reconstructed"][i] - q_mh).max() <= 1e-12
         else:
-            assert record.mhq_reconstructed is None
-        assert record.errors["p_weak"].max() == 0.0
+            assert not sweep.reached("mhq_reconstructed")[i]
+        assert sweep.errors["p_weak"][i].max() == 0.0
     # exact errors are read-only zero arrays of each value's shape, never None
-    assert len(records.errors) == 7 and records.errors.keys() == records.values.keys()
-    for name, values in records.values.items():
-        errors = records.errors[name]
+    assert len(sweep.errors) == 7 and sweep.errors.keys() == sweep.values.keys()
+    for name, values in sweep.values.items():
+        errors = sweep.errors[name]
         assert errors.shape == values.shape and not errors.flags.writeable and not errors.any(), name
 
 
 def test_run_scenario_zero_strength_record(scenario_state, obs_z, obs_x):
-    record = run_scenario(QubitScenario(10.6), [0.0])[0]
+    sweep = run_scenario(QubitScenario(10.6), [0.0])
     p_fin = marginals(scenario_state, obs_z, obs_x).p_fin
-    assert_allclose(record.weak_cq.values, np.tile(p_fin / 2, (2, 1)), atol=1e-12)
+    assert_allclose(sweep.values["weak_cq"][0], np.tile(p_fin / 2, (2, 1)), atol=1e-12)
 
 
 def test_run_scenario_commuting_state_never_negative():
-    records = run_scenario(QubitScenario(0.0), np.linspace(0, 1, 11))
-    for record in records:
-        assert negativity(record.weak_cq) == 0.0
-        if record.weak_mhq is not None:
-            assert negativity(record.weak_mhq) == 0.0
+    sweep = run_scenario(QubitScenario(0.0), np.linspace(0, 1, 11))
+    for i in range(len(sweep.strengths)):
+        assert negativity(sweep.values["weak_cq"][i]) == 0.0
+        if sweep.reached("weak_mhq")[i]:
+            assert negativity(sweep.values["weak_mhq"][i]) == 0.0
 
 
 def test_run_scenario_sign_change_brackets_threshold():
-    records = run_scenario(QubitScenario(10.6), [0.43, 0.45])
-    assert records[0].weak_cq.values[1, 1] > 0.0
-    assert records[1].weak_cq.values[1, 1] < 0.0
+    sweep = run_scenario(QubitScenario(10.6), [0.43, 0.45])
+    assert sweep.values["weak_cq"][0][1, 1] > 0.0
+    assert sweep.values["weak_cq"][1][1, 1] < 0.0
 
 
 def test_run_scenario_reconstruction_noise_grows_toward_endpoints():
-    records = run_scenario(QubitScenario(10.6), [0.1, 0.5, 0.9], shots=10**5, seed=5)
-    spread = {r.strength.K: r.errors["mhq_reconstructed"].mean() for r in records}
+    sweep = run_scenario(QubitScenario(10.6), [0.1, 0.5, 0.9], shots=10**5, seed=5)
+    spread = {s.K: e.mean() for s, e in zip(sweep.strengths, sweep.errors["mhq_reconstructed"])}
     assert spread[0.1] > spread[0.5]
     assert spread[0.9] > spread[0.5]
 
@@ -265,18 +275,18 @@ def test_run_sweep_estimator_error_shrinks_with_shots():
     for shots in (10**3, 10**5, 10**7):
         deviations = []
         for seed in range(10):
-            record = run_scenario(scenario, [0.5], shots=shots, seed=seed)[0]
-            deviations.append(np.abs(record.p_weak.values - exact).mean())
+            sweep = run_scenario(scenario, [0.5], shots=shots, seed=seed)
+            deviations.append(np.abs(sweep.values["p_weak"][0] - exact).mean())
         errors[shots] = np.mean(deviations)
     slope = (np.log10(errors[10**7]) - np.log10(errors[10**3])) / 4.0
     assert slope == pytest.approx(-0.5, abs=0.1)
 
 
 def test_run_sweep_sampled_mode_reports_errors():
-    record = run_scenario(QubitScenario(10.6), [0.5], shots=10**5, seed=9)[0]
+    sweep = run_scenario(QubitScenario(10.6), [0.5], shots=10**5, seed=9)
     for key in ("p_weak", "weak_cq", "weak_mhq", "C", "mhq_reconstructed"):
-        assert record.errors[key].min() > 0.0
-    total = record.p_weak.total()
+        assert sweep.errors[key][0].min() > 0.0
+    total = sweep.values["p_weak"][0].sum()
     assert total == pytest.approx(1.0, abs=1e-12)  # estimators are normalized counts
 
 
@@ -328,8 +338,8 @@ def test_run_sweep_error_bars_match_first_order_quadratic_form(dim):
 
     rho, obs_a, obs_b = random_instance(np.random.default_rng(70 + dim), dim)
     k_grid, shots, seed = [0.0, 0.3, 1.0], 10**4, 31
-    records = run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed)
-    for k, counts, record in zip(k_grid, _sweep_counts(rho, obs_a, obs_b, k_grid, shots, seed), records):
+    sweep = run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed)
+    for i, (k, counts) in enumerate(zip(k_grid, _sweep_counts(rho, obs_a, obs_b, k_grid, shots, seed))):
         variance = {}
         for slot, n in enumerate(counts):
             p = (n / n.sum()).ravel()
@@ -345,13 +355,13 @@ def test_run_sweep_error_bars_match_first_order_quadratic_form(dim):
                     continue
                 grad = np.array([g[name] for g in gradients]).reshape(dim * dim, -1)
                 variance[name] = variance.get(name, 0.0) + np.einsum("ci,cd,di->i", grad, cov, grad)
-        assert set(record.errors) == set(variance)
+        assert set(sweep.errors) == set(variance)
         for name, var in variance.items():
             if var is None:
-                assert record.errors[name] is None, (k, name)
+                assert not sweep.reached(name)[i], (k, name)
             else:
-                expected = np.sqrt(var).reshape(record.errors[name].shape)
-                assert np.abs(record.errors[name] - expected).max() <= 1e-12, (k, name)
+                expected = np.sqrt(var).reshape(sweep.errors[name][i].shape)
+                assert np.abs(sweep.errors[name][i] - expected).max() <= 1e-12, (k, name)
 
 
 MC_RESAMPLES = 2000
@@ -370,21 +380,21 @@ def test_run_sweep_error_bars_match_brute_force_resampling(dim):
     k_grid, seed = [0.0, 0.3, 1.0], 23
     bound = MC_SIGMAS / np.sqrt(2 * MC_RESAMPLES)
     for shots in (10**2, 10**3, 10**4, 10**6):
-        records = run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed)
+        sweep = run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed)
         rng = np.random.default_rng(shots)
-        for k, counts, record in zip(k_grid, _sweep_counts(rho, obs_a, obs_b, k_grid, shots, seed), records):
+        for i, (k, counts) in enumerate(zip(k_grid, _sweep_counts(rho, obs_a, obs_b, k_grid, shots, seed))):
             redraws = [rng.poisson(c, size=(MC_RESAMPLES, dim, dim)) for c in counts]
             samples = {}
             for tables in zip(*redraws):
                 for name, value in _data_paths(k, *(t / t.sum() for t in tables)).items():
                     samples.setdefault(name, []).append(value)
-            assert set(record.errors) == set(samples)
+            assert set(sweep.errors) == set(samples)
             for name, stack in samples.items():
                 if stack[0] is None:
-                    assert record.errors[name] is None, (shots, k, name)
+                    assert not sweep.reached(name)[i], (shots, k, name)
                     continue
                 expected = np.std(stack, axis=0, ddof=1)
-                err = record.errors[name]
+                err = sweep.errors[name][i]
                 assert err.shape == expected.shape, (shots, k, name)
                 # a cell no count reaches never fluctuates, in either method
                 assert ((err == 0.0) == (expected == 0.0)).all(), (shots, k, name)
@@ -399,19 +409,18 @@ def _dense_circuit(rho, obs_a, obs_b, k, nu=1.0):
 
 
 def _assert_sweep_matches_dense_circuit(rho, obs_a, obs_b, k_grid, nu):
-    # every quantity of the sweep, as arrays and as records, against the dense
-    # circuit's three tables per point fed through the public per-table functions
+    # every quantity of the sweep against the dense circuit's three tables per
+    # point fed through the public per-table functions
     sweep = run_sweep(rho, obs_a, obs_b, k_grid, noise=NoiseModel(nu))
     references = [_dense_circuit(rho, obs_a, obs_b, k, nu) for k in (1.0, 0.0)]
-    for i, (k, record) in enumerate(zip(k_grid, sweep)):
+    for i, k in enumerate(k_grid):
         expected = _data_paths(k, _dense_circuit(rho, obs_a, obs_b, k, nu), *references)
         for name, table in expected.items():
             assert bool(sweep.reached(name)[i]) == (table is not None), (nu, k, name)
-            assert (record.errors[name] is None) == (table is None), (nu, k, name)
             if table is not None:
                 assert np.abs(sweep.values[name][i] - table).max() <= 1e-12, (nu, k, name)
-        assert np.abs(record.p_weak.values - expected["p_weak"]).max() <= 1e-12, (nu, k)
-        assert np.abs(record.coherence - expected["C"]).max() <= 1e-12, (nu, k)
+        assert np.abs(sweep.values["p_weak"][i] - expected["p_weak"]).max() <= 1e-12, (nu, k)
+        assert np.abs(sweep.values["C"][i] - expected["C"]).max() <= 1e-12, (nu, k)
 
 
 def test_run_sweep_closed_engine_matches_circuit(scenario_state, obs_z, obs_x):
@@ -440,11 +449,11 @@ def test_noisy_sweep_matches_closed_form_on_dephased_state(oracle, dim):
         else:
             tables = [_dense_circuit(rho, obs_a, obs_b, k, nu) for k in k_grid]
             p_tpm, p_fin = tables[-1], tables[0].sum(axis=0)
-        records = run_sweep(rho, obs_a, obs_b, k_grid, noise=NoiseModel(nu))
-        for k, record, expected in zip(k_grid, records, tables):
-            assert np.abs(record.p_weak.values - expected).max() <= 1e-12, (nu, k)
-        assert np.abs(records[0].p_tpm.values - p_tpm).max() <= 1e-12
-        assert np.abs(records[0].p_fin - p_fin).max() <= 1e-12
+        sweep = run_sweep(rho, obs_a, obs_b, k_grid, noise=NoiseModel(nu))
+        for k, p_weak, expected in zip(k_grid, sweep.values["p_weak"], tables):
+            assert np.abs(p_weak - expected).max() <= 1e-12, (nu, k)
+        assert np.abs(sweep.values["p_tpm"][0] - p_tpm).max() <= 1e-12
+        assert np.abs(sweep.values["p_fin"][0] - p_fin).max() <= 1e-12
 
 
 def _count_calls(monkeypatch, module, name):
@@ -463,7 +472,7 @@ def _count_calls(monkeypatch, module, name):
 def test_run_sweep_mixes_the_three_tables_once_per_grid(monkeypatch, scenario_state, obs_z, obs_x, k_grid):
     # exact mode: one three-term broadcast and one validation over the whole
     # grid and its K=1, K=0 references; no table, POVM or joint state per
-    # setting, and no wrapper object until a record is indexed
+    # setting, and no wrapper object
     mixes = _count_calls(monkeypatch, sampling, "_three_term")
     validations = _count_calls(monkeypatch, sampling, "_probability_stack")
     per_setting = [
@@ -477,15 +486,29 @@ def test_run_sweep_mixes_the_three_tables_once_per_grid(monkeypatch, scenario_st
             (sampling, "weak_joint_state"),
             (sampling, "joint_outcome_table"),
             (sampling, "JointDistribution"),
-            (sampling, "QuasiDistribution"),
+            (quasiprob, "QuasiDistribution"),
         ]
     ]
     sweep = run_sweep(scenario_state, obs_z, obs_x, k_grid)
-    assert len(sweep) == len(k_grid)
+    assert len(sweep.strengths) == len(k_grid)
     assert (len(mixes), len(validations)) == (1, 1)
     assert mixes[0][0].K.shape == (len(k_grid) + 2, 1, 1)  # the grid, then K=1 and K=0
     assert [len(calls) for calls in per_setting] == [0] * len(per_setting)
-    assert sweep[1].p_weak.values.tobytes() == sweep.values["p_weak"][1].tobytes()
+
+
+def test_sweep_is_its_arrays(scenario_state, obs_z, obs_x):
+    import weakquasi
+
+    sweep = run_sweep(scenario_state, obs_z, obs_x, [0.0, 0.5, 1.0])
+    assert [name for name in dir(weakquasi) if name.endswith("Record")] == []  # no per-point view
+    with pytest.raises(TypeError):
+        sweep[0]
+    assert sweep.reached("weak_cq").tolist() == [True, True, True]
+    assert sweep.reached("mhq_reconstructed").tolist() == [False, True, False]
+    assert not sweep.reached("mhq_reconstructed").flags.writeable  # read-only, as values and errors
+    # a misspelt quantity is an error, not a mask that reads "reached everywhere"
+    with pytest.raises(KeyError, match="weak_mqh"):
+        sweep.reached("weak_mqh")
 
 
 def test_run_sweep_sampled_mode_draws_three_tables_per_point(monkeypatch, scenario_state, obs_z, obs_x):
@@ -504,10 +527,10 @@ def test_run_sweep_error_bars_of_a_certain_final_outcome_vanish():
     # p_fin has no variance; its two first-order terms cancel only to rounding
     rho = make_pure_state([1.0, 1.0])
     for seed in range(10):
-        records = run_sweep(rho, pauli_z(), pauli_x(), [0.0, 0.5, 1.0], shots=10**4, seed=seed)
-        for record in records:
-            assert record.errors["p_fin"].max() <= 1e-9
-            assert all(np.isfinite(e).all() for e in record.errors.values() if e is not None)
+        sweep = run_sweep(rho, pauli_z(), pauli_x(), [0.0, 0.5, 1.0], shots=10**4, seed=seed)
+        for i in range(3):
+            assert sweep.errors["p_fin"][i].max() <= 1e-9
+            assert all(np.isfinite(e[i]).all() for name, e in sweep.errors.items() if sweep.reached(name)[i])
 
 
 def test_run_sweep_sampled_memory_stays_cubic_in_dimension():
@@ -553,7 +576,7 @@ def test_run_sweep_exact_memory_stays_within_the_grid_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(sweep) == 200
+    assert len(sweep.strengths) == 200
     assert peak < 20 * 2**20
 
 
@@ -578,8 +601,8 @@ def test_run_sweep_rejects_strength_below_cross_weight_floor(scenario_state, obs
     with pytest.raises(ValueError, match=f"K={k:.15g} is too close to {edge}"):
         run_sweep(scenario_state, obs_z, obs_x, [0.5, k])
     # a strength whose cross weight clears the floor still reconstructs exactly
-    record = run_sweep(scenario_state, obs_z, obs_x, [1e-5])[0]
-    assert np.abs(record.mhq_reconstructed.values - mhq(scenario_state, obs_z, obs_x).values).max() <= 1e-9
+    sweep = run_sweep(scenario_state, obs_z, obs_x, [1e-5])
+    assert np.abs(sweep.values["mhq_reconstructed"][0] - mhq(scenario_state, obs_z, obs_x).values).max() <= 1e-9
 
 
 def test_run_sweep_qutrit_weak_mhq_coverage():
@@ -588,12 +611,12 @@ def test_run_sweep_qutrit_weak_mhq_coverage():
     from conftest import random_instance
 
     rho, obs_a, obs_b = random_instance(rng, 3)
-    records = run_sweep(rho, obs_a, obs_b, [0.0, 0.5, 1.0])
-    assert records[0].weak_mhq is not None
-    assert records[1].weak_mhq is not None
-    assert records[2].weak_mhq is None
+    sweep = run_sweep(rho, obs_a, obs_b, [0.0, 0.5, 1.0])
+    assert sweep.reached("weak_mhq")[0]
+    assert sweep.reached("weak_mhq")[1]
+    assert not sweep.reached("weak_mhq")[2]
     assert np.abs(
-        records[1].weak_mhq.values - weak_mhq(rho, obs_a, obs_b, 0.5).values
+        sweep.values["weak_mhq"][1] - weak_mhq(rho, obs_a, obs_b, 0.5).values
     ).max() <= 1e-12
 
 
