@@ -261,13 +261,15 @@ def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
             _strength(k, dim)
         except ValueError as exc:
             _fail("K", str(exc))
-    # exported rows are keyed by the formatted strength, so keys must be distinct
+    # exported rows are keyed by the formatted strength, so keys must be distinct; every
+    # k lies in [0, 1] here, so abs only turns -0.0 (keyed "-0") into 0.0
+    values = tuple(abs(float(k)) for k in values)
     keys = [_fmt(k) for k in values]
     counts = Counter(keys)
     if len(counts) < len(keys):
         repeated = next(key for key in keys if counts[key] > 1)
         _fail(field, f"the grid gives strength K={repeated} twice; CSV rows are keyed by K")
-    return tuple(float(k) for k in values)
+    return values
 
 
 def parse_config(text: str) -> ScenarioConfig:

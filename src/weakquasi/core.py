@@ -191,23 +191,18 @@ class WeakStrength:
 
 @dataclass(frozen=True)
 class PointerState:
-    """Pointer preparation with amplitude u0 on |0> and u1/sqrt(d-1) elsewhere."""
+    """Normalized pointer preparation: one amplitude on |0>, one shared by |1> .. |d-1>."""
 
     amplitudes: np.ndarray
-    u0: float
-    u1: float
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        d = amps.size
-        if d < 2:
+        if amps.size < 2:
             raise ValueError("pointer needs dimension >= 2")
         if abs(np.linalg.norm(amps) - 1.0) > VALIDATION_ATOL:
             raise ValueError("pointer amplitudes must be normalized")
-        expected = np.full(d, self.u1 / math.sqrt(d - 1), dtype=complex)
-        expected[0] = self.u0
-        if np.abs(amps - expected).max() > VALIDATION_ATOL:
-            raise ValueError("pointer amplitudes do not match the (u0, u1) pattern")
+        if np.abs(amps[1:] - amps[1]).max() > VALIDATION_ATOL:
+            raise ValueError("pointer amplitudes on |1> .. |d-1> must be equal")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     @property
@@ -268,11 +263,9 @@ def pointer_for_strength(k: float, d: int) -> tuple[PointerState, WeakStrength]:
     superposition, which the coupling leaves untouched (no measurement).
     """
     strength = WeakStrength.from_k(k, d)
-    u1 = strength.omega1 * math.sqrt((d - 1) / d)
-    u0 = strength.omega0 + u1 / math.sqrt(d - 1)
-    amps = np.full(d, u1 / math.sqrt(d - 1), dtype=complex)
-    amps[0] = u0
-    return PointerState(amps, u0, u1), strength
+    amps = np.full(d, strength.omega1 / math.sqrt(d), dtype=complex)
+    amps[0] += strength.omega0
+    return PointerState(amps), strength
 
 
 def _propagator(hamiltonian, dt: float) -> np.ndarray:

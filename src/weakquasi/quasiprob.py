@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    VALIDATION_ATOL,
     DensityOperator,
     InternalConsistencyError,
     ObservableSpec,
@@ -38,12 +39,9 @@ from .schemes import (
     weak_tpm_joint,
 )
 
-FAMILIES = ("CQ", "MHQ", "weakCQ", "weakMHQ")
-
 NEVER_NEGATIVE = math.inf  # threshold sentinel: the cell is nonnegative at every strength
 
 __all__ = [
-    "FAMILIES",
     "NEVER_NEGATIVE",
     "QuasiDistribution",
     "ThresholdReport",
@@ -70,18 +68,9 @@ class QuasiDistribution(_OutcomeTable):
     """
 
     values: np.ndarray
-    family: str
-    strength: WeakStrength | None = None
 
     def __post_init__(self):
-        arr = _real_table(self.values, "quasiprobability table")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown quasiprobability family {self.family!r}")
-        object.__setattr__(self, "values", _freeze(arr))
-
-    @property
-    def kind(self) -> str:
-        return "quasiprobability"
+        object.__setattr__(self, "values", _freeze(_real_table(self.values, "quasiprobability table")))
 
 
 @dataclass(frozen=True)
@@ -173,16 +162,16 @@ def cq(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> Qu
     """
     _check_dims(rho, obs_a, obs_b)
     values = _weak_cq_values(_tpm_table(rho, obs_a, obs_b), _born(rho, obs_b))
-    return QuasiDistribution(values, family="CQ")
+    return QuasiDistribution(values)
 
 
 def mhq(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> QuasiDistribution:
     """Margenau-Hill quasiprobability q_MH(a,b) = Re Tr[Pi_b Pi_a rho]."""
     _check_dims(rho, obs_a, obs_b)
-    return QuasiDistribution(_mh_table(rho, obs_a, obs_b), family="MHQ")
+    return QuasiDistribution(_mh_table(rho, obs_a, obs_b))
 
 
-def weak_cq_from_data(p_weak, p_fin, strength: WeakStrength | None = None) -> QuasiDistribution:
+def weak_cq_from_data(p_weak, p_fin) -> QuasiDistribution:
     """Weak commensurate quasiprobability from a measured weak-sequential table.
 
     q~_C(a,b) = p_weak(a,b) + (p_fin(b) - sum_a p_weak(a,b))/d.  Works directly
@@ -192,7 +181,7 @@ def weak_cq_from_data(p_weak, p_fin, strength: WeakStrength | None = None) -> Qu
     pf = _vector(p_fin, "p_fin")
     if pf.shape != (values.shape[1],):
         raise ValueError(f"p_fin has shape {pf.shape}, expected ({values.shape[1]},)")
-    return QuasiDistribution(_weak_cq_values(values, pf), family="weakCQ", strength=strength)
+    return QuasiDistribution(_weak_cq_values(values, pf))
 
 
 def weak_cq_closed(
@@ -206,8 +195,7 @@ def weak_cq_closed(
     d = _check_dims(rho, obs_a, obs_b)
     strength = WeakStrength.from_k(k, d)
     p_fin, q_mh = _born(rho, obs_b), _mh_table(rho, obs_a, obs_b)
-    values = _three_term(strength, cq(rho, obs_a, obs_b).values, p_fin, q_mh)
-    return QuasiDistribution(values, family="weakCQ", strength=strength)
+    return QuasiDistribution(_three_term(strength, cq(rho, obs_a, obs_b).values, p_fin, q_mh))
 
 
 def weak_mhq(
@@ -220,9 +208,8 @@ def weak_mhq(
     strength.
     """
     d = _check_dims(rho, obs_a, obs_b)
-    strength = WeakStrength.from_k(k, d)
-    values = _weak_mhq_mix(k, _mh_table(rho, obs_a, obs_b), _born(rho, obs_b), d)
-    return QuasiDistribution(values, family="weakMHQ", strength=strength)
+    k = WeakStrength.from_k(k, d).K
+    return QuasiDistribution(_weak_mhq_mix(k, _mh_table(rho, obs_a, obs_b), _born(rho, obs_b), d))
 
 
 def coherence_term(p_weak, p_tpm, p_fin, strength: WeakStrength) -> np.ndarray:
@@ -249,8 +236,7 @@ def mhq_from_weak(p_weak, p_tpm, p_fin, strength: WeakStrength) -> QuasiDistribu
     """
     if strength.K <= 0.0 or strength.K >= 1.0:
         raise ValueError(f"strength K={strength.K} is not invertible; need 0 < K < 1")
-    values = _reconstruct(coherence_term(p_weak, p_tpm, p_fin, strength), strength)
-    return QuasiDistribution(values, family="MHQ", strength=strength)
+    return QuasiDistribution(_reconstruct(coherence_term(p_weak, p_tpm, p_fin, strength), strength))
 
 
 def mhq_from_weak_tpm(
@@ -263,9 +249,8 @@ def mhq_from_weak_tpm(
     """
     _check_dims(rho, obs_a, obs_b)
     p = _tpm_table(rho, obs_a, obs_b)
-    w = weak_tpm_joint(rho, obs_a, obs_b).values
-    values = p + (_born(rho, obs_b)[None, :] - w) / 2.0
-    return QuasiDistribution(values, family="MHQ")
+    w = weak_tpm_joint(rho, obs_a, obs_b)
+    return QuasiDistribution(p + (_born(rho, obs_b)[None, :] - w) / 2.0)
 
 
 def threshold_strength(
@@ -275,17 +260,23 @@ def threshold_strength(
 
     For cells with q_MH(a,b) < 0 the weak MHQ crosses zero at
     K = 1 / (1 - d q_MH(a,b)/p_fin(b)), which lies in (0, 1); cells with
-    q_MH(a,b) >= 0 never turn negative and report the inf sentinel.
+    q_MH(a,b) >= 0 never turn negative and report the inf sentinel.  Cauchy-Schwarz
+    bounds |q_MH(a,b)| by |<a|b>| sqrt(p_in(a) p_fin(b)), so a cell whose p_fin(b)
+    is dust may still turn negative, at a threshold near 0.
     """
     d = _check_dims(rho, obs_a, obs_b)
-    q_mh = _mh_table(rho, obs_a, obs_b)
-    p_fin = np.broadcast_to(_born(rho, obs_b), q_mh.shape)
-    vanishing = p_fin <= PROBABILITY_DUST
-    inconsistent = np.argwhere(vanishing & (np.abs(q_mh) > PROBABILITY_DUST))
+    q_mh, p_final = _mh_table(rho, obs_a, obs_b), _born(rho, obs_b)
+    p_fin = np.broadcast_to(p_final, q_mh.shape)
+    overlap = np.abs(obs_a.eigenvectors.conj().T @ obs_b.eigenvectors)
+    bound = overlap * np.sqrt(np.clip(np.outer(_born(rho, obs_a), p_final), 0.0, None))
+    inconsistent = np.argwhere(np.abs(q_mh) > bound + VALIDATION_ATOL)
     if inconsistent.size:
         a, b = inconsistent[0]
-        raise InternalConsistencyError(f"cell ({a}, {b}): q_MH={q_mh[a, b]} with vanishing p_fin")
-    negative = (q_mh < -PROBABILITY_DUST) & ~vanishing
+        what = "vanishing p_fin" if p_fin[a, b] <= PROBABILITY_DUST else f"p_fin={p_fin[a, b]:.6g}"
+        raise InternalConsistencyError(
+            f"cell ({a}, {b}): q_MH={q_mh[a, b]} with {what}, beyond its bound {bound[a, b]:.6g}"
+        )
+    negative = (q_mh < -PROBABILITY_DUST) & (p_fin > 0.0)
     per_cell = np.full((d, d), NEVER_NEGATIVE)
     per_cell[negative] = 1.0 / (1.0 - d * q_mh[negative] / p_fin[negative])
     finite = per_cell[np.isfinite(per_cell)]

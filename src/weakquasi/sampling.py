@@ -11,8 +11,7 @@ the closed form is its limit as the re-draws grow.  A single gate-visibility
 parameter models imperfect interference at the coupling gate.
 
 All sampling uses explicitly seeded, splittable generators; identical seeds
-give bit-identical results, and independent strength points may be evaluated
-concurrently.
+give bit-identical results.
 """
 
 from __future__ import annotations
@@ -136,10 +135,9 @@ def strength_from_waveplate(phi_deg: float) -> float:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Integer coincidence counts per outcome pair, with the requested shot count."""
+    """Integer coincidence counts per outcome pair."""
 
     counts: np.ndarray
-    shots_target: int
 
     def __post_init__(self):
         raw = np.asarray(self.counts)
@@ -170,17 +168,16 @@ def sample_counts(dist: JointDistribution, shots: int, seed) -> CountTable:
 
     Deterministic for a fixed seed (an int or a ``numpy.random.SeedSequence``).
     """
-    if dist.kind != "probability":
-        raise ValueError("cannot sample counts from a quasiprobability table")
-    if dist.normalization != "total":
-        raise ValueError("cannot sample counts from a per-row-normalized table")
+    if not isinstance(dist, JointDistribution):
+        raise ValueError(f"cannot sample counts from a {type(dist).__name__}: it is not a probability table "
+                         "(a JointDistribution); a quasiprobability table has no counts")
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
     rng = np.random.default_rng(seed)
     counts = rng.poisson(shots * dist.values)
-    return CountTable(counts, shots_target=int(shots))
+    return CountTable(counts)
 
 
 def _resampled(counts: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
@@ -250,7 +247,7 @@ def apply_gate_noise(
     return DensityOperator(nu * sigma + (1.0 - nu) * dephased)
 
 
-_QUASI = {"weak_cq": "weakCQ", "weak_mhq": "weakMHQ", "mhq_reconstructed": "MHQ"}
+_QUASI = ("weak_cq", "weak_mhq", "mhq_reconstructed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,8 +436,8 @@ def run_sweep(
         tables, errors = _sampled_points(exact, strengths, shots, seed)
     grid = _grid(strengths, d)
     values = _point_quantities(*tables, grid)
-    for name, family in _QUASI.items():  # QuasiDistribution's check, once per stack
-        _finite(values[name], f"{family} table")
+    for name in _QUASI:  # QuasiDistribution's check, once per stack
+        _finite(values[name], f"{name} table")
     # read-only views; exact mode shares one p_tpm and p_fin across the grid, and its errors are zeros
     shapes = {name: (len(strengths), d) if name == "p_fin" else (len(strengths), d, d) for name in values}
     values = {name: np.broadcast_to(v, shapes[name]) for name, v in values.items()}

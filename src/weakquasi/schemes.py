@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    ALGEBRA_ATOL,
     VALIDATION_ATOL,
     DensityOperator,
     InternalConsistencyError,
@@ -70,14 +69,13 @@ def _totals(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(*arr.shape[:-2], -1).sum(axis=-1)
 
 
-def _check_normalized(arr: np.ndarray, per_row: bool = False):
-    sums = arr.sum(axis=-1) if per_row else _totals(arr)
-    if np.abs(sums - 1.0).max(initial=0.0) > VALIDATION_ATOL:
+def _check_normalized(arr: np.ndarray):
+    if np.abs(_totals(arr) - 1.0).max(initial=0.0) > VALIDATION_ATOL:
         raise ValueError("probability table is not normalized within 1e-10")
 
 
-def _normalized(arr: np.ndarray, per_row: bool = False) -> np.ndarray:
-    """Clamp dust-level negatives of a real (..., d, d) stack and renormalize each table, or each row.
+def _normalized(arr: np.ndarray) -> np.ndarray:
+    """Clamp dust-level negatives of a real (..., d, d) stack and renormalize each table.
 
     Entries below -1e-12 indicate a genuine bug upstream and raise
     InternalConsistencyError rather than being silently repaired.
@@ -88,11 +86,9 @@ def _normalized(arr: np.ndarray, per_row: bool = False) -> np.ndarray:
             f"probability entry {arr.min()} at cell {bad} is negative beyond dust tolerance"
         )
     arr = np.clip(arr, 0.0, None)
-    sums = arr.sum(axis=-1, keepdims=True) if per_row else _totals(arr)[..., None, None]
+    sums = _totals(arr)[..., None, None]
     if (sums <= 0.0).any():
-        raise InternalConsistencyError(
-            "per-row table has an all-zero row" if per_row else "probability table sums to zero"
-        )
+        raise InternalConsistencyError("probability table sums to zero")
     return arr / sums
 
 
@@ -105,14 +101,6 @@ def _probability_stack(values: np.ndarray) -> np.ndarray:
 
 class _OutcomeTable:
     """Accessors shared by the real tables ``values`` over outcome pairs (a, b)."""
-
-    @property
-    def dim_a(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim_b(self) -> int:
-        return self.values.shape[1]
 
     def marginal_a(self) -> np.ndarray:
         """Sum over b for each a."""
@@ -130,66 +118,52 @@ class _OutcomeTable:
 class JointDistribution(_OutcomeTable):
     """Probability table over outcome pairs (a, b): entries nonnegative, total sum 1.
 
-    ``normalization`` marks tables whose rows are separately normalized
-    conditional distributions instead.  Quasiprobabilities are
-    ``quasiprob.QuasiDistribution`` tables.
+    Quasiprobabilities are ``quasiprob.QuasiDistribution`` tables.
     """
 
     values: np.ndarray
-    normalization: str = "total"
 
     def __post_init__(self):
         arr = _real_table(self.values)
-        if self.normalization not in ("total", "per_row"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         if arr.min() < -PROBABILITY_DUST:
             raise ValueError(f"probability table has negative entry {arr.min()}")
-        _check_normalized(arr, self.normalization == "per_row")
+        _check_normalized(arr)
         object.__setattr__(self, "values", _freeze(arr))
 
-    @property
-    def kind(self) -> str:
-        return "probability"
 
-
-def probability_table(values, normalization: str = "total") -> JointDistribution:
-    """Build a probability-kind table, clamping dust-level negatives and renormalizing.
+def probability_table(values) -> JointDistribution:
+    """Build a probability table, clamping dust-level negatives and renormalizing.
 
     Entries below -1e-12 indicate a genuine bug upstream and raise
     InternalConsistencyError rather than being silently repaired.
     """
-    arr = _normalized(_real_table(values), normalization == "per_row")
-    return JointDistribution(arr, normalization=normalization)
+    return JointDistribution(_normalized(_real_table(values)))
 
 
 @dataclass(frozen=True)
 class Povm:
     """Strength-parameterized d-outcome measurement.
 
-    ``kraus_ops[a]`` is the Hermitian operator m_a = omega0 Pi_a + omega1 I/sqrt(d)
-    and ``elements[a]`` the POVM element M_a = m_a^dagger m_a = K Pi_a + (1-K) I/d.
+    ``kraus_ops[a]`` is the Hermitian operator m_a = omega0 Pi_a + omega1 I/sqrt(d);
+    the POVM element M_a = m_a^dagger m_a = K Pi_a + (1-K) I/d is computed from it.
     """
 
     kraus_ops: np.ndarray
-    elements: np.ndarray
     strength: WeakStrength
 
     def __post_init__(self):
         kraus = np.array(self.kraus_ops, dtype=complex)
-        elems = np.array(self.elements, dtype=complex)
         d = self.strength.dim
-        if kraus.shape != (d, d, d) or elems.shape != (d, d, d):
+        if kraus.shape != (d, d, d):
             raise ValueError(f"expected {d} operators of shape ({d}, {d})")
-        if np.abs(elems.sum(axis=0) - np.eye(d)).max() > VALIDATION_ATOL:
+        object.__setattr__(self, "kraus_ops", _freeze(kraus))
+        if np.abs(self.elements.sum(axis=0) - np.eye(d)).max() > VALIDATION_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
-        bad = np.flatnonzero(np.linalg.eigvalsh(elems).min(axis=1) < -VALIDATION_ATOL)
-        if bad.size:
-            raise ValueError(f"POVM element {bad[0]} is not positive semidefinite")
-        expected = kraus.conj().transpose(0, 2, 1) @ kraus
-        if np.abs(expected - elems).max() > ALGEBRA_ATOL:
-            raise ValueError("elements are not m_a^dagger m_a of the Kraus operators")
-        object.__setattr__(self, "kraus_ops", kraus)
-        object.__setattr__(self, "elements", elems)
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The POVM elements M_a = m_a^dagger m_a, shape (d, d, d)."""
+        return self.kraus_ops.conj().transpose(0, 2, 1) @ self.kraus_ops
 
     @property
     def dim(self) -> int:
@@ -258,8 +232,7 @@ def weak_povm(obs_a: ObservableSpec, k: float) -> Povm:
     strength = WeakStrength.from_k(k, d)
     eye = np.eye(d, dtype=complex)
     kraus = strength.omega0 * obs_a.projectors() + strength.omega1 * eye[None, :, :] / np.sqrt(d)
-    elements = kraus.conj().transpose(0, 2, 1) @ kraus
-    return Povm(kraus, elements, strength)
+    return Povm(kraus, strength)
 
 
 def post_measurement_state(rho: DensityOperator, povm: Povm, a: int) -> DensityOperator:
@@ -352,17 +325,13 @@ def nonselective_state(rho: DensityOperator, obs_a: ObservableSpec, a: int) -> D
     return DensityOperator(pi @ rho.matrix @ pi + comp @ rho.matrix @ comp)
 
 
-def weak_tpm_joint(
-    rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec
-) -> JointDistribution:
+def weak_tpm_joint(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> np.ndarray:
     """Rows w(a, .) = Born distribution of B on the non-selective state for a.
 
-    Each rho_NS(a) is a normalized state, so every row sums to 1; the table is
-    flagged per-row normalized rather than jointly normalized.
+    Each rho_NS(a) is a normalized state, so every row sums to 1: a read-only
+    (d, d) array of d conditional distributions, each held to
+    :func:`probability_table`'s rules, not one joint table.
     """
     d = _check_dims(rho, obs_a, obs_b)
-    rows = np.empty((d, d))
-    for a in range(d):
-        ns = nonselective_state(rho, obs_a, a)
-        rows[a] = _born(ns, obs_b)
-    return probability_table(rows, normalization="per_row")
+    rows = np.array([_born(nonselective_state(rho, obs_a, a), obs_b) for a in range(d)])
+    return _probability_stack(rows[:, None, :])[:, 0]

@@ -9,6 +9,7 @@ from weakquasi.core import (
     DensityOperator,
     InternalConsistencyError,
     ObservableSpec,
+    PointerState,
     WeakStrength,
     born_probability,
     controlled_shift,
@@ -199,6 +200,17 @@ def test_pointer_strength_endpoints(d):
 def test_strength_out_of_range_rejected(k):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         pointer_for_strength(k, 2)
+
+
+def test_pointer_state_validation():
+    assert PointerState(np.array([0.6, 0.8])).dim == 2
+    with pytest.raises(ValueError, match="normalized"):
+        PointerState([1.0, 1.0])
+    # |0.6|^2 + |0.64|^2 + |0.48|^2 = 1, but |1> and |2> carry different amplitudes
+    with pytest.raises(ValueError, match=r"amplitudes on \|1> .. \|d-1> must be equal"):
+        PointerState([0.6, 0.64, 0.48])
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        PointerState([1.0])
 
 
 def test_weak_strength_normalization_holds():

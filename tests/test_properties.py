@@ -54,7 +54,7 @@ def test_broadcast_data_paths_match_public_functions_slice_by_slice(stacks, k):
     rec = _reconstruct(coh, strength)
     wmh = _weak_mhq_values(wcq, rec, pf, strength)
     for i in range(pw.shape[0]):
-        point_wcq = weak_cq_from_data(pw[i], pf[i], strength).values
+        point_wcq = weak_cq_from_data(pw[i], pf[i]).values
         assert wcq[i].tobytes() == point_wcq.tobytes()
         assert coh[i].tobytes() == coherence_term(pw[i], pt[i], pf[i], strength).tobytes()
         if not interior:
@@ -104,7 +104,7 @@ def test_run_sweep_matches_per_point_public_functions_byte_for_byte(case):
         pw, pt, p_final = (t.values for t in tables)
         strength = WeakStrength.from_k(k, d)
         pf = p_final.sum(axis=0)
-        wcq = weak_cq_from_data(pw, pf, strength).values
+        wcq = weak_cq_from_data(pw, pf).values
         rec = mhq_from_weak(pw, pt, pf, strength).values if 0.0 < k < 1.0 else None
         expected = {
             "p_weak": pw,

@@ -377,8 +377,7 @@ def test_families_normalize_and_marginalize_random():
 
 
 def test_quasi_distribution_validation():
-    with pytest.raises(ValueError, match="family"):
-        QuasiDistribution(np.full((2, 2), 0.25), family="W")
-    table = QuasiDistribution(np.array([[0.6, 0.5], [-0.1, 0.0]]), family="MHQ")
-    assert table.kind == "quasiprobability"
+    with pytest.raises(ValueError, match="non-finite"):
+        QuasiDistribution(np.array([[np.nan, 0.5], [0.5, 0.0]]))
+    table = QuasiDistribution(np.array([[0.6, 0.5], [-0.1, 0.0]]))
     assert negativity(table) == pytest.approx(0.1, abs=1e-15)

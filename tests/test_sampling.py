@@ -48,7 +48,6 @@ def test_sample_counts_poisson_moments():
     table = sample_counts(UNIFORM4, 10**6, seed=1)
     # each cell is Poisson(250000): stay within 5 sigma = 2500
     assert np.abs(table.counts - 250000).max() <= 2500
-    assert table.shots_target == 10**6
 
 
 def test_sample_counts_zero_probability_cell():
@@ -69,14 +68,9 @@ def test_sample_counts_rejects_quasiprobability(scenario_state, obs_z, obs_x):
     quasi = mhq(scenario_state, obs_z, obs_x)
     with pytest.raises(ValueError, match="quasiprobability"):
         sample_counts(quasi, 1000, seed=0)
-
-
-def test_sample_counts_rejects_per_row_tables(scenario_state, obs_z, obs_x):
-    from weakquasi.schemes import weak_tpm_joint
-
-    rows = weak_tpm_joint(scenario_state, obs_z, obs_x)
-    with pytest.raises(ValueError, match="per-row"):
-        sample_counts(rows, 1000, seed=0)
+    # a bare array is not a validated probability table either
+    with pytest.raises(ValueError, match="cannot sample counts from a ndarray"):
+        sample_counts(np.full((2, 2), 0.25), 1000, seed=0)
 
 
 def test_sample_counts_rejects_bad_shots():
@@ -94,24 +88,24 @@ def test_sample_counts_at_max_shots_sums_exactly():
 
 def test_count_table_validation():
     with pytest.raises(ValueError, match="nonnegative"):
-        CountTable(np.array([[1, -2], [0, 3]]), shots_target=6)
+        CountTable(np.array([[1, -2], [0, 3]]))
     with pytest.raises(ValueError, match="all-zero"):
-        CountTable(np.zeros((2, 2), dtype=int), shots_target=0).estimator()
+        CountTable(np.zeros((2, 2), dtype=int)).estimator()
 
 
 @pytest.mark.parametrize("counts", [[[1.5, 2.7], [0, 1]], [[np.nan, 2], [0, 1]], [[1e30, 2], [0, 1]]])
 def test_count_table_rejects_counts_the_int64_cast_would_change(counts):
     # a truncated, NaN or overflowing cell used to become some other integer
     with pytest.raises(ValueError, match="counts must be finite integers within the int64 range"):
-        CountTable(counts, 10)
+        CountTable(counts)
     # integral floats keep their value
-    assert CountTable([[1.0, 2.0], [0.0, 1.0]], 4).counts.tolist() == [[1, 2], [0, 1]]
+    assert CountTable([[1.0, 2.0], [0.0, 1.0]]).counts.tolist() == [[1, 2], [0, 1]]
 
 
 # -------------------------------------------------------------- estimator
 
 def test_estimate_uniform_stderr():
-    counts = CountTable(np.full((2, 2), 250000), shots_target=10**6)
+    counts = CountTable(np.full((2, 2), 250000))
     estimate, stderr = estimate_with_errors(counts, resamples=1000, seed=3)
     assert_allclose(estimate.values, 0.25, atol=1e-12)
     # oracle: sqrt(p (1 - p) / N) for the self-normalized estimator
@@ -120,7 +114,7 @@ def test_estimate_uniform_stderr():
 
 
 def test_estimate_degenerate_table():
-    counts = CountTable(np.array([[10**6, 0], [0, 0]]), shots_target=10**6)
+    counts = CountTable(np.array([[10**6, 0], [0, 0]]))
     estimate, stderr = estimate_with_errors(counts, resamples=500, seed=4)
     assert_allclose(estimate.values, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
     # resamples of the zero cells never fluctuate, so the normalized estimator
@@ -129,8 +123,8 @@ def test_estimate_degenerate_table():
 
 
 def test_estimate_stderr_scales_with_shots():
-    big = CountTable(np.full((2, 2), 25000000), shots_target=10**8)
-    small = CountTable(np.full((2, 2), 250000), shots_target=10**6)
+    big = CountTable(np.full((2, 2), 25000000))
+    small = CountTable(np.full((2, 2), 250000))
     _, err_big = estimate_with_errors(big, resamples=2000, seed=5)
     _, err_small = estimate_with_errors(small, resamples=2000, seed=6)
     ratio = err_small.mean() / err_big.mean()
@@ -138,7 +132,7 @@ def test_estimate_stderr_scales_with_shots():
 
 
 def test_estimate_validation():
-    counts = CountTable(np.full((2, 2), 100), shots_target=400)
+    counts = CountTable(np.full((2, 2), 100))
     with pytest.raises(ValueError, match="resamples"):
         estimate_with_errors(counts, resamples=10, seed=0)
     with pytest.raises(ValueError, match="need at least 100 resamples, got 99"):
@@ -304,7 +298,7 @@ def _data_paths(k, pw, pt, p_final):
     d = pw.shape[0]
     strength = WeakStrength.from_k(k, d)
     pf = p_final.sum(axis=0)
-    wcq = weak_cq_from_data(pw, pf, strength).values
+    wcq = weak_cq_from_data(pw, pf).values
     rec = mhq_from_weak(pw, pt, pf, strength).values if 0.0 < k < 1.0 else None
     return {
         "p_weak": pw,

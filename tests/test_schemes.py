@@ -42,19 +42,12 @@ def test_joint_distribution_rejects_unnormalized():
         JointDistribution(np.full((2, 2), 0.3))
 
 
-def test_joint_distribution_per_row_checks_rows():
-    rows = np.array([[0.5, 0.5], [0.9, 0.1]])
-    dist = JointDistribution(rows, normalization="per_row")
-    assert_allclose(dist.marginal_a(), [1.0, 1.0], atol=1e-12)
-    with pytest.raises(ValueError, match="normalized"):
-        JointDistribution(np.array([[0.5, 0.5], [0.9, 0.3]]), normalization="per_row")
-
-
 def test_joint_distribution_is_always_a_probability_table():
-    # quasiprobabilities are QuasiDistribution tables, so the kind is fixed
-    assert JointDistribution(np.full((2, 2), 0.25)).kind == "probability"
+    # quasiprobabilities are QuasiDistribution tables, and every table sums to 1 as a whole
     with pytest.raises(TypeError, match="kind"):
         JointDistribution(np.full((2, 2), 0.25), kind="quasiprobability")
+    with pytest.raises(TypeError, match="normalization"):
+        JointDistribution(np.full((2, 2), 0.5), normalization="total")
 
 
 def test_probability_table_clamps_dust():
@@ -142,11 +135,17 @@ def test_weak_povm_rejects_bad_strength(obs_z):
         weak_povm(obs_z, 1.5)
 
 
-def test_povm_rejects_non_psd_element_by_index():
-    # the elements sum to the identity, but element 1 has eigenvalue -0.5
-    elements = np.array([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])], dtype=complex)
-    with pytest.raises(ValueError, match="POVM element 1 is not positive semidefinite"):
-        Povm(np.zeros((2, 2, 2)), elements, WeakStrength.from_k(0.5, 2))
+def test_povm_rejects_kraus_operators_that_are_not_complete():
+    # the elements are m_a^dagger m_a, so each is positive semidefinite; here they sum to 2 I
+    kraus = np.array([np.eye(2), np.eye(2)], dtype=complex)
+    with pytest.raises(ValueError, match="POVM elements do not sum to the identity"):
+        Povm(kraus, WeakStrength.from_k(0.5, 2))
+    # a complete set is accepted, and its elements are computed from it
+    povm = Povm(kraus / np.sqrt(2.0), WeakStrength.from_k(0.5, 2))
+    assert_allclose(povm.elements, [np.eye(2) / 2, np.eye(2) / 2], atol=1e-12)
+    # read-only, so the checked elements cannot change afterwards
+    with pytest.raises(ValueError, match="read-only"):
+        povm.kraus_ops[0] = 0.0
 
 
 # ----------------------------------------------------- conditional states
@@ -286,22 +285,22 @@ def test_nonselective_qutrit_preserves_complement_block():
 
 def test_weak_tpm_rows_for_commuting_state(obs_z, obs_x):
     rho = DensityOperator(np.diag([0.7, 0.3]))
-    dist = weak_tpm_joint(rho, obs_z, obs_x)
+    rows = weak_tpm_joint(rho, obs_z, obs_x)
     p_fin = marginals(rho, obs_z, obs_x).p_fin
     for a in range(2):
-        assert_allclose(dist.values[a], p_fin, atol=1e-12)
+        assert_allclose(rows[a], p_fin, atol=1e-12)
 
 
 def test_weak_tpm_scenario_cell(scenario_state, obs_z, obs_x):
-    dist = weak_tpm_joint(scenario_state, obs_z, obs_x)
-    assert dist.normalization == "per_row"
-    assert dist.values[0, 0] == pytest.approx(0.5, abs=1e-12)
-    assert_allclose(dist.marginal_a(), [1.0, 1.0], atol=1e-10)
+    rows = weak_tpm_joint(scenario_state, obs_z, obs_x)
+    assert not rows.flags.writeable
+    assert rows[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert_allclose(rows.sum(axis=1), [1.0, 1.0], atol=1e-10)
 
 
 def test_weak_tpm_maximally_mixed(obs_z, obs_x):
     rho = DensityOperator(np.eye(2) / 2)
-    assert_allclose(weak_tpm_joint(rho, obs_z, obs_x).values, 0.5, atol=1e-12)
+    assert_allclose(weak_tpm_joint(rho, obs_z, obs_x), 0.5, atol=1e-12)
 
 
 # -------------------------------------------------------------- marginals
