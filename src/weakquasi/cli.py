@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -46,7 +47,8 @@ from .sampling import (
 from .schemes import _totals
 
 MAX_GRID_POINTS = 10_000  # largest strength grid a "K" range may request
-# at d=64 a 21-point exact sweep takes 10 ms, and exporting all seven of its tables 1.6-1.9 s
+# at d=64 a 21-point exact sweep takes 6-10 ms, and a run exporting all seven of its tables
+# 0.57-0.78 s (one BLAS thread, 2-core x86-64 box)
 MAX_DIMENSION = 64  # largest system dimension
 
 QUANTITIES = ("p_weak", "cq", "mhq", "weak_cq", "weak_mhq", "C", "mhq_reconstructed", "thresholds")
@@ -221,6 +223,9 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
     labels = spec.get("labels", [])
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         _fail(f"{field}.labels", f"expected a list of strings, got {labels!r}")
+    # csv.writer writes a carriage return unquoted, and one exported row is one line
+    if any("\r" in label or "\n" in label for label in labels):
+        _fail(f"{field}.labels", f"labels must not contain a line break, got {labels!r}")
     # exported rows are keyed by outcome labels, so labels must be distinct
     if len(set(labels)) != len(labels):
         _fail(f"{field}.labels", f"labels must be distinct, got {labels!r}")
@@ -366,11 +371,22 @@ def _formatted(array: np.ndarray, points, cells) -> Iterable[list[str]]:
     return ([_fmt(array[i, a, b]) for a, b, _, _ in cells] for i in points)
 
 
-def _write_table(path: Path, rows: Iterable[tuple]):
+def _quoted(fields) -> str:
+    """``fields`` as csv.writer writes them into an exported row, with the comma that follows.
+
+    ``run`` quotes each K key and label pair once, so any field that needs
+    quotes is quoted exactly as a row written through csv.writer would be.
+    """
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(fields)
+    return line.getvalue()[:-1] + ","
+
+
+def _write_table(path: Path, chunks: Iterable[str]):
+    """Write the header, then each chunk of rows with one ``write``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+        fh.write(",".join(CSV_HEADER) + "\n")
+        fh.writelines(chunks)
 
 
 def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
@@ -380,8 +396,9 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     ascending K order with 12-significant-digit decimal values; the
     reconstructed-MHQ table covers only strengths where the inversion exists.
     Each table's rows are formatted from the sweep's arrays as they are
-    written, so no row list is kept; a column that is the same at every K is
-    formatted once.
+    written, one point's rows per write, so no row list is kept; a column that
+    is the same at every K is formatted once, and each K key and label pair is
+    quoted once.
     """
     started = time.monotonic()
     out = Path(out_dir)
@@ -400,6 +417,8 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     labels_b = config.obs_b.labels
     cells = [(a, b, la, lb) for a, la in enumerate(labels_a) for b, lb in enumerate(labels_b)]
     keys = [_fmt(k) for k in k_values]
+    quoted_keys = [_quoted([key]) for key in keys]
+    quoted_labels = [_quoted([la, lb]) for _, _, la, lb in cells]
     strong = {"cq": cq(config.rho, config.obs_a, config.obs_b).values,
               "mhq": mhq(config.rho, config.obs_a, config.obs_b).values}
 
@@ -415,14 +434,17 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         else:
             values, errors = sweep.values[quantity], sweep.errors[quantity]
             points = np.flatnonzero(sweep.reached(quantity))  # the points a data path reaches
-        rows = (
-            (keys[i], la, lb, quantity, value, error)
+        prefixes = [f"{labels}{quantity}," for labels in quoted_labels]
+        chunks = (  # the d^2 rows of one point, as one string
+            "".join([
+                f"{quoted_keys[i]}{prefix}{value},{error}\n"
+                for prefix, value, error in zip(prefixes, point_values, point_errors)
+            ])
             for i, point_values, point_errors in zip(
                 points, _formatted(values, points, cells), _formatted(errors, points, cells)
             )
-            for (_, _, la, lb), value, error in zip(cells, point_values, point_errors)
         )
-        _write_table(out / f"{quantity}.csv", rows)
+        _write_table(out / f"{quantity}.csv", chunks)
         if quantity != "C" and points.size:  # the cross-term is not itself a distribution
             point_keys = [keys[i] for i in points]
             negativity_totals[quantity] = dict(zip(point_keys, _negativity(values[points]).tolist()))

@@ -233,6 +233,9 @@ def test_parse_shots_and_noise_validation():
         ({"state": {"density": [[True, False], [False, False]]}}, "state.density"),
         ({"observable_a": {"eigenvectors": [[True, False], [False, True]]}}, "observable_a.eigenvectors"),
         ({"hamiltonian": [[True, False], [False, True]]}, "hamiltonian"),
+        # one exported row is one line, and csv.writer leaves a carriage return unquoted
+        ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "labels": ["H\rx", "V"]}}, "observable_a.labels"),
+        ({"observable_b": {"eigenvectors": [[1, 0], [0, 1]], "labels": ["D", "A\n"]}}, "observable_b.labels"),
     ],
 )
 def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
@@ -267,6 +270,10 @@ def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
         ({"state": {"density": [[[True, 0], 0], [0, 0]]}},
          "config field 'state.density': expected a number or an [re, im] pair, got [True, 0]"),
         ({"hamiltonian": [[10**400, 0], [0, 1]]}, "config field 'hamiltonian': entries must be finite"),
+        ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "labels": ["H\rx", "V"]}},
+         "config field 'observable_a.labels': labels must not contain a line break, got ['H\\rx', 'V']"),
+        ({"observable_b": {"eigenvectors": [[1, 0], [0, 1]], "labels": ["D", "A\r\n"]}},
+         "config field 'observable_b.labels': labels must not contain a line break, got ['D', 'A\\r\\n']"),
     ],
 )
 def test_parse_error_messages(fields, message):
@@ -468,15 +475,21 @@ def test_run_shipped_config_matches_golden_export(tmp_path):
     assert summary["thresholds"] == golden_thresholds
 
 
-PINNED = {  # the shipped config's tables, byte for byte, as each run mode writes them
-    "pinned_exact": [],
-    "pinned_seed7": ["--shots", "100000", "--seed", "7"],
-    "pinned_seed1": ["--shots", "1000000", "--seed", "1"],
+# d=2, four strengths, labels with a comma, a quote, edge spaces and a non-ASCII character
+QUOTED_LABELS = GOLDEN.parent / "quoted_labels.json"
+
+PINNED = {  # tables byte for byte, as each run mode writes them: the config, then the options
+    "pinned_exact": [SHIPPED],
+    "pinned_seed7": [SHIPPED, "--shots", "100000", "--seed", "7"],
+    "pinned_seed1": [SHIPPED, "--shots", "1000000", "--seed", "1"],
+    "pinned_labels_exact": [QUOTED_LABELS],
+    "pinned_labels_seed3": [QUOTED_LABELS, "--shots", "1000", "--seed", "3"],
 }
 
 
 def _assert_writes_pinned_bytes(tmp_path, pinned):
-    assert main(["run", str(SHIPPED), "--out", str(tmp_path), *PINNED[pinned]]) == 0
+    config, *options = PINNED[pinned]
+    assert main(["run", str(config), "--out", str(tmp_path), *options]) == 0
     expected = GOLDEN.parent / pinned
     tables = sorted(p.name for p in expected.glob("*.csv"))
     assert tables == sorted(p.name for p in tmp_path.glob("*.csv"))
@@ -493,6 +506,22 @@ def test_run_shipped_config_matches_golden_sampled_export(tmp_path):
 @pytest.mark.parametrize("pinned", ["pinned_exact", "pinned_seed7"])
 def test_run_shipped_config_writes_the_pinned_bytes(tmp_path, pinned):
     _assert_writes_pinned_bytes(tmp_path, pinned)
+
+
+@pytest.mark.parametrize("pinned", ["pinned_labels_exact", "pinned_labels_seed3"])
+def test_run_quoted_labels_write_the_pinned_bytes(tmp_path, pinned):
+    # each label is quoted once per table, exactly as csv.writer quotes it in a row
+    _assert_writes_pinned_bytes(tmp_path, pinned)
+
+
+def test_compare_reads_quoted_labels_back_as_written(tmp_path):
+    assert main(["run", str(QUOTED_LABELS), "--out", str(tmp_path)]) == 0
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert len(tables) == 7
+    for table in tables:
+        assert main(["compare", str(table), str(table), "--tol", "0"]) == 0, table.name
+    cells = {(row["a"], row["b"]) for row in read_rows(tmp_path / "p_weak.csv")}
+    assert cells == {(a, b) for a in ("a,1", 'q"x') for b in (" sp ", "D⊥")}
 
 
 def test_run_formats_each_k_constant_cell_once(tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
-"""Property tests: broadcast data paths, the sweep's K axis, scenario-document parsing and table comparison."""
+"""Property tests: broadcast data paths, the sweep's K axis, scenario-document parsing, runs and table comparison."""
 
+import contextlib
+import csv
+import io
 import json
 import math
 import tempfile
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_instance
-from weakquasi.cli import _CONFIG_FIELDS, ConfigError, _fmt, _write_table, compare, parse_config
+from weakquasi.cli import _CONFIG_FIELDS, CSV_HEADER, ConfigError, _fmt, compare, main, parse_config
 from weakquasi.core import WeakStrength
 from weakquasi.quasiprob import (
     _coherence_values,
@@ -23,7 +26,7 @@ from weakquasi.quasiprob import (
     mhq_from_weak,
     weak_cq_from_data,
 )
-from weakquasi.sampling import run_sweep, sample_counts
+from weakquasi.sampling import MAX_SHOTS, MIN_CROSS_WEIGHT, run_sweep, sample_counts
 from weakquasi.schemes import weak_sequential_closed
 
 strengths = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -161,6 +164,63 @@ def test_any_json_document_parses_or_raises_config_error(doc):
         pass
 
 
+def _pairs(matrix):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex)]
+
+
+dust = st.sampled_from([0.0, 1e-300, 1e-16, 1e-12, 1e-8])
+
+
+@st.composite
+def run_documents(draw):
+    """Valid documents at the edges of the physics: d <= 4 and at most five strengths."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho, obs_a, obs_b = random_instance(rng, d, pure=draw(st.booleans()))
+    if draw(st.booleans()):  # a basis state whose other amplitudes are dust
+        at = draw(st.integers(0, d - 1))
+        state = {"amplitudes": [1.0 if i == at else draw(dust) for i in range(d)]}
+    else:  # a mixed state, or a rank-1 one written as a density matrix
+        state = {"density": _pairs(rho.matrix)}
+    observable_a = {"eigenvectors": _pairs(draw(st.sampled_from([np.eye(d), obs_a.eigenvectors])))}
+    # B = A, or a second random basis
+    observable_b = observable_a if draw(st.booleans()) else {"eigenvectors": _pairs(obs_b.eigenvectors)}
+    # strengths on either side of the MIN_CROSS_WEIGHT floor: cross weight ~ K near 0
+    # and ~ 2 sqrt((1 - K) / d) near 1
+    near_floor = st.floats(0.5, 2.0).flatmap(
+        lambda f: st.sampled_from([MIN_CROSS_WEIGHT * f, 1.0 - f * d * (MIN_CROSS_WEIGHT / 2.0) ** 2])
+    )
+    strengths = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | near_floor
+    shots = st.sampled_from(["exact", 1, MAX_SHOTS]) | st.integers(1, MAX_SHOTS)
+    return {
+        "dimension": d,
+        "state": state,
+        "observable_a": observable_a,
+        "observable_b": observable_b,
+        "K": draw(st.lists(strengths, min_size=1, max_size=5, unique=True)),
+        "shots": draw(shots),
+        "noise": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=run_documents())
+def test_run_of_a_valid_document_exits_with_a_result_or_a_one_line_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(config), "--out", str(Path(tmp) / "out")])
+    message = err.getvalue()
+    assert code in (0, 1), message
+    if code == 0:
+        assert message == ""
+    else:
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+
+
 # ------------------------------------------------------------ CSV pairs
 
 row_keys = st.tuples(
@@ -182,6 +242,14 @@ def table_pairs(draw):
 
 def _rows(keys, values):
     return [(*key, _fmt(value), _fmt(0.0)) for key, value in zip(keys, values)]
+
+
+def _write_table(path, rows):
+    """An exported-format table of ``rows``, written row by row through csv.writer."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
 
 
 def _max_diff(report):
