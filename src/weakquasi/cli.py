@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     DensityOperator,
     ObservableSpec,
+    _check_labels,
     evolve_observable,
     make_pure_state,
     pauli_x,
@@ -35,10 +36,8 @@ from .core import (
 from .quasiprob import _negativity, cq, mhq, threshold_strength
 from .quasiprob import negativity  # noqa: F401  (perfbench/tracing.py looks it up here)
 from .sampling import (
-    MAX_RESAMPLES,
     MAX_SHOTS,
     NoiseModel,
-    QubitScenario,
     ZeroCountsError,
     _strength,
     run_sweep,
@@ -50,6 +49,7 @@ MAX_GRID_POINTS = 10_000  # largest strength grid a "K" range may request
 # at d=64 a 21-point exact sweep takes 6-10 ms, and a run exporting all seven of its tables
 # 0.57-0.78 s (one BLAS thread, 2-core x86-64 box)
 MAX_DIMENSION = 64  # largest system dimension
+MAX_RESAMPLES = 10**5  # bound of the retired "resamples" key, which older documents still carry
 
 QUANTITIES = ("p_weak", "cq", "mhq", "weak_cq", "weak_mhq", "C", "mhq_reconstructed", "thresholds")
 
@@ -168,8 +168,9 @@ def _parse_state(doc: dict, dim: int) -> DensityOperator:
         if dim != 2:
             _fail("theta0", "the preparation-angle shorthand needs dimension 2")
         theta0 = _number(doc["theta0"], "theta0")
-        try:
-            return QubitScenario(theta0).state()
+        try:  # the polarisation state cos(2 theta0)|H> + sin(2 theta0)|V>
+            angle = math.radians(2.0 * theta0)
+            return make_pure_state([math.cos(angle), math.sin(angle)])
         except ValueError:  # math.cos of an angle that overflowed to inf
             _fail("theta0", f"angle {theta0} is out of range")
     if "state" not in doc:
@@ -223,12 +224,10 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
     labels = spec.get("labels", [])
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         _fail(f"{field}.labels", f"expected a list of strings, got {labels!r}")
-    # csv.writer writes a carriage return unquoted, and one exported row is one line
-    if any("\r" in label or "\n" in label for label in labels):
-        _fail(f"{field}.labels", f"labels must not contain a line break, got {labels!r}")
-    # exported rows are keyed by outcome labels, so labels must be distinct
-    if len(set(labels)) != len(labels):
-        _fail(f"{field}.labels", f"labels must be distinct, got {labels!r}")
+    try:
+        _check_labels(labels)
+    except ValueError as exc:
+        _fail(f"{field}.labels", str(exc))
     labels = tuple(labels)
     name = spec.get("name", "")
     if not isinstance(name, str):

@@ -27,18 +27,13 @@ __all__ = [
     "ObservableSpec",
     "PointerState",
     "WeakStrength",
-    "born_probability",
     "controlled_shift",
-    "coupling_unitary",
     "evolve_observable",
-    "evolve_projector",
     "is_hermitian",
     "make_pure_state",
     "pauli_x",
     "pauli_z",
     "pointer_for_strength",
-    "random_density_operator",
-    "random_observable",
     "shift_operator",
 ]
 
@@ -111,6 +106,7 @@ class ObservableSpec:
         labels = tuple(self.labels) if self.labels else tuple(str(a) for a in range(d))
         if len(labels) != d:
             raise ValueError(f"expected {d} outcome labels, got {len(labels)}")
+        _check_labels(labels)
         object.__setattr__(self, "eigenvectors", _freeze(vecs))
         object.__setattr__(self, "eigenvalues", _freeze(vals))
         object.__setattr__(self, "labels", labels)
@@ -126,6 +122,16 @@ class ObservableSpec:
     def projectors(self) -> np.ndarray:
         """Stack of the d rank-1 projectors, shape (d, d, d)."""
         return np.einsum("ia,ja->aij", self.eigenvectors, self.eigenvectors.conj())
+
+
+def _check_labels(labels):
+    """Reject outcome labels that cannot key the rows of an exported table."""
+    # csv.writer writes a carriage return unquoted, and one exported row is one line
+    if any("\r" in str(label) or "\n" in str(label) for label in labels):
+        raise ValueError(f"labels must not contain a line break, got {list(labels)!r}")
+    # exported rows are keyed by outcome labels, so labels must be distinct
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"labels must be distinct, got {list(labels)!r}")
 
 
 def pauli_z() -> ObservableSpec:
@@ -234,17 +240,10 @@ def shift_operator(d: int) -> np.ndarray:
     return v
 
 
-def coupling_unitary(d: int) -> np.ndarray:
-    """Controlled modular shift sum_a |a><a| (x) V^a on the d^2 joint space."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    return controlled_shift(ObservableSpec(np.eye(d, dtype=complex), np.arange(d, dtype=float)))
-
-
 def controlled_shift(obs: ObservableSpec) -> np.ndarray:
     """Coupling unitary controlled on an arbitrary eigenbasis: sum_a Pi_a (x) V^a.
 
-    Reduces to ``coupling_unitary(d)`` when the eigenbasis is computational.
+    On the computational basis it is the controlled modular shift sum_a |a><a| (x) V^a.
     """
     d = obs.dim
     v = shift_operator(d)
@@ -268,56 +267,11 @@ def pointer_for_strength(k: float, d: int) -> tuple[PointerState, WeakStrength]:
     return PointerState(amps), strength
 
 
-def _propagator(hamiltonian, dt: float) -> np.ndarray:
-    """exp(iH dt) of a Hermitian H, from its eigendecomposition."""
+def evolve_observable(obs: ObservableSpec, hamiltonian: np.ndarray, dt: float) -> ObservableSpec:
+    """Heisenberg-evolved observable: every eigenvector rotated by exp(iH dt), with hbar = 1."""
     h = _square_complex(hamiltonian, "Hamiltonian")
     if not is_hermitian(h):
         raise ValueError("Hamiltonian must be Hermitian")
     evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(1j * evals * dt)) @ evecs.conj().T
-
-
-def evolve_projector(projector: np.ndarray, hamiltonian: np.ndarray, dt: float) -> np.ndarray:
-    """Heisenberg-picture evolution exp(iH dt) P exp(-iH dt), with hbar = 1."""
-    p = _square_complex(projector, "projector")
-    u = _propagator(hamiltonian, dt)
-    if u.shape != p.shape:
-        raise ValueError(f"shape mismatch: projector {p.shape} vs Hamiltonian {u.shape}")
-    if not is_hermitian(p) or np.abs(p @ p - p).max() > VALIDATION_ATOL:
-        raise ValueError("input must be an orthogonal projector within 1e-10")
-    return u @ p @ u.conj().T
-
-
-def evolve_observable(obs: ObservableSpec, hamiltonian: np.ndarray, dt: float) -> ObservableSpec:
-    """Heisenberg-evolved observable: every eigenvector rotated by exp(iH dt)."""
-    u = _propagator(hamiltonian, dt)
+    u = (evecs * np.exp(1j * evals * dt)) @ evecs.conj().T
     return ObservableSpec(u @ obs.eigenvectors, obs.eigenvalues, name=obs.name, labels=obs.labels)
-
-
-def born_probability(rho: DensityOperator, projector: np.ndarray) -> float:
-    """Probability Tr[P rho] of the outcome projected by P, clamped to [0, 1]."""
-    p = _square_complex(projector, "projector")
-    if p.shape[0] != rho.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, projector {p.shape[0]}")
-    value = np.trace(p @ rho.matrix).real
-    if value < -VALIDATION_ATOL or value > 1.0 + VALIDATION_ATOL:
-        raise InternalConsistencyError(f"Born probability {value} outside [0, 1]")
-    return min(max(value, 0.0), 1.0)
-
-
-def random_density_operator(dim: int, rng: np.random.Generator, pure: bool = False) -> DensityOperator:
-    """Ginibre-sampled mixed state, or a Haar-random pure state when pure=True."""
-    if pure:
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return make_pure_state(v)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return DensityOperator(m / np.trace(m).real)
-
-
-def random_observable(dim: int, rng: np.random.Generator, name: str = "") -> ObservableSpec:
-    """Observable with a Haar-random eigenbasis and eigenvalue labels 0..d-1."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diag(r) / np.abs(np.diag(r))).conj()
-    return ObservableSpec(q, np.arange(dim, dtype=float), name=name)

@@ -31,12 +31,10 @@ from .schemes import (
     _born,
     _check_dims,
     _mh_table,
-    _OutcomeTable,
     _real_table,
     _three_term,
     _totals,
     _tpm_table,
-    weak_tpm_joint,
 )
 
 NEVER_NEGATIVE = math.inf  # threshold sentinel: the cell is nonnegative at every strength
@@ -49,7 +47,6 @@ __all__ = [
     "coherence_term",
     "mhq",
     "mhq_from_weak",
-    "mhq_from_weak_tpm",
     "negativity",
     "threshold_strength",
     "weak_cq_closed",
@@ -59,7 +56,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QuasiDistribution(_OutcomeTable):
+class QuasiDistribution:
     """Real outcome table that may carry negative cells.
 
     Exact tables of every family sum to 1 and marginalize over a to the Born
@@ -88,9 +85,6 @@ class ThresholdReport:
     def __post_init__(self):
         arr = np.array(self.per_cell, dtype=float)
         object.__setattr__(self, "per_cell", _freeze(arr))
-
-    def never_negative(self, a: int, b: int) -> bool:
-        return bool(np.isinf(self.per_cell[a, b]))
 
 
 def _values_of(table) -> np.ndarray:
@@ -237,20 +231,6 @@ def mhq_from_weak(p_weak, p_tpm, p_fin, strength: WeakStrength) -> QuasiDistribu
     if strength.K <= 0.0 or strength.K >= 1.0:
         raise ValueError(f"strength K={strength.K} is not invertible; need 0 < K < 1")
     return QuasiDistribution(_reconstruct(coherence_term(p_weak, p_tpm, p_fin, strength), strength))
-
-
-def mhq_from_weak_tpm(
-    rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec
-) -> QuasiDistribution:
-    """Margenau-Hill quasiprobability via non-selective measurement statistics.
-
-    q_MH(a,b) = p(a,b) + (p_fin(b) - w(a,b))/2 with w the per-outcome Born rows
-    of the non-selective states; an algebraic identity valid in any dimension.
-    """
-    _check_dims(rho, obs_a, obs_b)
-    p = _tpm_table(rho, obs_a, obs_b)
-    w = weak_tpm_joint(rho, obs_a, obs_b)
-    return QuasiDistribution(p + (_born(rho, obs_b)[None, :] - w) / 2.0)
 
 
 def threshold_strength(

@@ -5,10 +5,9 @@ from one broadcast of the three-term closed form, and every derived quantity
 is one array over the K axis.  Coincidence counts are drawn cell-wise from
 independent Poisson laws and point estimates are normalized counts.  The
 sweep's error bars propagate each table's Poisson covariance through the data
-paths to first order in closed form.  :func:`estimate_with_errors` keeps the
-Monte Carlo procedure that re-draws count tables around the observed ones;
-the closed form is its limit as the re-draws grow.  A single gate-visibility
-parameter models imperfect interference at the coupling gate.
+paths to first order in closed form: the limit of a Monte Carlo spread over
+ever more Poisson re-draws around the observed counts.  A single
+gate-visibility parameter models imperfect interference at the coupling gate.
 
 All sampling uses explicitly seeded, splittable generators; identical seeds
 give bit-identical results.
@@ -27,9 +26,6 @@ from .core import (
     ObservableSpec,
     WeakStrength,
     _freeze,
-    make_pure_state,
-    pauli_x,
-    pauli_z,
 )
 from .schemes import (
     JointDistribution,
@@ -59,18 +55,14 @@ from .quasiprob import (
 )
 
 MAX_SHOTS = 10**15  # largest shot count per setting; keeps the int64 count sums exact
-MAX_RESAMPLES = 10**5  # largest Monte Carlo re-draw count of estimate_with_errors
 MIN_CROSS_WEIGHT = 1e-6  # the MHQ inversion multiplies rounding dust by 1 / cross_weight
 
 __all__ = [
     "CountTable",
     "NoiseModel",
-    "QubitScenario",
     "Sweep",
     "ZeroCountsError",
     "apply_gate_noise",
-    "estimate_with_errors",
-    "run_scenario",
     "run_sweep",
     "sample_counts",
     "strength_from_waveplate",
@@ -99,25 +91,6 @@ class NoiseModel:
     @property
     def is_ideal(self) -> bool:
         return self.gate_visibility == 1.0
-
-
-@dataclass(frozen=True)
-class QubitScenario:
-    """Polarisation-qubit scenario: state cos(2 theta0)|H> + sin(2 theta0)|V>, A=Z, B=X."""
-
-    theta0_deg: float
-
-    def state(self) -> DensityOperator:
-        angle = math.radians(2.0 * self.theta0_deg)
-        return make_pure_state([math.cos(angle), math.sin(angle)])
-
-    @property
-    def observable_a(self) -> ObservableSpec:
-        return pauli_z()
-
-    @property
-    def observable_b(self) -> ObservableSpec:
-        return pauli_x()
 
 
 def strength_from_waveplate(phi_deg: float) -> float:
@@ -178,45 +151,6 @@ def sample_counts(dist: JointDistribution, shots: int, seed) -> CountTable:
     rng = np.random.default_rng(seed)
     counts = rng.poisson(shots * dist.values)
     return CountTable(counts)
-
-
-def _resampled(counts: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized Poisson re-draws centred on observed counts, shape (resamples, d, d)."""
-    if resamples < 100:
-        raise ValueError(f"need at least 100 resamples, got {resamples}")
-    if resamples > MAX_RESAMPLES:
-        raise ValueError(f"need at most {MAX_RESAMPLES} resamples, got {resamples}")
-    draws = rng.poisson(counts, size=(resamples, *counts.shape))
-    totals = draws.sum(axis=(1, 2), keepdims=True)
-    return draws / np.where(totals > 0, totals, 1.0)
-
-
-def estimate_with_errors(
-    counts: CountTable, resamples: int, seed
-) -> tuple[JointDistribution, np.ndarray]:
-    """Point estimate counts/total plus Monte Carlo standard errors per cell.
-
-    Standard errors are the cell-wise standard deviation of the normalized
-    estimator over ``resamples`` Poisson re-draws centred on the observed
-    counts.
-
-    Parameters
-    ----------
-    counts : CountTable
-        Observed coincidence counts; the total must be positive.
-    resamples : int
-        Number of Monte Carlo re-draws, at least 100.
-    seed : int or numpy.random.SeedSequence
-        Seed for the re-draws.
-
-    Returns
-    -------
-    (JointDistribution, numpy.ndarray)
-        The point estimate and the table of standard errors.
-    """
-    estimate = counts.estimator()
-    stderr = _resampled(counts.counts, resamples, np.random.default_rng(seed)).std(axis=0, ddof=1)
-    return estimate, stderr
 
 
 def apply_gate_noise(
@@ -444,18 +378,3 @@ def run_sweep(
     errors = {name: np.broadcast_to(errors.get(name, 0.0), shapes[name]) for name in values}
     masks = {name: _freeze(m.reshape(-1)) for name, m in zip(("mhq_reconstructed", "weak_mhq"), _reach(grid))}
     return Sweep(strengths, values, errors, masks)
-
-
-def run_scenario(
-    scenario: QubitScenario,
-    k_values,
-    shots: int | None = None,
-    noise: NoiseModel = NoiseModel(),
-    seed: int = 0,
-) -> Sweep:
-    """Run the polarisation-qubit scenario over a strength grid.
-
-    Thin wrapper over :func:`run_sweep` with the fixed observables A=Z, B=X.
-    """
-    obs_a, obs_b = scenario.observable_a, scenario.observable_b
-    return run_sweep(scenario.state(), obs_a, obs_b, k_values, shots=shots, noise=noise, seed=seed)

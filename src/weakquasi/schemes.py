@@ -1,8 +1,7 @@
 """Measurement schemes producing joint outcome tables over pairs (a, b).
 
-Covers the projective two-point scheme, the weak-sequential scheme in both
-its three-term closed form and the system-pointer circuit, and the weak
-variant built from non-selective projective measurements.  The sweep uses
+Covers the projective two-point scheme and the weak-sequential scheme in both
+its three-term closed form and the system-pointer circuit.  The sweep uses
 the closed form alone; the explicit d^2 x d^2 circuit is the independent
 oracle the test suite checks it against.
 """
@@ -10,7 +9,6 @@ oracle the test suite checks it against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,20 +27,13 @@ PROBABILITY_DUST = 1e-12  # negative entries below this are floating-point dust
 
 __all__ = [
     "JointDistribution",
-    "Marginals",
-    "Povm",
     "PROBABILITY_DUST",
     "joint_outcome_table",
-    "marginals",
-    "nonselective_state",
-    "post_measurement_state",
     "probability_table",
     "tpm_joint",
     "weak_joint_state",
-    "weak_povm",
     "weak_sequential_closed",
     "weak_sequential_oracle",
-    "weak_tpm_joint",
 ]
 
 
@@ -99,23 +90,8 @@ def _probability_stack(values: np.ndarray) -> np.ndarray:
     return _freeze(arr)
 
 
-class _OutcomeTable:
-    """Accessors shared by the real tables ``values`` over outcome pairs (a, b)."""
-
-    def marginal_a(self) -> np.ndarray:
-        """Sum over b for each a."""
-        return self.values.sum(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        """Sum over a for each b."""
-        return self.values.sum(axis=0)
-
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
 @dataclass(frozen=True)
-class JointDistribution(_OutcomeTable):
+class JointDistribution:
     """Probability table over outcome pairs (a, b): entries nonnegative, total sum 1.
 
     Quasiprobabilities are ``quasiprob.QuasiDistribution`` tables.
@@ -138,44 +114,6 @@ def probability_table(values) -> JointDistribution:
     InternalConsistencyError rather than being silently repaired.
     """
     return JointDistribution(_normalized(_real_table(values)))
-
-
-@dataclass(frozen=True)
-class Povm:
-    """Strength-parameterized d-outcome measurement.
-
-    ``kraus_ops[a]`` is the Hermitian operator m_a = omega0 Pi_a + omega1 I/sqrt(d);
-    the POVM element M_a = m_a^dagger m_a = K Pi_a + (1-K) I/d is computed from it.
-    """
-
-    kraus_ops: np.ndarray
-    strength: WeakStrength
-
-    def __post_init__(self):
-        kraus = np.array(self.kraus_ops, dtype=complex)
-        d = self.strength.dim
-        if kraus.shape != (d, d, d):
-            raise ValueError(f"expected {d} operators of shape ({d}, {d})")
-        object.__setattr__(self, "kraus_ops", _freeze(kraus))
-        if np.abs(self.elements.sum(axis=0) - np.eye(d)).max() > VALIDATION_ATOL:
-            raise ValueError("POVM elements do not sum to the identity")
-
-    @property
-    def elements(self) -> np.ndarray:
-        """The POVM elements M_a = m_a^dagger m_a, shape (d, d, d)."""
-        return self.kraus_ops.conj().transpose(0, 2, 1) @ self.kraus_ops
-
-    @property
-    def dim(self) -> int:
-        return self.strength.dim
-
-
-class Marginals(NamedTuple):
-    """Born marginals of the two-time statistics."""
-
-    p_in: np.ndarray    # outcome probabilities of the first observable on rho
-    p_fin: np.ndarray   # outcome probabilities of the second observable on rho
-    p_post: np.ndarray  # second-observable probabilities after an unrecorded first measurement
 
 
 def _check_dims(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> int:
@@ -215,35 +153,6 @@ def tpm_joint(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec
     """
     _check_dims(rho, obs_a, obs_b)
     return probability_table(_tpm_table(rho, obs_a, obs_b))
-
-
-def marginals(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> Marginals:
-    """Born marginals p_in(a), p_fin(b) and the post-measurement marginal p_post(b)."""
-    _check_dims(rho, obs_a, obs_b)
-    p_in = _born(rho, obs_a).copy()
-    p_fin = _born(rho, obs_b).copy()
-    p_post = _tpm_table(rho, obs_a, obs_b).sum(axis=0)
-    return Marginals(p_in, p_fin, p_post)
-
-
-def weak_povm(obs_a: ObservableSpec, k: float) -> Povm:
-    """One-parameter POVM M_a = K Pi_a + (1-K) I/d realized by the pointer coupling."""
-    d = obs_a.dim
-    strength = WeakStrength.from_k(k, d)
-    eye = np.eye(d, dtype=complex)
-    kraus = strength.omega0 * obs_a.projectors() + strength.omega1 * eye[None, :, :] / np.sqrt(d)
-    return Povm(kraus, strength)
-
-
-def post_measurement_state(rho: DensityOperator, povm: Povm, a: int) -> DensityOperator:
-    """Conditional state m_a rho m_a / Tr[M_a rho] after observing outcome a."""
-    if rho.dim != povm.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, POVM {povm.dim}")
-    prob = np.trace(povm.elements[a] @ rho.matrix).real
-    if prob <= 1e-12:
-        raise ValueError(f"conditional state undefined: outcome {a} has zero probability")
-    m = povm.kraus_ops[a]
-    return DensityOperator(m @ rho.matrix @ m.conj().T / prob)
 
 
 def weak_sequential_closed(
@@ -311,27 +220,3 @@ def weak_sequential_oracle(
     _check_dims(rho, obs_a, obs_b)
     joint = weak_joint_state(rho, obs_a, k)
     return probability_table(joint_outcome_table(joint, obs_b))
-
-
-def nonselective_state(rho: DensityOperator, obs_a: ObservableSpec, a: int) -> DensityOperator:
-    """State after an unrecorded projective test of outcome a against its complement.
-
-    rho_NS(a) = Pi_a rho Pi_a + (I - Pi_a) rho (I - Pi_a).
-    """
-    if rho.dim != obs_a.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs_a.dim}")
-    pi = obs_a.projector(a)
-    comp = np.eye(rho.dim, dtype=complex) - pi
-    return DensityOperator(pi @ rho.matrix @ pi + comp @ rho.matrix @ comp)
-
-
-def weak_tpm_joint(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> np.ndarray:
-    """Rows w(a, .) = Born distribution of B on the non-selective state for a.
-
-    Each rho_NS(a) is a normalized state, so every row sums to 1: a read-only
-    (d, d) array of d conditional distributions, each held to
-    :func:`probability_table`'s rules, not one joint table.
-    """
-    d = _check_dims(rho, obs_a, obs_b)
-    rows = np.array([_born(nonselective_state(rho, obs_a, a), obs_b) for a in range(d)])
-    return _probability_stack(rows[:, None, :])[:, 0]

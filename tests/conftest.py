@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from weakquasi.core import (
-    make_pure_state,
-    pauli_x,
-    pauli_z,
-    random_density_operator,
-    random_observable,
-)
+from oracles import random_density_operator, random_eigenbasis
+from weakquasi.core import DensityOperator, ObservableSpec, make_pure_state, pauli_x, pauli_z
 
 # Demo scenario used throughout: preparation angle theta0 = 10.6 degrees,
 # state cos(2 theta0)|H> + sin(2 theta0)|V>, observables A=Z, B=X.
@@ -21,9 +16,14 @@ def scenario_amplitudes():
     return float(np.cos(angle)), float(np.sin(angle))
 
 
+def random_observable(dim, rng):
+    """Observable with a Haar-random eigenbasis and eigenvalue labels 0..d-1."""
+    return ObservableSpec(random_eigenbasis(dim, rng), np.arange(dim, dtype=float))
+
+
 def random_instance(rng, dim, pure=False):
     """A random (state, observable, observable) triple for property tests."""
-    rho = random_density_operator(dim, rng, pure=pure)
+    rho = DensityOperator(random_density_operator(dim, rng, pure=pure))
     return rho, random_observable(dim, rng), random_observable(dim, rng)
 
 

@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the criterion lines.
 Every expected number is pinned from an independent oracle (scalar trig
-formulas, the explicit circuit path, or brute-force resampling), never from
-the code path under test.
+formulas, the explicit circuit path, or the numpy oracles of
+``tests/oracles.py``), never from the code path under test.
 """
 
 import functools
@@ -12,23 +12,23 @@ import time
 import numpy as np
 
 from conftest import random_instance, scenario_amplitudes
-from weakquasi.core import WeakStrength
+from oracles import marginals, mhq_from_weak_tpm
+from weakquasi.core import WeakStrength, make_pure_state, pauli_x, pauli_z
 from weakquasi.quasiprob import (
     cq,
     mhq,
     mhq_from_weak,
-    mhq_from_weak_tpm,
     threshold_strength,
     weak_cq_closed,
     weak_mhq,
 )
-from weakquasi.sampling import QubitScenario, run_scenario, sample_counts
-from weakquasi.schemes import (
-    marginals,
-    tpm_joint,
-    weak_sequential_closed,
-    weak_sequential_oracle,
-)
+from weakquasi.sampling import run_sweep, sample_counts
+from weakquasi.schemes import tpm_joint, weak_sequential_closed, weak_sequential_oracle
+
+
+def demo_scenario(amplitudes):
+    """The polarisation qubit a cos(2 theta0)|H> + sin(2 theta0)|V> with A=Z and B=X."""
+    return make_pure_state(amplitudes), pauli_z(), pauli_x()
 
 
 def criterion(number, description):
@@ -70,8 +70,7 @@ def test_oracle_equivalence():
 @criterion(2, "demo-scenario negativity threshold and sign structure")
 def test_negativity_threshold():
     c, s = scenario_amplitudes()
-    scenario = QubitScenario(10.6)
-    rho, obs_a, obs_b = scenario.state(), scenario.observable_a, scenario.observable_b
+    rho, obs_a, obs_b = demo_scenario([c, s])
     # independent scalar oracle: q_MH(V, D-perp) = -s(c-s)/2, p_fin(D-perp) = (c-s)^2/2,
     # threshold 1 / (1 - d q_MH / p_fin) = 1 / (1 + 2 s / (c - s))
     expected = 1.0 / (1.0 + 2.0 * s / (c - s))
@@ -117,29 +116,29 @@ def test_marginal_contracts():
         dim = (2, 3, 4)[index % 3]
         rho, obs_a, obs_b = random_instance(rng, dim)
         k = float(rng.uniform(0, 1))
-        marg = marginals(rho, obs_a, obs_b)
+        p_in, p_fin, _ = marginals(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors)
         for table in (weak_cq_closed(rho, obs_a, obs_b, k), weak_mhq(rho, obs_a, obs_b, k)):
-            assert np.abs(table.marginal_b() - marg.p_fin).max() <= 1e-10
-            expected = k * marg.p_in + (1.0 - k) / dim
-            assert np.abs(table.marginal_a() - expected).max() <= 1e-10
+            assert np.abs(table.values.sum(axis=0) - p_fin).max() <= 1e-10
+            expected = k * p_in + (1.0 - k) / dim
+            assert np.abs(table.values.sum(axis=1) - expected).max() <= 1e-10
 
 
 @criterion(5, "three reconstruction paths to the MHQ agree to 1e-10")
 def test_mhq_path_agreement():
     rng = np.random.default_rng(109)
-    scenario = QubitScenario(10.6)
-    instances = [
-        (scenario.state(), scenario.observable_a, scenario.observable_b)
-    ] + [random_instance(rng, (2, 3, 4)[i % 3]) for i in range(100)]
+    instances = [demo_scenario(scenario_amplitudes())] + [
+        random_instance(rng, (2, 3, 4)[i % 3]) for i in range(100)
+    ]
     for rho, obs_a, obs_b in instances:
         dim = rho.dim
         direct = mhq(rho, obs_a, obs_b).values
-        via_nonselective = mhq_from_weak_tpm(rho, obs_a, obs_b).values
+        _, p_fin, _ = marginals(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors)
+        via_nonselective = mhq_from_weak_tpm(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors)
         k = float(rng.uniform(0.05, 0.95))
         via_inversion = mhq_from_weak(
             weak_sequential_closed(rho, obs_a, obs_b, k),
             tpm_joint(rho, obs_a, obs_b),
-            marginals(rho, obs_a, obs_b).p_fin,
+            p_fin,
             WeakStrength.from_k(k, dim),
         ).values
         assert np.abs(direct - via_nonselective).max() <= 1e-10
@@ -148,8 +147,7 @@ def test_mhq_path_agreement():
 
 @criterion(6, "commuting preparation reduces every family to the projective table")
 def test_classical_limit():
-    scenario = QubitScenario(0.0)
-    rho, obs_a, obs_b = scenario.state(), scenario.observable_a, scenario.observable_b
+    rho, obs_a, obs_b = demo_scenario([1.0, 0.0])
     p = tpm_joint(rho, obs_a, obs_b).values
     assert np.abs(cq(rho, obs_a, obs_b).values - p).max() <= 1e-12
     assert np.abs(mhq(rho, obs_a, obs_b).values - p).max() <= 1e-12
@@ -162,21 +160,18 @@ def test_classical_limit():
 
 @criterion(7, "signs of the coherence term witness the MHQ signs at every strength")
 def test_coherence_witness():
-    scenario = QubitScenario(10.6)
-    rho, obs_a, obs_b = scenario.state(), scenario.observable_a, scenario.observable_b
+    rho, obs_a, obs_b = demo_scenario(scenario_amplitudes())
     q_mh_signs = np.sign(mhq(rho, obs_a, obs_b).values)
     for k in np.linspace(0.01, 0.99, 25):
-        sweep = run_scenario(scenario, [k])
+        sweep = run_sweep(rho, obs_a, obs_b, [k])
         assert (np.sign(sweep.values["C"][0]) == q_mh_signs).all()
 
 
 @criterion(8, "estimator error follows the 1/sqrt(N) law and sampling is byte-exact")
 def test_shot_noise_convergence():
     started = time.monotonic()
-    scenario = QubitScenario(10.6)
-    exact = weak_sequential_closed(
-        scenario.state(), scenario.observable_a, scenario.observable_b, 0.5
-    )
+    scenario = demo_scenario(scenario_amplitudes())
+    exact = weak_sequential_closed(*scenario, 0.5)
     shot_grid = (10**3, 10**5, 10**7)
     mean_errors = []
     for shots in shot_grid:
@@ -188,8 +183,8 @@ def test_shot_noise_convergence():
     slope = np.polyfit(np.log10(shot_grid), np.log10(mean_errors), 1)[0]
     assert abs(slope + 0.5) <= 0.1
 
-    first = run_scenario(scenario, [0.25, 0.75], shots=10**5, seed=21)
-    second = run_scenario(scenario, [0.25, 0.75], shots=10**5, seed=21)
+    first = run_sweep(*scenario, [0.25, 0.75], shots=10**5, seed=21)
+    second = run_sweep(*scenario, [0.25, 0.75], shots=10**5, seed=21)
     for i in range(2):
         for name in ("p_weak", "p_tpm", "p_fin", "weak_cq", "weak_mhq", "C", "mhq_reconstructed"):
             assert first.values[name][i].tobytes() == second.values[name][i].tobytes()
@@ -210,9 +205,9 @@ def test_disturbance_identity():
         k = float(rng.uniform(0, 1))
         strength = WeakStrength.from_k(k, dim)
         weak = weak_sequential_closed(rho, obs_a, obs_b, k)
-        marg = marginals(rho, obs_a, obs_b)
-        lhs = marg.p_fin - weak.marginal_b()
-        rhs = strength.omega0**2 * (marg.p_fin - marg.p_post)
+        _, p_fin, p_post = marginals(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors)
+        lhs = p_fin - weak.values.sum(axis=0)
+        rhs = strength.omega0**2 * (p_fin - p_post)
         gap = np.abs(lhs - rhs).max()
         worst = max(worst, gap)
         assert gap <= 1e-12

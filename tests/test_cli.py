@@ -14,12 +14,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import weakquasi
+from oracles import evolve_projector
 from weakquasi.cli import (
-    MAX_DIMENSION, QUANTITIES, ConfigError, ScenarioConfig, _parser, compare, main, parse_config, run,
+    MAX_DIMENSION, MAX_RESAMPLES, QUANTITIES, ConfigError, ScenarioConfig, _parser, compare, main, parse_config,
+    run,
 )
 from weakquasi.core import make_pure_state
 from weakquasi.quasiprob import weak_mhq
-from weakquasi.sampling import MAX_RESAMPLES, MAX_SHOTS, NoiseModel
+from weakquasi.sampling import MAX_SHOTS, NoiseModel
 
 MINIMAL = '{"theta0": 10.6}'
 
@@ -125,7 +127,7 @@ def test_parse_custom_observable_and_amplitudes():
 
 
 def test_parse_hamiltonian_evolves_second_observable():
-    from weakquasi.core import evolve_projector, pauli_x
+    from weakquasi.core import pauli_x
 
     quarter = math.pi / 4
     doc = {
@@ -210,7 +212,7 @@ def test_parse_shots_and_noise_validation():
         ({"shots": 1e30}, "shots"),
         # the MHQ inversion would amplify rounding dust by 1 / cross_weight ~ 6e15
         ({"K": [1e-20, 1e-12, 0.5]}, "K"),
-        # beyond MAX_RESAMPLES the re-draw stacks run out of memory or time
+        # the retired key still holds older documents to its old bound, MAX_RESAMPLES
         ({"shots": 1000, "resamples": 1e12}, "resamples"),
         ({"shots": 1000, "resamples": 1e8}, "resamples"),
         ({"outputs": ["p_weak", "p_weak"]}, "outputs"),

@@ -4,32 +4,33 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_instance
+from conftest import random_instance, random_observable
+from oracles import evolve_projector, random_density_operator
 from weakquasi.core import (
     DensityOperator,
-    InternalConsistencyError,
     ObservableSpec,
     PointerState,
     WeakStrength,
-    born_probability,
     controlled_shift,
-    coupling_unitary,
     evolve_observable,
-    evolve_projector,
     make_pure_state,
     pauli_x,
     pauli_z,
     pointer_for_strength,
-    random_density_operator,
-    random_observable,
     shift_operator,
 )
+from weakquasi.schemes import tpm_joint
 
 
 def basis_vector(d, a):
     v = np.zeros(d, dtype=complex)
     v[a] = 1.0
     return v
+
+
+def coupling_unitary(d):
+    """The controlled modular shift sum_a |a><a| (x) V^a: controlled_shift on the computational basis."""
+    return controlled_shift(ObservableSpec(np.eye(d), np.arange(d)))
 
 
 # ---------------------------------------------------------------- states
@@ -93,6 +94,18 @@ def test_observable_projectors_are_rank_one_and_complete():
             assert_allclose(np.trace(projs[a]).real, 1.0, atol=1e-12)
 
 
+def test_observable_rejects_labels_an_export_cannot_key():
+    # exported rows are keyed by outcome labels, one row per line, so a value
+    # built in Python meets the rules a scenario document does
+    with pytest.raises(ValueError, match="labels must not contain a line break"):
+        ObservableSpec(np.eye(2), [0, 1], labels=("H\rx", "V"))
+    with pytest.raises(ValueError, match="labels must not contain a line break"):
+        ObservableSpec(np.eye(2), [0, 1], labels=("H", "V\n"))
+    with pytest.raises(ValueError, match=r"labels must be distinct, got \['H', 'H'\]"):
+        ObservableSpec(np.eye(2), [0, 1], labels=("H", "H"))
+    assert ObservableSpec(np.eye(2), [0, 1], labels=("H, x", '"V"')).labels == ("H, x", '"V"')
+
+
 def test_pauli_presets():
     z, x = pauli_z(), pauli_x()
     assert z.labels == ("H", "V")
@@ -154,8 +167,13 @@ def test_coupling_unitary_is_unitary(d):
 
 
 def test_controlled_shift_reduces_to_coupling_unitary():
-    comp = ObservableSpec(np.eye(3, dtype=complex), (0.0, 1.0, 2.0))
-    assert_allclose(controlled_shift(comp), coupling_unitary(3), atol=1e-15)
+    # on the computational basis the coupling is the permutation |a, x> -> |a, x + a mod d>
+    d = 3
+    permutation = np.zeros((d * d, d * d))
+    for a in range(d):
+        for x in range(d):
+            permutation[a * d + (x + a) % d, a * d + x] = 1.0
+    assert_allclose(coupling_unitary(d), permutation, atol=1e-15)
 
 
 def test_controlled_shift_is_unitary_for_random_basis():
@@ -281,11 +299,9 @@ def test_evolve_projector_preserves_projector_structure():
 
 
 def test_evolve_projector_rejects_bad_inputs():
-    p = np.diag([1.0, 0.0])
-    with pytest.raises(ValueError, match="Hermitian"):
-        evolve_projector(p, np.array([[0, 1], [0, 0]]), 1.0)
-    with pytest.raises(ValueError, match="projector"):
-        evolve_projector(np.diag([2.0, 0.0]), np.eye(2), 1.0)
+    # the package evolves observables, never bare projectors, and needs a Hermitian H
+    with pytest.raises(ValueError, match="Hamiltonian must be Hermitian"):
+        evolve_observable(pauli_z(), np.array([[0, 1], [0, 0]]), 1.0)
 
 
 def test_evolve_observable_rotates_eigenvectors():
@@ -300,11 +316,11 @@ def test_evolve_observable_rotates_eigenvectors():
 # ---------------------------------------------------------- Born rule
 
 def test_born_probability_basics(cs):
-    rho = make_pure_state([1, 0])
-    assert born_probability(rho, np.diag([1.0, 0.0])) == pytest.approx(1.0, abs=1e-15)
+    # the package's Born probabilities are the first marginal of its two-point table
+    z, x = pauli_z(), pauli_x()
+    assert tpm_joint(make_pure_state([1, 0]), z, x).values.sum(axis=1)[0] == pytest.approx(1.0, abs=1e-15)
     c, s = cs
-    dperp = pauli_x().projector(1)
-    assert born_probability(make_pure_state([c, s]), dperp) == pytest.approx(
+    assert tpm_joint(make_pure_state([c, s]), x, z).values.sum(axis=1)[1] == pytest.approx(
         (c - s) ** 2 / 2, abs=1e-12
     )
 
@@ -313,18 +329,7 @@ def test_born_probability_basics(cs):
 def test_born_probability_maximally_mixed(d):
     rho = DensityOperator(np.eye(d) / d)
     obs = random_observable(d, np.random.default_rng(d))
-    assert born_probability(rho, obs.projector(0)) == pytest.approx(1 / d, abs=1e-12)
-
-
-def test_born_probability_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        born_probability(make_pure_state([1, 0]), np.eye(3))
-
-
-def test_born_probability_flags_invalid_operator():
-    rho = make_pure_state([1, 0])
-    with pytest.raises(InternalConsistencyError):
-        born_probability(rho, 5.0 * np.eye(2))
+    assert tpm_joint(rho, obs, obs).values.sum(axis=1)[0] == pytest.approx(1 / d, abs=1e-12)
 
 
 # ------------------------------------------------------- random sampling
@@ -335,5 +340,34 @@ def test_random_helpers_produce_valid_objects():
         rho, obs_a, obs_b = random_instance(rng, d)
         assert rho.dim == obs_a.dim == obs_b.dim == d
         pure = random_density_operator(d, rng, pure=True)
-        evals = np.linalg.eigvalsh(pure.matrix)
+        evals = np.linalg.eigvalsh(pure)
         assert evals.max() == pytest.approx(1.0, abs=1e-10)
+
+
+# ------------------------------------------------------------ public API
+
+PUBLIC_NAMES = [
+    "ALGEBRA_ATOL", "CountTable", "DensityOperator", "InternalConsistencyError", "JointDistribution",
+    "NEVER_NEGATIVE", "NoiseModel", "ObservableSpec", "PROBABILITY_DUST", "PointerState", "QuasiDistribution",
+    "Sweep", "ThresholdReport", "VALIDATION_ATOL", "WeakStrength", "ZeroCountsError", "apply_gate_noise",
+    "coherence_term", "controlled_shift", "cq", "evolve_observable", "is_hermitian", "joint_outcome_table",
+    "make_pure_state", "mhq", "mhq_from_weak", "negativity", "pauli_x", "pauli_z", "pointer_for_strength",
+    "probability_table", "run_sweep", "sample_counts", "shift_operator", "strength_from_waveplate",
+    "threshold_strength", "tpm_joint", "weak_cq_closed", "weak_cq_from_data", "weak_joint_state", "weak_mhq",
+    "weak_sequential_closed", "weak_sequential_oracle",
+]
+
+# test-only oracles (now in tests/oracles.py) and thin wrappers the package no longer ships
+RETIRED_NAMES = [
+    "Marginals", "Povm", "QubitScenario", "born_probability", "coupling_unitary", "estimate_with_errors",
+    "evolve_projector", "marginals", "mhq_from_weak_tpm", "nonselective_state", "post_measurement_state",
+    "random_density_operator", "random_observable", "run_scenario", "weak_povm", "weak_tpm_joint",
+]
+
+
+def test_public_api_is_the_program_and_the_papers_functions():
+    import weakquasi
+
+    assert sorted(weakquasi.__all__) == PUBLIC_NAMES
+    assert all(hasattr(weakquasi, name) for name in PUBLIC_NAMES)
+    assert [name for name in RETIRED_NAMES if hasattr(weakquasi, name)] == []

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import weakquasi.quasiprob as quasiprob
 import weakquasi.sampling as sampling
 import weakquasi.schemes as schemes
+from oracles import born, estimate_with_errors
 from weakquasi.core import DensityOperator, WeakStrength, make_pure_state, pauli_x, pauli_z
 from weakquasi.quasiprob import (
     coherence_term,
@@ -22,17 +23,13 @@ from weakquasi.quasiprob import (
 from weakquasi.sampling import (
     CountTable,
     NoiseModel,
-    QubitScenario,
     apply_gate_noise,
-    estimate_with_errors,
-    run_scenario,
     run_sweep,
     sample_counts,
     strength_from_waveplate,
 )
 from weakquasi.schemes import (
     joint_outcome_table,
-    marginals,
     probability_table,
     tpm_joint,
     weak_joint_state,
@@ -105,39 +102,26 @@ def test_count_table_rejects_counts_the_int64_cast_would_change(counts):
 # -------------------------------------------------------------- estimator
 
 def test_estimate_uniform_stderr():
-    counts = CountTable(np.full((2, 2), 250000))
-    estimate, stderr = estimate_with_errors(counts, resamples=1000, seed=3)
-    assert_allclose(estimate.values, 0.25, atol=1e-12)
+    estimate, stderr = estimate_with_errors(np.full((2, 2), 250000), resamples=1000, seed=3)
+    assert_allclose(estimate, 0.25, atol=1e-12)
     # oracle: sqrt(p (1 - p) / N) for the self-normalized estimator
     expected = np.sqrt(0.25 * 0.75 / 1e6)
     assert (np.abs(stderr / expected - 1.0) <= 0.2).all()
 
 
 def test_estimate_degenerate_table():
-    counts = CountTable(np.array([[10**6, 0], [0, 0]]))
-    estimate, stderr = estimate_with_errors(counts, resamples=500, seed=4)
-    assert_allclose(estimate.values, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+    estimate, stderr = estimate_with_errors(np.array([[10**6, 0], [0, 0]]), resamples=500, seed=4)
+    assert_allclose(estimate, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
     # resamples of the zero cells never fluctuate, so the normalized estimator
     # is constant and every standard error vanishes
     assert stderr.max() == 0.0
 
 
 def test_estimate_stderr_scales_with_shots():
-    big = CountTable(np.full((2, 2), 25000000))
-    small = CountTable(np.full((2, 2), 250000))
-    _, err_big = estimate_with_errors(big, resamples=2000, seed=5)
-    _, err_small = estimate_with_errors(small, resamples=2000, seed=6)
+    _, err_big = estimate_with_errors(np.full((2, 2), 25000000), resamples=2000, seed=5)
+    _, err_small = estimate_with_errors(np.full((2, 2), 250000), resamples=2000, seed=6)
     ratio = err_small.mean() / err_big.mean()
     assert 8.0 <= ratio <= 12.0  # 100x the statistics shrinks errors ~10x
-
-
-def test_estimate_validation():
-    counts = CountTable(np.full((2, 2), 100))
-    with pytest.raises(ValueError, match="resamples"):
-        estimate_with_errors(counts, resamples=10, seed=0)
-    with pytest.raises(ValueError, match="need at least 100 resamples, got 99"):
-        estimate_with_errors(counts, resamples=99, seed=0)
-    assert estimate_with_errors(counts, resamples=100, seed=0)[1].max() > 0.0
 
 
 # ------------------------------------------------------------- gate noise
@@ -192,22 +176,21 @@ def test_partial_dephasing_shifts_reconstruction_proportionally(scenario_state, 
 
 # ------------------------------------------------------------ sweep runner
 
-def test_run_scenario_deterministic():
-    scenario = QubitScenario(10.6)
-    first = run_scenario(scenario, [0.3, 0.7], shots=10**5, seed=11)
-    second = run_scenario(scenario, [0.3, 0.7], shots=10**5, seed=11)
+def test_run_scenario_deterministic(scenario_state, obs_z, obs_x):
+    scenario = (scenario_state, obs_z, obs_x)
+    first = run_sweep(*scenario, [0.3, 0.7], shots=10**5, seed=11)
+    second = run_sweep(*scenario, [0.3, 0.7], shots=10**5, seed=11)
     for i in range(2):
         assert first.values["p_weak"][i].tobytes() == second.values["p_weak"][i].tobytes()
         assert first.values["weak_cq"][i].tobytes() == second.values["weak_cq"][i].tobytes()
         assert first.errors["p_weak"][i].tobytes() == second.errors["p_weak"][i].tobytes()
-    third = run_scenario(scenario, [0.3, 0.7], shots=10**5, seed=12)
+    third = run_sweep(*scenario, [0.3, 0.7], shots=10**5, seed=12)
     assert (first.values["p_weak"][0] != third.values["p_weak"][0]).any()
 
 
 def test_run_scenario_exact_matches_closed_forms(scenario_state, obs_z, obs_x):
-    scenario = QubitScenario(10.6)
     k_grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    sweep = run_scenario(scenario, k_grid)
+    sweep = run_sweep(scenario_state, obs_z, obs_x, k_grid)
     q_mh = mhq(scenario_state, obs_z, obs_x).values
     for i, k in enumerate(k_grid):
         strength = WeakStrength.from_k(k, 2)
@@ -234,50 +217,48 @@ def test_run_scenario_exact_matches_closed_forms(scenario_state, obs_z, obs_x):
 
 
 def test_run_scenario_zero_strength_record(scenario_state, obs_z, obs_x):
-    sweep = run_scenario(QubitScenario(10.6), [0.0])
-    p_fin = marginals(scenario_state, obs_z, obs_x).p_fin
+    sweep = run_sweep(scenario_state, obs_z, obs_x, [0.0])
+    p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     assert_allclose(sweep.values["weak_cq"][0], np.tile(p_fin / 2, (2, 1)), atol=1e-12)
 
 
-def test_run_scenario_commuting_state_never_negative():
-    sweep = run_scenario(QubitScenario(0.0), np.linspace(0, 1, 11))
+def test_run_scenario_commuting_state_never_negative(obs_z, obs_x):
+    sweep = run_sweep(make_pure_state([1, 0]), obs_z, obs_x, np.linspace(0, 1, 11))
     for i in range(len(sweep.strengths)):
         assert negativity(sweep.values["weak_cq"][i]) == 0.0
         if sweep.reached("weak_mhq")[i]:
             assert negativity(sweep.values["weak_mhq"][i]) == 0.0
 
 
-def test_run_scenario_sign_change_brackets_threshold():
-    sweep = run_scenario(QubitScenario(10.6), [0.43, 0.45])
+def test_run_scenario_sign_change_brackets_threshold(scenario_state, obs_z, obs_x):
+    sweep = run_sweep(scenario_state, obs_z, obs_x, [0.43, 0.45])
     assert sweep.values["weak_cq"][0][1, 1] > 0.0
     assert sweep.values["weak_cq"][1][1, 1] < 0.0
 
 
-def test_run_scenario_reconstruction_noise_grows_toward_endpoints():
-    sweep = run_scenario(QubitScenario(10.6), [0.1, 0.5, 0.9], shots=10**5, seed=5)
+def test_run_scenario_reconstruction_noise_grows_toward_endpoints(scenario_state, obs_z, obs_x):
+    sweep = run_sweep(scenario_state, obs_z, obs_x, [0.1, 0.5, 0.9], shots=10**5, seed=5)
     spread = {s.K: e.mean() for s, e in zip(sweep.strengths, sweep.errors["mhq_reconstructed"])}
     assert spread[0.1] > spread[0.5]
     assert spread[0.9] > spread[0.5]
 
 
-def test_run_sweep_estimator_error_shrinks_with_shots():
-    scenario = QubitScenario(10.6)
-    exact = weak_sequential_closed(
-        scenario.state(), scenario.observable_a, scenario.observable_b, 0.5
-    ).values
+def test_run_sweep_estimator_error_shrinks_with_shots(scenario_state, obs_z, obs_x):
+    scenario = (scenario_state, obs_z, obs_x)
+    exact = weak_sequential_closed(*scenario, 0.5).values
     errors = {}
     for shots in (10**3, 10**5, 10**7):
         deviations = []
         for seed in range(10):
-            sweep = run_scenario(scenario, [0.5], shots=shots, seed=seed)
+            sweep = run_sweep(*scenario, [0.5], shots=shots, seed=seed)
             deviations.append(np.abs(sweep.values["p_weak"][0] - exact).mean())
         errors[shots] = np.mean(deviations)
     slope = (np.log10(errors[10**7]) - np.log10(errors[10**3])) / 4.0
     assert slope == pytest.approx(-0.5, abs=0.1)
 
 
-def test_run_sweep_sampled_mode_reports_errors():
-    sweep = run_scenario(QubitScenario(10.6), [0.5], shots=10**5, seed=9)
+def test_run_sweep_sampled_mode_reports_errors(scenario_state, obs_z, obs_x):
+    sweep = run_sweep(scenario_state, obs_z, obs_x, [0.5], shots=10**5, seed=9)
     for key in ("p_weak", "weak_cq", "weak_mhq", "C", "mhq_reconstructed"):
         assert sweep.errors[key][0].min() > 0.0
     total = sweep.values["p_weak"][0].sum()
@@ -439,7 +420,7 @@ def test_noisy_sweep_matches_closed_form_on_dephased_state(oracle, dim):
         target = DensityOperator(nu * rho.matrix + (1.0 - nu) * dephased)
         if oracle == "closed":
             tables = [weak_sequential_closed(target, obs_a, obs_b, k).values for k in k_grid]
-            p_tpm, p_fin = tpm_joint(target, obs_a, obs_b).values, marginals(target, obs_a, obs_b).p_fin
+            p_tpm, p_fin = tpm_joint(target, obs_a, obs_b).values, born(target.matrix, obs_b.eigenvectors)
         else:
             tables = [_dense_circuit(rho, obs_a, obs_b, k, nu) for k in k_grid]
             p_tpm, p_fin = tables[-1], tables[0].sum(axis=0)
@@ -472,7 +453,6 @@ def test_run_sweep_mixes_the_three_tables_once_per_grid(monkeypatch, scenario_st
     per_setting = [
         _count_calls(monkeypatch, module, name)
         for module, name in [
-            (schemes, "weak_povm"),
             (schemes, "weak_sequential_closed"),
             (schemes, "controlled_shift"),
             (schemes, "weak_joint_state"),
@@ -506,14 +486,12 @@ def test_sweep_is_its_arrays(scenario_state, obs_z, obs_x):
 
 
 def test_run_sweep_sampled_mode_draws_three_tables_per_point(monkeypatch, scenario_state, obs_z, obs_x):
-    # the error bars are closed-form: no re-draws, and no generator beyond the three draws
+    # the error bars are closed-form: no generator beyond the three draws, so no re-draws
     k_grid = [0.3, 0.55, 0.55, 0.9]
     draws = _count_calls(monkeypatch, sampling, "sample_counts")
-    resampled = _count_calls(monkeypatch, sampling, "_resampled")
     generators = _count_calls(monkeypatch, np.random, "default_rng")
     run_sweep(scenario_state, obs_z, obs_x, k_grid, shots=10**4, seed=9)
     assert len(draws) == len(generators) == 3 * len(k_grid)
-    assert resampled == []
 
 
 def test_run_sweep_error_bars_of_a_certain_final_outcome_vanish():
@@ -539,14 +517,6 @@ def test_run_sweep_sampled_memory_stays_cubic_in_dimension():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-
-
-def test_resampling_rejects_more_than_max_resamples():
-    too_many = sampling.MAX_RESAMPLES + 1
-    message = f"need at most {sampling.MAX_RESAMPLES} resamples, got {too_many}"
-    counts = sample_counts(UNIFORM4, 1000, seed=1)
-    with pytest.raises(ValueError, match=message):
-        estimate_with_errors(counts, too_many, seed=2)
 
 
 def test_run_sweep_closed_engine_matches_circuit_under_noise(scenario_state, obs_z, obs_x):
@@ -617,10 +587,13 @@ def test_run_sweep_qutrit_weak_mhq_coverage():
 # --------------------------------------------------------------- scenario
 
 def test_qubit_scenario_state(cs):
+    # the theta0 shorthand of a scenario document prepares cos(2 theta0)|H> + sin(2 theta0)|V>
+    from weakquasi.cli import parse_config
+
     c, s = cs
-    rho = QubitScenario(10.6).state()
+    rho = parse_config('{"theta0": 10.6}').rho
     assert_allclose(rho.matrix, make_pure_state([c, s]).matrix, atol=1e-15)
-    assert_allclose(QubitScenario(0.0).state().matrix, np.diag([1.0, 0.0]), atol=1e-15)
+    assert_allclose(parse_config('{"theta0": 0.0}').rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
 
 
 def test_strength_from_waveplate():

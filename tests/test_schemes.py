@@ -4,29 +4,33 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_instance
+from conftest import random_instance, random_observable
+from oracles import (
+    born,
+    marginals,
+    nonselective_state,
+    post_measurement_state,
+    povm_elements,
+    weak_kraus,
+    weak_tpm_joint,
+)
 from weakquasi.core import (
     DensityOperator,
     InternalConsistencyError,
+    ObservableSpec,
     WeakStrength,
-    coupling_unitary,
+    controlled_shift,
     make_pure_state,
     pointer_for_strength,
 )
 from weakquasi.schemes import (
     JointDistribution,
-    Povm,
     joint_outcome_table,
-    marginals,
-    nonselective_state,
-    post_measurement_state,
     probability_table,
     tpm_joint,
     weak_joint_state,
-    weak_povm,
     weak_sequential_closed,
     weak_sequential_oracle,
-    weak_tpm_joint,
 )
 
 
@@ -53,7 +57,7 @@ def test_joint_distribution_is_always_a_probability_table():
 def test_probability_table_clamps_dust():
     dist = probability_table(np.array([[0.5, 0.5], [-1e-14, 0.0]]))
     assert dist.values.min() == 0.0
-    assert dist.total() == pytest.approx(1.0, abs=1e-15)
+    assert dist.values.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_probability_table_raises_beyond_dust():
@@ -85,7 +89,7 @@ def test_tpm_marginal_over_b_is_first_born():
     for d in (2, 3, 4):
         rho, obs_a, obs_b = random_instance(rng, d)
         dist = tpm_joint(rho, obs_a, obs_b)
-        assert_allclose(dist.marginal_a(), marginals(rho, obs_a, obs_b).p_in, atol=1e-12)
+        assert_allclose(dist.values.sum(axis=1), born(rho.matrix, obs_a.eigenvectors), atol=1e-12)
 
 
 def test_tpm_dimension_mismatch(obs_z):
@@ -95,78 +99,56 @@ def test_tpm_dimension_mismatch(obs_z):
 
 
 # ------------------------------------------------------------------ POVM
+# the strength-K POVM as Kraus arrays from tests/oracles.py: the pointer-circuit
+# tests below check it against the package's coupling
 
 def test_weak_povm_projective_limit(obs_z):
-    povm = weak_povm(obs_z, 1.0)
-    assert_allclose(povm.elements[0], np.diag([1.0, 0.0]), atol=1e-12)
-    assert_allclose(povm.elements[1], np.diag([0.0, 1.0]), atol=1e-12)
+    elements = povm_elements(weak_kraus(obs_z.eigenvectors, 1.0))
+    assert_allclose(elements[0], np.diag([1.0, 0.0]), atol=1e-12)
+    assert_allclose(elements[1], np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_weak_povm_no_measurement_limit():
     rng = np.random.default_rng(7)
-    from weakquasi.core import random_observable
-
-    povm = weak_povm(random_observable(3, rng), 0.0)
+    elements = povm_elements(weak_kraus(random_observable(3, rng).eigenvectors, 0.0))
     for a in range(3):
-        assert_allclose(povm.elements[a], np.eye(3) / 3, atol=1e-12)
+        assert_allclose(elements[a], np.eye(3) / 3, atol=1e-12)
 
 
 def test_weak_povm_half_strength(obs_z):
-    povm = weak_povm(obs_z, 0.5)
-    assert_allclose(povm.elements[0], np.diag([0.75, 0.25]), atol=1e-12)
+    elements = povm_elements(weak_kraus(obs_z.eigenvectors, 0.5))
+    assert_allclose(elements[0], np.diag([0.75, 0.25]), atol=1e-12)
 
 
 def test_weak_povm_element_form_matches_strength():
     # M_a = K Pi_a + (1-K) I/d, the defining one-parameter family
     rng = np.random.default_rng(13)
     for d in (2, 3, 4):
-        from weakquasi.core import random_observable
-
         obs = random_observable(d, rng)
         for k in (0.2, 0.6, 0.9):
-            povm = weak_povm(obs, k)
+            elements = povm_elements(weak_kraus(obs.eigenvectors, k))
             for a in range(d):
                 expected = k * obs.projector(a) + (1 - k) * np.eye(d) / d
-                assert np.abs(povm.elements[a] - expected).max() <= 1e-12
-
-
-def test_weak_povm_rejects_bad_strength(obs_z):
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        weak_povm(obs_z, 1.5)
-
-
-def test_povm_rejects_kraus_operators_that_are_not_complete():
-    # the elements are m_a^dagger m_a, so each is positive semidefinite; here they sum to 2 I
-    kraus = np.array([np.eye(2), np.eye(2)], dtype=complex)
-    with pytest.raises(ValueError, match="POVM elements do not sum to the identity"):
-        Povm(kraus, WeakStrength.from_k(0.5, 2))
-    # a complete set is accepted, and its elements are computed from it
-    povm = Povm(kraus / np.sqrt(2.0), WeakStrength.from_k(0.5, 2))
-    assert_allclose(povm.elements, [np.eye(2) / 2, np.eye(2) / 2], atol=1e-12)
-    # read-only, so the checked elements cannot change afterwards
-    with pytest.raises(ValueError, match="read-only"):
-        povm.kraus_ops[0] = 0.0
+                assert np.abs(elements[a] - expected).max() <= 1e-12
 
 
 # ----------------------------------------------------- conditional states
 
 def test_post_measurement_projective_collapse(scenario_state, obs_z):
-    povm = weak_povm(obs_z, 1.0)
-    out = post_measurement_state(scenario_state, povm, 0)
-    assert_allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    out = post_measurement_state(scenario_state.matrix, weak_kraus(obs_z.eigenvectors, 1.0), 0)
+    assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_post_measurement_identity_at_zero_strength(scenario_state, obs_z):
-    povm = weak_povm(obs_z, 0.0)
-    out = post_measurement_state(scenario_state, povm, 1)
-    assert_allclose(out.matrix, scenario_state.matrix, atol=1e-12)
+    out = post_measurement_state(scenario_state.matrix, weak_kraus(obs_z.eigenvectors, 0.0), 1)
+    assert_allclose(out, scenario_state.matrix, atol=1e-12)
 
 
 def test_post_measurement_matches_circuit_conditional(scenario_state, obs_z):
-    # oracle: condition the coupled d^2 state on the pointer outcome directly
+    # condition the package's coupled d^2 state on the pointer outcome directly
     k = 0.5
     pointer, _ = pointer_for_strength(k, 2)
-    u = coupling_unitary(2)
+    u = controlled_shift(ObservableSpec(np.eye(2), [0, 1]))
     sigma = u @ np.kron(scenario_state.matrix, pointer.density()) @ u.conj().T
     blocks = sigma.reshape(2, 2, 2, 2)
     outcome = 0
@@ -174,16 +156,11 @@ def test_post_measurement_matches_circuit_conditional(scenario_state, obs_z):
     prob = np.trace(conditional).real
     expected = conditional / prob
 
-    out = post_measurement_state(scenario_state, weak_povm(obs_z, k), outcome)
-    assert np.abs(out.matrix - expected).max() <= 1e-12
-    born = np.trace(weak_povm(obs_z, k).elements[outcome] @ scenario_state.matrix).real
-    assert born == pytest.approx(prob, abs=1e-12)
-
-
-def test_post_measurement_zero_probability_outcome(obs_z):
-    rho = make_pure_state([0, 1])
-    with pytest.raises(ValueError, match="zero probability"):
-        post_measurement_state(rho, weak_povm(obs_z, 1.0), 0)
+    kraus = weak_kraus(obs_z.eigenvectors, k)
+    out = post_measurement_state(scenario_state.matrix, kraus, outcome)
+    assert np.abs(out - expected).max() <= 1e-12
+    born_weight = np.trace(povm_elements(kraus)[outcome] @ scenario_state.matrix).real
+    assert born_weight == pytest.approx(prob, abs=1e-12)
 
 
 # ------------------------------------------------- weak-sequential tables
@@ -195,7 +172,7 @@ def test_weak_sequential_closed_projective_limit(scenario_state, obs_z, obs_x):
 
 def test_weak_sequential_closed_no_measurement_limit(scenario_state, obs_z, obs_x):
     closed = weak_sequential_closed(scenario_state, obs_z, obs_x, 0.0)
-    p_fin = marginals(scenario_state, obs_z, obs_x).p_fin
+    p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     assert_allclose(closed.values, np.tile(p_fin / 2, (2, 1)), atol=1e-12)
 
 
@@ -220,7 +197,7 @@ def test_weak_sequential_closed_nonnegative_random():
         rho, obs_a, obs_b = random_instance(rng, d)
         dist = weak_sequential_closed(rho, obs_a, obs_b, float(rng.uniform(0, 1)))
         assert dist.values.min() >= 0.0
-        assert dist.total() == pytest.approx(1.0, abs=1e-10)
+        assert dist.values.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_weak_sequential_oracle_matches_closed_pure(scenario_state, obs_z, obs_x):
@@ -260,57 +237,53 @@ def test_weak_joint_state_reproduces_oracle_table(scenario_state, obs_z, obs_x):
 
 def test_nonselective_commuting_state_unchanged(obs_z):
     rho = DensityOperator(np.diag([0.7, 0.3]))
-    out = nonselective_state(rho, obs_z, 0)
-    assert_allclose(out.matrix, rho.matrix, atol=1e-12)
+    out = nonselective_state(rho.matrix, obs_z.eigenvectors, 0)
+    assert_allclose(out, rho.matrix, atol=1e-12)
 
 
 def test_nonselective_qubit_dephasing(cs, scenario_state, obs_z):
     c, s = cs
-    out = nonselective_state(scenario_state, obs_z, 0)
-    assert_allclose(out.matrix, np.diag([c * c, s * s]), atol=1e-12)
+    out = nonselective_state(scenario_state.matrix, obs_z.eigenvectors, 0)
+    assert_allclose(out, np.diag([c * c, s * s]), atol=1e-12)
 
 
 def test_nonselective_qutrit_preserves_complement_block():
     rho = make_pure_state([1, 1, 1])
-    from weakquasi.core import ObservableSpec
-
-    comp = ObservableSpec(np.eye(3, dtype=complex), (0.0, 1.0, 2.0))
-    out = nonselective_state(rho, comp, 0)
+    out = nonselective_state(rho.matrix, np.eye(3), 0)
     third = 1.0 / 3.0
     expected = np.array(
         [[third, 0, 0], [0, third, third], [0, third, third]], dtype=complex
     )
-    assert_allclose(out.matrix, expected, atol=1e-12)
+    assert_allclose(out, expected, atol=1e-12)
 
 
 def test_weak_tpm_rows_for_commuting_state(obs_z, obs_x):
     rho = DensityOperator(np.diag([0.7, 0.3]))
-    rows = weak_tpm_joint(rho, obs_z, obs_x)
-    p_fin = marginals(rho, obs_z, obs_x).p_fin
+    rows = weak_tpm_joint(rho.matrix, obs_z.eigenvectors, obs_x.eigenvectors)
+    p_fin = born(rho.matrix, obs_x.eigenvectors)
     for a in range(2):
         assert_allclose(rows[a], p_fin, atol=1e-12)
 
 
 def test_weak_tpm_scenario_cell(scenario_state, obs_z, obs_x):
-    rows = weak_tpm_joint(scenario_state, obs_z, obs_x)
-    assert not rows.flags.writeable
+    rows = weak_tpm_joint(scenario_state.matrix, obs_z.eigenvectors, obs_x.eigenvectors)
     assert rows[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert_allclose(rows.sum(axis=1), [1.0, 1.0], atol=1e-10)
 
 
 def test_weak_tpm_maximally_mixed(obs_z, obs_x):
     rho = DensityOperator(np.eye(2) / 2)
-    assert_allclose(weak_tpm_joint(rho, obs_z, obs_x), 0.5, atol=1e-12)
+    assert_allclose(weak_tpm_joint(rho.matrix, obs_z.eigenvectors, obs_x.eigenvectors), 0.5, atol=1e-12)
 
 
 # -------------------------------------------------------------- marginals
 
 def test_marginals_scenario_values(cs, scenario_state, obs_z, obs_x):
     c, s = cs
-    marg = marginals(scenario_state, obs_z, obs_x)
-    assert_allclose(marg.p_fin, [(c + s) ** 2 / 2, (c - s) ** 2 / 2], atol=1e-12)
-    assert_allclose(marg.p_post, [0.5, 0.5], atol=1e-12)
-    assert_allclose(marg.p_in, [c * c, s * s], atol=1e-12)
+    p_in, p_fin, p_post = marginals(scenario_state.matrix, obs_z.eigenvectors, obs_x.eigenvectors)
+    assert_allclose(p_fin, [(c + s) ** 2 / 2, (c - s) ** 2 / 2], atol=1e-12)
+    assert_allclose(p_post, [0.5, 0.5], atol=1e-12)
+    assert_allclose(p_in, [c * c, s * s], atol=1e-12)
 
 
 def test_marginals_uniform_state():
@@ -318,8 +291,7 @@ def test_marginals_uniform_state():
     for d in (2, 3, 4):
         rho = DensityOperator(np.eye(d) / d)
         _, obs_a, obs_b = random_instance(rng, d)
-        marg = marginals(rho, obs_a, obs_b)
-        for vec in marg:
+        for vec in marginals(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors):
             assert_allclose(vec, np.full(d, 1 / d), atol=1e-10)
 
 
@@ -334,9 +306,9 @@ def test_disturbance_identity_random():
         k = float(rng.uniform(0, 1))
         strength = WeakStrength.from_k(k, d)
         pw = weak_sequential_closed(rho, obs_a, obs_b, k)
-        marg = marginals(rho, obs_a, obs_b)
-        lhs = marg.p_fin - pw.marginal_b()
-        rhs = strength.omega0**2 * (marg.p_fin - marg.p_post)
+        _, p_fin, p_post = marginals(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors)
+        lhs = p_fin - pw.values.sum(axis=0)
+        rhs = strength.omega0**2 * (p_fin - p_post)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -348,15 +320,15 @@ def test_strength_marginal_law_random():
         rho, obs_a, obs_b = random_instance(rng, d)
         k = float(rng.uniform(0, 1))
         pw = weak_sequential_closed(rho, obs_a, obs_b, k)
-        p_in = marginals(rho, obs_a, obs_b).p_in
-        assert np.abs(pw.marginal_a() - (k * p_in + (1 - k) / d)).max() <= 1e-12
+        p_in = born(rho.matrix, obs_a.eigenvectors)
+        assert np.abs(pw.values.sum(axis=1) - (k * p_in + (1 - k) / d)).max() <= 1e-12
 
 
 def test_commuting_state_keeps_weak_table_classical(obs_z, obs_x):
     # with [rho, A] = 0 the cross term reduces to the two-point table itself
     rho = DensityOperator(np.diag([0.8, 0.2]))
     p = tpm_joint(rho, obs_z, obs_x).values
-    p_fin = marginals(rho, obs_z, obs_x).p_fin
+    p_fin = born(rho.matrix, obs_x.eigenvectors)
     for k in np.linspace(0, 1, 7):
         strength = WeakStrength.from_k(k, 2)
         pw = weak_sequential_closed(rho, obs_z, obs_x, k)
