@@ -45,7 +45,7 @@ from .sampling import (
 )
 from .schemes import _totals
 
-MAX_GRID_POINTS = 10_000  # largest strength grid a "K" range may request
+MAX_GRID_POINTS = 10_000  # most strength points a "K" or "phi" grid may hold, as a range or a list
 # at d=64 a 21-point exact sweep takes 6-10 ms, and a run exporting all seven of its tables
 # 0.57-0.78 s (one BLAS thread, 2-core x86-64 box)
 MAX_DIMENSION = 64  # largest system dimension
@@ -250,7 +250,10 @@ def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
             _number(spec.get("start", 0.0), "K.start"), _number(spec.get("stop", 1.0), "K.stop"), num
         )
     else:
-        values = [_number(v, field) for v in (spec if isinstance(spec, list) else [spec])]
+        spec = spec if isinstance(spec, list) else [spec]
+        if len(spec) > MAX_GRID_POINTS:
+            _fail(field, f"must hold at most {MAX_GRID_POINTS} strengths, got {len(spec)}")
+        values = [_number(v, field) for v in spec]
     if len(values) == 0:
         _fail(field, "the strength grid is empty")
     if field == "phi":
@@ -288,6 +291,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except RecursionError:
         raise ConfigError("the document nests arrays or objects too deeply") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit; drop its advice
+        raise ConfigError(f"invalid JSON: {str(exc).split(';')[0]}") from None
     if not isinstance(doc, dict):
         raise ConfigError("the scenario document must be a JSON object")
     _check_keys(doc, _CONFIG_FIELDS, None)

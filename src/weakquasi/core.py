@@ -119,10 +119,6 @@ class ObservableSpec:
         v = self.eigenvectors[:, a]
         return np.outer(v, v.conj())
 
-    def projectors(self) -> np.ndarray:
-        """Stack of the d rank-1 projectors, shape (d, d, d)."""
-        return np.einsum("ia,ja->aij", self.eigenvectors, self.eigenvectors.conj())
-
 
 def _check_labels(labels):
     """Reject outcome labels that cannot key the rows of an exported table."""

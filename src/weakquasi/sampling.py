@@ -35,9 +35,11 @@ from .schemes import (
     _mh_table,
     _probability_stack,
     _three_term,
+    _totals,
     _tpm_table,
-    probability_table,
-    # the dense circuit oracle and the per-setting closed form; perfbench/tracing.py looks them up here
+    # the validating table constructor, the dense circuit oracle and the per-setting closed form;
+    # perfbench/tracing.py looks them up here
+    probability_table,  # noqa: F401
     joint_outcome_table,  # noqa: F401
     weak_joint_state,  # noqa: F401
     weak_sequential_closed,  # noqa: F401
@@ -58,7 +60,6 @@ MAX_SHOTS = 10**15  # largest shot count per setting; keeps the int64 count sums
 MIN_CROSS_WEIGHT = 1e-6  # the MHQ inversion multiplies rounding dust by 1 / cross_weight
 
 __all__ = [
-    "CountTable",
     "NoiseModel",
     "Sweep",
     "ZeroCountsError",
@@ -106,38 +107,8 @@ def strength_from_waveplate(phi_deg: float) -> float:
     return min(max(k, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Integer coincidence counts per outcome pair."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        raw = np.asarray(self.counts)
-        if raw.dtype.kind not in "bi":  # the int64 cast would truncate, or wrap, such a count
-            raw = raw.astype(float)
-            if not (np.isfinite(raw) & (raw == np.round(raw)) & (np.abs(raw) < 2.0**63)).all():
-                raise ValueError("counts must be finite integers within the int64 range")
-        counts = raw.astype(np.int64)
-        if counts.ndim != 2:
-            raise ValueError(f"counts must be a 2-D table, got shape {counts.shape}")
-        if (counts < 0).any():
-            raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "counts", _freeze(counts))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def estimator(self) -> JointDistribution:
-        """Normalized counts as a probability table."""
-        if self.total == 0:
-            raise ValueError("cannot form an estimator from an all-zero count table")
-        return probability_table(self.counts.astype(float))
-
-
-def sample_counts(dist: JointDistribution, shots: int, seed) -> CountTable:
-    """Draw each cell independently as Poisson(shots * p(a, b)).
+def sample_counts(dist: JointDistribution, shots: int, seed) -> np.ndarray:
+    """Draw each cell independently as Poisson(shots * p(a, b)), as a read-only int64 table.
 
     Deterministic for a fixed seed (an int or a ``numpy.random.SeedSequence``).
     """
@@ -148,9 +119,7 @@ def sample_counts(dist: JointDistribution, shots: int, seed) -> CountTable:
         raise ValueError(f"shots must be at least 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(shots * dist.values)
-    return CountTable(counts)
+    return _freeze(np.random.default_rng(seed).poisson(shots * dist.values))
 
 
 def apply_gate_noise(
@@ -281,32 +250,6 @@ def _point_errors(tables, totals, strength: WeakStrength) -> dict:
     }
 
 
-def _sampled_points(exact: np.ndarray, strengths, shots: int, seed: int):
-    """Normalized count tables (weak, K=1, K=0) of every point as (3, nK, d, d), and their errors by name.
-
-    ``exact`` stacks the exact tables of the grid, then of K=1 and K=0.
-    Every point draws its three tables from its own spawned generator.
-    """
-    references = [JointDistribution(table) for table in exact[-2:]]
-    tables = np.empty((3, len(strengths), *exact.shape[1:]))
-    errors = {}
-    for i, (strength, child) in enumerate(zip(strengths, np.random.SeedSequence(seed).spawn(len(strengths)))):
-        settings = (JointDistribution(exact[i]), *references)
-        drawn = [sample_counts(table, shots, s) for table, s in zip(settings, child.spawn(3))]
-        for table, setting in zip(drawn, (strength.K, 1.0, 0.0)):
-            if table.total == 0:
-                raise ZeroCountsError(
-                    f"shots={shots} drew an all-zero count table for setting K={setting:g} "
-                    f"at strength point K={strength.K:g}; increase shots"
-                )
-        tables[:, i] = _probability_stack(np.array([table.counts for table in drawn], dtype=float))
-        for name, e in _point_errors(tables[:, i], [table.total for table in drawn], strength).items():
-            if i == 0:
-                errors[name] = np.empty((len(strengths), *e.shape))
-            errors[name][i] = e
-    return tables, errors
-
-
 def run_sweep(
     rho: DensityOperator,
     obs_a: ObservableSpec,
@@ -364,16 +307,35 @@ def run_sweep(
     exact = _probability_stack(
         _three_term(settings, _tpm_table(rho, obs_a, obs_b), _born(rho, obs_b), _mh_table(rho, obs_a, obs_b))
     )
+    n = len(strengths)
     if shots is None:  # exact mode draws nothing, so it never builds (or imports) numpy.random
-        tables, errors = (exact[:-2], exact[-2], exact[-1]), {}
-    else:
-        tables, errors = _sampled_points(exact, strengths, shots, seed)
+        tables = (exact[:-2], exact[-2], exact[-1])
+    else:  # every point draws its weak, K=1 and K=0 counts from its own spawned generator
+        references = [JointDistribution(table) for table in exact[-2:]]
+        counts = np.empty((3, n, d, d), dtype=np.int64)
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
+            for t, (table, s) in enumerate(zip((JointDistribution(exact[i]), *references), child.spawn(3))):
+                counts[t, i] = sample_counts(table, shots, s)
+        totals = _totals(counts)
+        if not totals.all():  # the first empty table in draw order: by point, then setting
+            i, t = np.argwhere(totals.T == 0)[0]
+            raise ZeroCountsError(
+                f"shots={shots} drew an all-zero count table for setting K={(strengths[i].K, 1.0, 0.0)[t]:g} "
+                f"at strength point K={strengths[i].K:g}; increase shots"
+            )
+        tables = _probability_stack(counts.astype(float))
     grid = _grid(strengths, d)
     values = _point_quantities(*tables, grid)
     for name in _QUASI:  # QuasiDistribution's check, once per stack
         _finite(values[name], f"{name} table")
+    shapes = {name: (n, d) if name == "p_fin" else (n, d, d) for name in values}
+    errors = {}
+    if shots is not None:  # one point at a time: a point's error stack holds 3 (d + 1) tables
+        errors = {name: np.empty(shape) for name, shape in shapes.items()}
+        for i, strength in enumerate(strengths):
+            for name, e in _point_errors(tables[:, i], totals[:, i], strength).items():
+                errors[name][i] = e
     # read-only views; exact mode shares one p_tpm and p_fin across the grid, and its errors are zeros
-    shapes = {name: (len(strengths), d) if name == "p_fin" else (len(strengths), d, d) for name in values}
     values = {name: np.broadcast_to(v, shapes[name]) for name, v in values.items()}
     errors = {name: np.broadcast_to(errors.get(name, 0.0), shapes[name]) for name in values}
     masks = {name: _freeze(m.reshape(-1)) for name, m in zip(("mhq_reconstructed", "weak_mhq"), _reach(grid))}

@@ -33,7 +33,6 @@ __all__ = [
     "tpm_joint",
     "weak_joint_state",
     "weak_sequential_closed",
-    "weak_sequential_oracle",
 ]
 
 
@@ -206,17 +205,3 @@ def joint_outcome_table(joint: DensityOperator, obs_b: ObservableSpec) -> np.nda
     blocks = np.einsum("iaja->aij", sigma)    # pointer-diagonal system blocks
     wb = obs_b.eigenvectors
     return np.einsum("aij,jb,ib->ab", blocks, wb, wb.conj()).real
-
-
-def weak_sequential_oracle(
-    rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec, k: float
-) -> JointDistribution:
-    """Weak-sequential joint probabilities from the explicit system-pointer circuit.
-
-    Builds rho (x) |mu><mu|, applies the controlled shift, then reads the
-    pointer in its computational basis and the system on B.  Independent of
-    :func:`weak_sequential_closed`; the two agree to machine precision.
-    """
-    _check_dims(rho, obs_a, obs_b)
-    joint = weak_joint_state(rho, obs_a, k)
-    return probability_table(joint_outcome_table(joint, obs_b))

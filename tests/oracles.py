@@ -3,12 +3,16 @@
 Each function recomputes from its definition something the package computes
 another way.  A state is a d x d density matrix, and an observable is the
 unitary whose column a is the eigenvector of outcome a.  Nothing here
-validates its input or calls into the package it checks.
+validates its input.  Only ``weak_sequential_oracle`` calls into the package:
+it composes the package's dense d^2 x d^2 circuit functions, which the sweep
+never runs, into the table the closed form must match.
 """
 
 import math
 
 import numpy as np
+
+from weakquasi.schemes import joint_outcome_table, probability_table, weak_joint_state
 
 
 def random_density_operator(dim, rng, pure=False):
@@ -32,6 +36,11 @@ def random_eigenbasis(dim, rng):
 def projector(eigenvectors, a):
     v = eigenvectors[:, a]
     return np.outer(v, v.conj())
+
+
+def projectors(eigenvectors):
+    """Stack of the d rank-1 projectors, shape (d, d, d)."""
+    return np.einsum("ia,ja->aij", eigenvectors, eigenvectors.conj())
 
 
 def born(rho, eigenvectors):
@@ -108,3 +117,14 @@ def estimate_with_errors(counts, resamples, seed):
     draws = np.random.default_rng(seed).poisson(counts, size=(resamples, *counts.shape))
     totals = draws.sum(axis=(1, 2), keepdims=True)
     return counts / counts.sum(), (draws / np.where(totals > 0, totals, 1.0)).std(axis=0, ddof=1)
+
+
+def weak_sequential_oracle(rho, obs_a, obs_b, k):
+    """Weak-sequential joint probabilities from the explicit system-pointer circuit.
+
+    Builds rho (x) |mu><mu|, applies the controlled shift, then reads the
+    pointer in its computational basis and the system on B.  Independent of
+    the closed form ``weak_sequential_closed``; the two agree to machine
+    precision.
+    """
+    return probability_table(joint_outcome_table(weak_joint_state(rho, obs_a, k), obs_b))

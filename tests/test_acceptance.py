@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from conftest import random_instance, scenario_amplitudes
-from oracles import marginals, mhq_from_weak_tpm
+from oracles import marginals, mhq_from_weak_tpm, weak_sequential_oracle
 from weakquasi.core import WeakStrength, make_pure_state, pauli_x, pauli_z
 from weakquasi.quasiprob import (
     cq,
@@ -23,7 +23,7 @@ from weakquasi.quasiprob import (
     weak_mhq,
 )
 from weakquasi.sampling import run_sweep, sample_counts
-from weakquasi.schemes import tpm_joint, weak_sequential_closed, weak_sequential_oracle
+from weakquasi.schemes import probability_table, tpm_joint, weak_sequential_closed
 
 
 def demo_scenario(amplitudes):
@@ -178,7 +178,7 @@ def test_shot_noise_convergence():
         deviations = []
         for seed in range(50):
             counts = sample_counts(exact, shots, seed=seed)
-            deviations.append(np.abs(counts.estimator().values - exact.values).mean())
+            deviations.append(np.abs(probability_table(counts).values - exact.values).mean())
         mean_errors.append(np.mean(deviations))
     slope = np.polyfit(np.log10(shot_grid), np.log10(mean_errors), 1)[0]
     assert abs(slope + 0.5) <= 0.1

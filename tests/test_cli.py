@@ -276,6 +276,10 @@ def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
          "config field 'observable_a.labels': labels must not contain a line break, got ['H\\rx', 'V']"),
         ({"observable_b": {"eigenvectors": [[1, 0], [0, 1]], "labels": ["D", "A\r\n"]}},
          "config field 'observable_b.labels': labels must not contain a line break, got ['D', 'A\\r\\n']"),
+        # MAX_GRID_POINTS bounds a listed grid as it bounds a K range
+        ({"K": [i / 20_000 for i in range(20_001)]}, "config field 'K': must hold at most 10000 strengths, got 20001"),
+        ({"phi": [22.5 * i / 15_000 for i in range(15_001)]},
+         "config field 'phi': must hold at most 10000 strengths, got 15001"),
     ],
 )
 def test_parse_error_messages(fields, message):
@@ -294,6 +298,19 @@ def test_parse_rejects_deeply_nested_document(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: the document nests")
+
+
+def test_parse_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer literal longer than 4300 digits
+    text = '{"theta0": ' + "1" * 5000 + "}"
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b'{"theta0": 10.6, "outputs": ["\xe9"]}'])
@@ -479,6 +496,9 @@ def test_run_shipped_config_matches_golden_export(tmp_path):
 
 # d=2, four strengths, labels with a comma, a quote, edge spaces and a non-ASCII character
 QUOTED_LABELS = GOLDEN.parent / "quoted_labels.json"
+# d=4: a mixed state, rotated bases for A and B, a Hamiltonian, noise 0.9 and K from 0 to 1,
+# so the weak_mhq slice above d=2 (K=0 reached, K=1 not) is pinned too
+PINNED_QUDIT = GOLDEN.parent / "pinned_qudit.json"
 
 PINNED = {  # tables byte for byte, as each run mode writes them: the config, then the options
     "pinned_exact": [SHIPPED],
@@ -486,6 +506,8 @@ PINNED = {  # tables byte for byte, as each run mode writes them: the config, th
     "pinned_seed1": [SHIPPED, "--shots", "1000000", "--seed", "1"],
     "pinned_labels_exact": [QUOTED_LABELS],
     "pinned_labels_seed3": [QUOTED_LABELS, "--shots", "1000", "--seed", "3"],
+    "pinned_qudit_exact": [PINNED_QUDIT],
+    "pinned_qudit_seed5": [PINNED_QUDIT, "--shots", "1000", "--seed", "5"],
 }
 
 
@@ -513,6 +535,11 @@ def test_run_shipped_config_writes_the_pinned_bytes(tmp_path, pinned):
 @pytest.mark.parametrize("pinned", ["pinned_labels_exact", "pinned_labels_seed3"])
 def test_run_quoted_labels_write_the_pinned_bytes(tmp_path, pinned):
     # each label is quoted once per table, exactly as csv.writer quotes it in a row
+    _assert_writes_pinned_bytes(tmp_path, pinned)
+
+
+@pytest.mark.parametrize("pinned", ["pinned_qudit_exact", "pinned_qudit_seed5"])
+def test_run_qudit_scenario_writes_the_pinned_bytes(tmp_path, pinned):
     _assert_writes_pinned_bytes(tmp_path, pinned)
 
 
@@ -846,6 +873,26 @@ def test_main_rejects_low_shots_and_bad_overrides(tmp_path, capsys):
             main(["run", str(path), "--out", str(tmp_path / "out"), flag, value])
         assert exit_info.value.code == 2
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+def test_main_names_the_first_empty_count_table_at_d8(tmp_path, capsys):
+    # every point's counts are drawn before any is checked; the message names the first
+    # empty table in draw order, the K=0 reference of the eighth point
+    d = 8
+    fourier = [[[math.cos(2 * math.pi * j * k / d) / math.sqrt(d), math.sin(2 * math.pi * j * k / d) / math.sqrt(d)]
+                for k in range(d)] for j in range(d)]
+    doc = {
+        "dimension": d,
+        "state": {"density": (np.eye(d) / d).tolist()},
+        "observable_a": {"eigenvectors": np.eye(d).tolist()},
+        "observable_b": {"eigenvectors": fourier},
+        "K": {"num": 21},
+    }
+    path = write_config(tmp_path, "qudit.json", doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--shots", "4", "--seed", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: shots=4 drew an all-zero count table for setting K=0 at strength point K=0.35; increase shots\n"
+    )
 
 
 def test_main_rejects_shots_above_max(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_instance, random_observable
-from oracles import evolve_projector, random_density_operator
+from oracles import evolve_projector, projectors, random_density_operator
 from weakquasi.core import (
     DensityOperator,
     ObservableSpec,
@@ -87,7 +87,7 @@ def test_observable_projectors_are_rank_one_and_complete():
     rng = np.random.default_rng(11)
     for d in (2, 3, 4):
         obs = random_observable(d, rng)
-        projs = obs.projectors()
+        projs = projectors(obs.eigenvectors)
         assert_allclose(projs.sum(axis=0), np.eye(d), atol=1e-10)
         for a in range(d):
             assert_allclose(projs[a] @ projs[a], projs[a], atol=1e-12)
@@ -347,21 +347,21 @@ def test_random_helpers_produce_valid_objects():
 # ------------------------------------------------------------ public API
 
 PUBLIC_NAMES = [
-    "ALGEBRA_ATOL", "CountTable", "DensityOperator", "InternalConsistencyError", "JointDistribution",
-    "NEVER_NEGATIVE", "NoiseModel", "ObservableSpec", "PROBABILITY_DUST", "PointerState", "QuasiDistribution",
-    "Sweep", "ThresholdReport", "VALIDATION_ATOL", "WeakStrength", "ZeroCountsError", "apply_gate_noise",
-    "coherence_term", "controlled_shift", "cq", "evolve_observable", "is_hermitian", "joint_outcome_table",
-    "make_pure_state", "mhq", "mhq_from_weak", "negativity", "pauli_x", "pauli_z", "pointer_for_strength",
-    "probability_table", "run_sweep", "sample_counts", "shift_operator", "strength_from_waveplate",
-    "threshold_strength", "tpm_joint", "weak_cq_closed", "weak_cq_from_data", "weak_joint_state", "weak_mhq",
-    "weak_sequential_closed", "weak_sequential_oracle",
+    "ALGEBRA_ATOL", "DensityOperator", "InternalConsistencyError", "JointDistribution", "NEVER_NEGATIVE",
+    "NoiseModel", "ObservableSpec", "PROBABILITY_DUST", "PointerState", "QuasiDistribution", "Sweep",
+    "ThresholdReport", "VALIDATION_ATOL", "WeakStrength", "ZeroCountsError", "apply_gate_noise", "coherence_term",
+    "controlled_shift", "cq", "evolve_observable", "is_hermitian", "joint_outcome_table", "make_pure_state", "mhq",
+    "mhq_from_weak", "negativity", "pauli_x", "pauli_z", "pointer_for_strength", "probability_table", "run_sweep",
+    "sample_counts", "shift_operator", "strength_from_waveplate", "threshold_strength", "tpm_joint",
+    "weak_cq_closed", "weak_cq_from_data", "weak_joint_state", "weak_mhq", "weak_sequential_closed",
 ]
 
-# test-only oracles (now in tests/oracles.py) and thin wrappers the package no longer ships
+# test-only oracles (now in tests/oracles.py), thin wrappers and the count container the package no longer ships
 RETIRED_NAMES = [
-    "Marginals", "Povm", "QubitScenario", "born_probability", "coupling_unitary", "estimate_with_errors",
-    "evolve_projector", "marginals", "mhq_from_weak_tpm", "nonselective_state", "post_measurement_state",
-    "random_density_operator", "random_observable", "run_scenario", "weak_povm", "weak_tpm_joint",
+    "CountTable", "Marginals", "Povm", "QubitScenario", "born_probability", "coupling_unitary",
+    "estimate_with_errors", "evolve_projector", "marginals", "mhq_from_weak_tpm", "nonselective_state",
+    "post_measurement_state", "random_density_operator", "random_observable", "run_scenario", "weak_povm",
+    "weak_sequential_oracle", "weak_tpm_joint",
 ]
 
 

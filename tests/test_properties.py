@@ -27,7 +27,7 @@ from weakquasi.quasiprob import (
     weak_cq_from_data,
 )
 from weakquasi.sampling import MAX_SHOTS, MIN_CROSS_WEIGHT, run_sweep, sample_counts
-from weakquasi.schemes import weak_sequential_closed
+from weakquasi.schemes import probability_table, weak_sequential_closed
 
 strengths = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
@@ -103,7 +103,7 @@ def test_run_sweep_matches_per_point_public_functions_byte_for_byte(case):
     for i, (k, child) in enumerate(zip(grid, children)):
         tables = [weak_sequential_closed(rho, obs_a, obs_b, setting) for setting in (k, 1.0, 0.0)]
         if shots is not None:
-            tables = [sample_counts(t, shots, s).estimator() for t, s in zip(tables, child.spawn(3))]
+            tables = [probability_table(sample_counts(t, shots, s)) for t, s in zip(tables, child.spawn(3))]
         pw, pt, p_final = (t.values for t in tables)
         strength = WeakStrength.from_k(k, d)
         pf = p_final.sum(axis=0)

@@ -12,6 +12,7 @@ from oracles import (
     post_measurement_state,
     povm_elements,
     weak_kraus,
+    weak_sequential_oracle,
     weak_tpm_joint,
 )
 from weakquasi.core import (
@@ -30,7 +31,6 @@ from weakquasi.schemes import (
     tpm_joint,
     weak_joint_state,
     weak_sequential_closed,
-    weak_sequential_oracle,
 )
 
 
