@@ -405,8 +405,6 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     quoted once.
     """
     started = time.monotonic()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     k_values = tuple(sorted(config.k_values))
     sweep = run_sweep(
         config.rho,
@@ -417,6 +415,8 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         noise=config.noise,
         seed=config.seed,
     )
+    out = Path(out_dir)  # made only once the sweep has returned, so a failed run leaves nothing
+    out.mkdir(parents=True, exist_ok=True)
     labels_a = config.obs_a.labels
     labels_b = config.obs_b.labels
     cells = [(a, b, la, lb) for a, la in enumerate(labels_a) for b, lb in enumerate(labels_b)]

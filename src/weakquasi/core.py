@@ -12,15 +12,13 @@ metadata only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 VALIDATION_ATOL = 1e-10  # physicality checks on constructed objects
-ALGEBRA_ATOL = 1e-12     # exact algebraic identities at d <= 8
 
 __all__ = [
-    "ALGEBRA_ATOL",
     "VALIDATION_ATOL",
     "DensityOperator",
     "InternalConsistencyError",
@@ -143,42 +141,33 @@ def pauli_x() -> ObservableSpec:
 
 @dataclass(frozen=True)
 class WeakStrength:
-    """Measurement strength K in [0, 1] with the derived branch coefficients.
+    """Measurement strength K in [0, 1] on a d-level system, with its branch coefficients.
 
     omega1 = sqrt(1 - K) weighs the undisturbed branch and omega0 the fully
-    correlated branch of the coupled system-pointer state; they satisfy
-    omega0^2 + omega1^2 + 2 omega0 omega1 / sqrt(d) = 1.  Only the principal
-    branch omega0 >= 0 is supported, so K=1 gives (omega0, omega1) = (1, 0)
-    and K=0 gives (0, 1).
+    correlated branch of the coupled system-pointer state; omega0 is the
+    nonnegative root of omega0^2 + omega1^2 + 2 omega0 omega1 / sqrt(d) = 1.
+    Both are derived from (K, d), so K=1 gives (omega0, omega1) = (1, 0) and
+    K=0 gives (0, 1).
     """
 
     K: float
     dim: int
-    omega0: float
-    omega1: float
+    omega0: float = field(init=False)
+    omega1: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.K <= 1.0:
             raise ValueError(f"measurement strength must lie in [0, 1], got {self.K}")
         if self.dim < 2:
             raise ValueError(f"dimension must be at least 2, got {self.dim}")
-        if self.omega0 < 0.0:
-            raise ValueError("only the principal branch omega0 >= 0 is supported")
-        norm = self.omega0**2 + self.omega1**2 + 2.0 * self.omega0 * self.omega1 / math.sqrt(self.dim)
-        if abs(norm - 1.0) > ALGEBRA_ATOL:
-            raise ValueError(f"branch coefficients are not normalized: {norm}")
-
-    @classmethod
-    def from_k(cls, k: float, dim: int) -> "WeakStrength":
-        """Coefficients for strength k: omega1 = sqrt(1-k), omega0 the nonnegative root."""
-        if not 0.0 <= k <= 1.0:
-            raise ValueError(f"measurement strength must lie in [0, 1], got {k}")
-        if dim < 2:
-            raise ValueError(f"dimension must be at least 2, got {dim}")
+        k, dim = float(self.K), int(self.dim)
         omega1 = math.sqrt(1.0 - k)
         omega0 = -omega1 / math.sqrt(dim) + math.sqrt(1.0 - omega1**2 * (dim - 1) / dim)
+        object.__setattr__(self, "K", k)
+        object.__setattr__(self, "dim", dim)
         # at k=0 the two terms cancel only to rounding (1.1e-16 at d=2); no measurement is omega0 = 0
-        return cls(float(k), int(dim), 0.0 if k == 0.0 else max(omega0, 0.0), omega1)
+        object.__setattr__(self, "omega0", 0.0 if k == 0.0 else max(omega0, 0.0))
+        object.__setattr__(self, "omega1", omega1)
 
     @property
     def cross_weight(self) -> float:
@@ -257,7 +246,7 @@ def pointer_for_strength(k: float, d: int) -> tuple[PointerState, WeakStrength]:
     k=1 yields the basis pointer |0> (projective limit); k=0 yields the uniform
     superposition, which the coupling leaves untouched (no measurement).
     """
-    strength = WeakStrength.from_k(k, d)
+    strength = WeakStrength(k, d)
     amps = np.full(d, strength.omega1 / math.sqrt(d), dtype=complex)
     amps[0] += strength.omega0
     return PointerState(amps), strength

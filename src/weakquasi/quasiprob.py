@@ -72,19 +72,22 @@ class QuasiDistribution:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Per-cell strength thresholds, with inf marking never-negative cells.
-
-    ``global_threshold`` is the minimum over cells that do turn negative; below
-    it the whole table is nonnegative at every outcome pair.  It is inf when no
-    cell is ever negative.
-    """
+    """Per-cell strength thresholds, with inf marking never-negative cells."""
 
     per_cell: np.ndarray
-    global_threshold: float
 
     def __post_init__(self):
         arr = np.array(self.per_cell, dtype=float)
         object.__setattr__(self, "per_cell", _freeze(arr))
+
+    @property
+    def global_threshold(self) -> float:
+        """Minimum over cells that do turn negative, or inf when no cell ever is.
+
+        Below it the whole table is nonnegative at every outcome pair.
+        """
+        finite = self.per_cell[np.isfinite(self.per_cell)]
+        return float(finite.min()) if finite.size else NEVER_NEGATIVE
 
 
 def _values_of(table) -> np.ndarray:
@@ -187,7 +190,7 @@ def weak_cq_closed(
     the exact weak-sequential table through :func:`weak_cq_from_data`.
     """
     d = _check_dims(rho, obs_a, obs_b)
-    strength = WeakStrength.from_k(k, d)
+    strength = WeakStrength(k, d)
     p_fin, q_mh = _born(rho, obs_b), _mh_table(rho, obs_a, obs_b)
     return QuasiDistribution(_three_term(strength, cq(rho, obs_a, obs_b).values, p_fin, q_mh))
 
@@ -202,7 +205,7 @@ def weak_mhq(
     strength.
     """
     d = _check_dims(rho, obs_a, obs_b)
-    k = WeakStrength.from_k(k, d).K
+    k = WeakStrength(k, d).K
     return QuasiDistribution(_weak_mhq_mix(k, _mh_table(rho, obs_a, obs_b), _born(rho, obs_b), d))
 
 
@@ -259,9 +262,7 @@ def threshold_strength(
     negative = (q_mh < -PROBABILITY_DUST) & (p_fin > 0.0)
     per_cell = np.full((d, d), NEVER_NEGATIVE)
     per_cell[negative] = 1.0 / (1.0 - d * q_mh[negative] / p_fin[negative])
-    finite = per_cell[np.isfinite(per_cell)]
-    global_threshold = float(finite.min()) if finite.size else NEVER_NEGATIVE
-    return ThresholdReport(per_cell, global_threshold)
+    return ThresholdReport(per_cell)
 
 
 def negativity(table) -> float:

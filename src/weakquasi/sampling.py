@@ -188,8 +188,8 @@ def _grid(strengths, d: int) -> SimpleNamespace:
 
 
 def _strength(k: float, d: int) -> WeakStrength:
-    """WeakStrength.from_k, rejecting a weak strength whose cross weight is below MIN_CROSS_WEIGHT."""
-    strength = WeakStrength.from_k(k, d)
+    """WeakStrength(k, d), rejecting a weak strength whose cross weight is below MIN_CROSS_WEIGHT."""
+    strength = WeakStrength(k, d)
     if 0.0 < k < 1.0 and strength.cross_weight < MIN_CROSS_WEIGHT:
         raise ValueError(
             f"K={k:.15g} is too close to {round(k)}: its cross weight {strength.cross_weight:.3g} "
@@ -303,7 +303,7 @@ def run_sweep(
         nu, w = noise.gate_visibility, obs_a.eigenvectors
         rho = DensityOperator(nu * rho.matrix + (1.0 - nu) * (w * _born(rho, obs_a)) @ w.conj().T)
     # the grid's settings, then the projective (K=1) and no-measurement (K=0) references
-    settings = _grid([*strengths, WeakStrength.from_k(1.0, d), WeakStrength.from_k(0.0, d)], d)
+    settings = _grid([*strengths, WeakStrength(1.0, d), WeakStrength(0.0, d)], d)
     exact = _probability_stack(
         _three_term(settings, _tpm_table(rho, obs_a, obs_b), _born(rho, obs_b), _mh_table(rho, obs_a, obs_b))
     )

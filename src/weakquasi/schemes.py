@@ -67,10 +67,10 @@ def _check_normalized(arr: np.ndarray):
 def _normalized(arr: np.ndarray) -> np.ndarray:
     """Clamp dust-level negatives of a real (..., d, d) stack and renormalize each table.
 
-    Entries below -1e-12 indicate a genuine bug upstream and raise
+    Entries below -1e-10 indicate a genuine bug upstream and raise
     InternalConsistencyError rather than being silently repaired.
     """
-    if arr.min(initial=0.0) < -PROBABILITY_DUST:
+    if arr.min(initial=0.0) < -VALIDATION_ATOL:
         bad = np.unravel_index(arr.argmin(), arr.shape)
         raise InternalConsistencyError(
             f"probability entry {arr.min()} at cell {bad} is negative beyond dust tolerance"
@@ -109,8 +109,12 @@ class JointDistribution:
 def probability_table(values) -> JointDistribution:
     """Build a probability table, clamping dust-level negatives and renormalizing.
 
-    Entries below -1e-12 indicate a genuine bug upstream and raise
-    InternalConsistencyError rather than being silently repaired.
+    Entries below -1e-10 indicate a genuine bug upstream and raise
+    InternalConsistencyError rather than being silently repaired.  The bound is
+    the state's own tolerance: DensityOperator accepts eigenvalues down to
+    -1e-10, and each entry computed from an accepted state is Tr[M rho] for a
+    rank-1 effect M = c|v><v| with 0 <= c <= 1, so it is at least that low
+    eigenvalue.
     """
     return JointDistribution(_normalized(_real_table(values)))
 
@@ -164,7 +168,7 @@ def weak_sequential_closed(
     two-point table; at k=0 every row collapses to p_fin(b)/d.
     """
     d = _check_dims(rho, obs_a, obs_b)
-    strength = WeakStrength.from_k(k, d)
+    strength = WeakStrength(k, d)
     p_fin, q_mh = _born(rho, obs_b), _mh_table(rho, obs_a, obs_b)
     return probability_table(_three_term(strength, _tpm_table(rho, obs_a, obs_b), p_fin, q_mh))
 

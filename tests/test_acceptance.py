@@ -139,7 +139,7 @@ def test_mhq_path_agreement():
             weak_sequential_closed(rho, obs_a, obs_b, k),
             tpm_joint(rho, obs_a, obs_b),
             p_fin,
-            WeakStrength.from_k(k, dim),
+            WeakStrength(k, dim),
         ).values
         assert np.abs(direct - via_nonselective).max() <= 1e-10
         assert np.abs(direct - via_inversion).max() <= 1e-10
@@ -203,7 +203,7 @@ def test_disturbance_identity():
         dim = (2, 3, 4)[index % 3]
         rho, obs_a, obs_b = random_instance(rng, dim)
         k = float(rng.uniform(0, 1))
-        strength = WeakStrength.from_k(k, dim)
+        strength = WeakStrength(k, dim)
         weak = weak_sequential_closed(rho, obs_a, obs_b, k)
         _, p_fin, p_post = marginals(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors)
         lhs = p_fin - weak.values.sum(axis=0)

@@ -22,6 +22,7 @@ from weakquasi.cli import (
 from weakquasi.core import make_pure_state
 from weakquasi.quasiprob import weak_mhq
 from weakquasi.sampling import MAX_SHOTS, NoiseModel
+from weakquasi.schemes import tpm_joint, weak_sequential_closed
 
 MINIMAL = '{"theta0": 10.6}'
 
@@ -477,6 +478,21 @@ def test_main_run_reports_the_threshold_of_a_cell_whose_p_fin_is_dust(tmp_path):
     assert cell[0] > 0.0 > cell[1]
 
 
+NEAR_PSD = {"state": {"density": [[1.00000000005, 0], [0, -0.00000000005]]}, "K": [0.5]}
+
+
+@pytest.mark.parametrize("mode", [[], ["--shots", "1000", "--seed", "1"]])
+def test_main_runs_a_state_at_the_psd_tolerance(tmp_path, capsys, mode):
+    # DensityOperator accepts eigenvalues down to -1e-10; this state's K=1 reference cell is
+    # -2.5e-11, which the table normalization must clamp as dust rather than reject
+    path = write_config(tmp_path, "near_psd.json", NEAR_PSD)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), *mode]) == 0
+    assert capsys.readouterr().err == ""
+    config = parse_config(path.read_text(encoding="utf-8"))
+    assert tpm_joint(config.rho, config.obs_a, config.obs_b).values.min() >= 0.0
+    assert weak_sequential_closed(config.rho, config.obs_a, config.obs_b, 0.5).values.min() >= 0.0
+
+
 GOLDEN = Path(__file__).parent / "data" / "golden_exact"  # the shipped config's thresholds
 PINNED_EXACT = GOLDEN.parent / "pinned_exact"
 SHIPPED = Path(__file__).parent.parent / "configs" / "qubit_theta10p6.json"
@@ -893,6 +909,7 @@ def test_main_names_the_first_empty_count_table_at_d8(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: shots=4 drew an all-zero count table for setting K=0 at strength point K=0.35; increase shots\n"
     )
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_rejects_shots_above_max(tmp_path, capsys):

@@ -234,7 +234,7 @@ def test_pointer_state_validation():
 def test_weak_strength_normalization_holds():
     for d in (2, 3, 4, 5):
         for k in np.linspace(0, 1, 9):
-            s = WeakStrength.from_k(k, d)
+            s = WeakStrength(k, d)
             norm = s.omega0**2 + s.omega1**2 + 2 * s.omega0 * s.omega1 / np.sqrt(d)
             assert abs(norm - 1.0) <= 1e-12
             assert s.omega1 == pytest.approx(np.sqrt(1 - k), abs=1e-15)
@@ -244,13 +244,30 @@ def test_weak_strength_normalization_holds():
 def test_weak_strength_endpoints_are_exact():
     # the omega0 root cancels to 1.1e-16 at K=0, d=2; no measurement must have no cross term
     for d in range(2, 65):
-        assert WeakStrength.from_k(0.0, d).weights == (0.0, 1.0 / d, 0.0)
-        assert WeakStrength.from_k(1.0, d).weights == (1.0, 0.0, 0.0)
+        assert WeakStrength(0.0, d).weights == (0.0, 1.0 / d, 0.0)
+        assert WeakStrength(1.0, d).weights == (1.0, 0.0, 0.0)
 
 
-def test_weak_strength_rejects_unnormalized_coefficients():
-    with pytest.raises(ValueError, match="normalized"):
+@pytest.mark.parametrize(
+    "k, d, message",
+    [
+        (1.5, 2, r"measurement strength must lie in \[0, 1\], got 1.5"),
+        (-0.1, 2, r"measurement strength must lie in \[0, 1\], got -0.1"),
+        (0.5, 1, "dimension must be at least 2, got 1"),
+    ],
+)
+def test_weak_strength_rejects_out_of_range_k_and_d(k, d, message):
+    with pytest.raises(ValueError, match=message):
+        WeakStrength(k, d)
+
+
+def test_weak_strength_is_its_k_and_d():
+    # the coefficients are derived, so a caller cannot pass a non-physical pair
+    with pytest.raises(TypeError):
         WeakStrength(0.5, 2, 0.9, 0.9)
+    s = WeakStrength(np.float64(0.5), np.int64(3))
+    assert type(s.K) is float and type(s.dim) is int
+    assert s == WeakStrength(0.5, 3)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -347,7 +364,7 @@ def test_random_helpers_produce_valid_objects():
 # ------------------------------------------------------------ public API
 
 PUBLIC_NAMES = [
-    "ALGEBRA_ATOL", "DensityOperator", "InternalConsistencyError", "JointDistribution", "NEVER_NEGATIVE",
+    "DensityOperator", "InternalConsistencyError", "JointDistribution", "NEVER_NEGATIVE",
     "NoiseModel", "ObservableSpec", "PROBABILITY_DUST", "PointerState", "QuasiDistribution", "Sweep",
     "ThresholdReport", "VALIDATION_ATOL", "WeakStrength", "ZeroCountsError", "apply_gate_noise", "coherence_term",
     "controlled_shift", "cq", "evolve_observable", "is_hermitian", "joint_outcome_table", "make_pure_state", "mhq",
@@ -356,9 +373,10 @@ PUBLIC_NAMES = [
     "weak_cq_closed", "weak_cq_from_data", "weak_joint_state", "weak_mhq", "weak_sequential_closed",
 ]
 
-# test-only oracles (now in tests/oracles.py), thin wrappers and the count container the package no longer ships
+# test-only oracles (now in tests/oracles.py), thin wrappers, the count container and a tolerance
+# the package no longer ships
 RETIRED_NAMES = [
-    "CountTable", "Marginals", "Povm", "QubitScenario", "born_probability", "coupling_unitary",
+    "ALGEBRA_ATOL", "CountTable", "Marginals", "Povm", "QubitScenario", "born_probability", "coupling_unitary",
     "estimate_with_errors", "evolve_projector", "marginals", "mhq_from_weak_tpm", "nonselective_state",
     "post_measurement_state", "random_density_operator", "random_observable", "run_scenario", "weak_povm",
     "weak_sequential_oracle", "weak_tpm_joint",

@@ -50,7 +50,7 @@ def table_stacks(draw):
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_broadcast_data_paths_match_public_functions_slice_by_slice(stacks, k):
     pw, pt, pf = stacks
-    strength = WeakStrength.from_k(k, pw.shape[-1])
+    strength = WeakStrength(k, pw.shape[-1])
     interior = 0.0 < k < 1.0
     wcq = _weak_cq_values(pw, pf)
     coh = _coherence_values(pw, pt, pf, strength)
@@ -105,7 +105,7 @@ def test_run_sweep_matches_per_point_public_functions_byte_for_byte(case):
         if shots is not None:
             tables = [probability_table(sample_counts(t, shots, s)) for t, s in zip(tables, child.spawn(3))]
         pw, pt, p_final = (t.values for t in tables)
-        strength = WeakStrength.from_k(k, d)
+        strength = WeakStrength(k, d)
         pf = p_final.sum(axis=0)
         wcq = weak_cq_from_data(pw, pf).values
         rec = mhq_from_weak(pw, pt, pf, strength).values if 0.0 < k < 1.0 else None

@@ -172,13 +172,13 @@ def test_coherence_term_zero_at_endpoints(scenario_state, obs_z, obs_x):
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     for k in (0.0, 1.0):
         pw = weak_sequential_closed(scenario_state, obs_z, obs_x, k)
-        c_table = coherence_term(pw, p, p_fin, WeakStrength.from_k(k, 2))
+        c_table = coherence_term(pw, p, p_fin, WeakStrength(k, 2))
         assert np.abs(c_table).max() <= 1e-12
 
 
 def test_coherence_term_half_strength_cell(cs, scenario_state, obs_z, obs_x):
     c, s = cs
-    strength = WeakStrength.from_k(0.5, 2)
+    strength = WeakStrength(0.5, 2)
     pw = weak_sequential_closed(scenario_state, obs_z, obs_x, 0.5)
     p = tpm_joint(scenario_state, obs_z, obs_x)
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
@@ -193,7 +193,7 @@ def test_coherence_term_sign_matches_mhq(scenario_state, obs_z, obs_x):
     p = tpm_joint(scenario_state, obs_z, obs_x)
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     for k in np.linspace(0.05, 0.95, 10):
-        strength = WeakStrength.from_k(k, 2)
+        strength = WeakStrength(k, 2)
         pw = weak_sequential_closed(scenario_state, obs_z, obs_x, k)
         c_table = coherence_term(pw, p, p_fin, strength)
         assert (np.sign(c_table) == np.sign(q_mh)).all()
@@ -204,7 +204,7 @@ def test_coherence_term_commuting_case(obs_z, obs_x):
     rho = DensityOperator(np.diag([0.8, 0.2]))
     p = tpm_joint(rho, obs_z, obs_x)
     p_fin = born(rho.matrix, obs_x.eigenvectors)
-    strength = WeakStrength.from_k(0.3, 2)
+    strength = WeakStrength(0.3, 2)
     pw = weak_sequential_closed(rho, obs_z, obs_x, 0.3)
     c_table = coherence_term(pw, p, p_fin, strength)
     assert_allclose(c_table, strength.cross_weight * p.values, atol=1e-12)
@@ -218,7 +218,7 @@ def test_mhq_from_weak_roundtrip(k, scenario_state, obs_z, obs_x):
     pw = weak_sequential_closed(scenario_state, obs_z, obs_x, k)
     p = tpm_joint(scenario_state, obs_z, obs_x)
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
-    rec = mhq_from_weak(pw, p, p_fin, WeakStrength.from_k(k, 2))
+    rec = mhq_from_weak(pw, p, p_fin, WeakStrength(k, 2))
     assert np.abs(rec.values - mhq(scenario_state, obs_z, obs_x).values).max() <= 1e-12
 
 
@@ -228,7 +228,7 @@ def test_mhq_from_weak_rejects_endpoint_strengths(k, scenario_state, obs_z, obs_
     p = tpm_joint(scenario_state, obs_z, obs_x)
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     with pytest.raises(ValueError, match="not invertible"):
-        mhq_from_weak(pw, p, p_fin, WeakStrength.from_k(k, 2))
+        mhq_from_weak(pw, p, p_fin, WeakStrength(k, 2))
 
 
 def test_mhq_from_weak_tpm_scenario(cs, scenario_state, obs_z, obs_x):
@@ -263,7 +263,7 @@ def test_mhq_paths_agree_random():
         pw = weak_sequential_closed(rho, obs_a, obs_b, k)
         p = tpm_joint(rho, obs_a, obs_b)
         p_fin = born(rho.matrix, obs_b.eigenvectors)
-        via_weak = mhq_from_weak(pw, p, p_fin, WeakStrength.from_k(k, d)).values
+        via_weak = mhq_from_weak(pw, p, p_fin, WeakStrength(k, d)).values
         assert np.abs(direct - via_ns).max() <= 1e-10
         assert np.abs(direct - via_weak).max() <= 1e-10
 
@@ -274,7 +274,7 @@ def test_mhq_roundtrip_across_strength_range(scenario_state, obs_z, obs_x):
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     for k in np.linspace(0.05, 0.95, 19):
         pw = weak_sequential_closed(scenario_state, obs_z, obs_x, k)
-        rec = mhq_from_weak(pw, p, p_fin, WeakStrength.from_k(k, 2))
+        rec = mhq_from_weak(pw, p, p_fin, WeakStrength(k, 2))
         assert np.abs(rec.values - direct).max() <= 1e-10
 
 

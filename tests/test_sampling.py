@@ -178,7 +178,7 @@ def test_run_scenario_exact_matches_closed_forms(scenario_state, obs_z, obs_x):
     sweep = run_sweep(scenario_state, obs_z, obs_x, k_grid)
     q_mh = mhq(scenario_state, obs_z, obs_x).values
     for i, k in enumerate(k_grid):
-        strength = WeakStrength.from_k(k, 2)
+        strength = WeakStrength(k, 2)
         assert np.abs(
             sweep.values["p_weak"][i] - weak_sequential_closed(scenario_state, obs_z, obs_x, k).values
         ).max() <= 1e-12
@@ -262,7 +262,7 @@ def _weak_mhq_by_rule(k, d, wcq, rec, pf):
 def _data_paths(k, pw, pt, p_final):
     """A point's seven exported quantities from three 2-D tables, through the public functions."""
     d = pw.shape[0]
-    strength = WeakStrength.from_k(k, d)
+    strength = WeakStrength(k, d)
     pf = p_final.sum(axis=0)
     wcq = weak_cq_from_data(pw, pf).values
     rec = mhq_from_weak(pw, pt, pf, strength).values if 0.0 < k < 1.0 else None
@@ -534,7 +534,7 @@ def test_run_sweep_rejects_underflowing_strength_before_evaluating(monkeypatch):
     # inversion would divide by zero
     from conftest import random_instance
 
-    assert WeakStrength.from_k(1e-20, 3).cross_weight == 0.0
+    assert WeakStrength(1e-20, 3).cross_weight == 0.0
     rho, obs_a, obs_b = random_instance(np.random.default_rng(3), 3)
     evaluations = _count_calls(monkeypatch, sampling, "_three_term")
     with pytest.raises(ValueError, match="K=1e-20 is too close to 0"):
@@ -546,7 +546,7 @@ def test_run_sweep_rejects_underflowing_strength_before_evaluating(monkeypatch):
 def test_run_sweep_rejects_strength_below_cross_weight_floor(scenario_state, obs_z, obs_x, k, edge):
     # at d=2, K=1e-20 keeps a cross weight of about 1.6e-16, and dividing by it
     # turned rounding dust into reconstruction cells of order 0.1
-    assert 0.0 < WeakStrength.from_k(k, 2).cross_weight < sampling.MIN_CROSS_WEIGHT
+    assert 0.0 < WeakStrength(k, 2).cross_weight < sampling.MIN_CROSS_WEIGHT
     with pytest.raises(ValueError, match=f"K={k:.15g} is too close to {edge}"):
         run_sweep(scenario_state, obs_z, obs_x, [0.5, k])
     # a strength whose cross weight clears the floor still reconstructs exactly

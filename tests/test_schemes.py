@@ -304,7 +304,7 @@ def test_disturbance_identity_random():
         d = int(rng.integers(2, 5))
         rho, obs_a, obs_b = random_instance(rng, d)
         k = float(rng.uniform(0, 1))
-        strength = WeakStrength.from_k(k, d)
+        strength = WeakStrength(k, d)
         pw = weak_sequential_closed(rho, obs_a, obs_b, k)
         _, p_fin, p_post = marginals(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors)
         lhs = p_fin - pw.values.sum(axis=0)
@@ -330,7 +330,7 @@ def test_commuting_state_keeps_weak_table_classical(obs_z, obs_x):
     p = tpm_joint(rho, obs_z, obs_x).values
     p_fin = born(rho.matrix, obs_x.eigenvectors)
     for k in np.linspace(0, 1, 7):
-        strength = WeakStrength.from_k(k, 2)
+        strength = WeakStrength(k, 2)
         pw = weak_sequential_closed(rho, obs_z, obs_x, k)
         expected = (
             (strength.omega0**2 + strength.cross_weight) * p
