@@ -18,7 +18,6 @@ import math
 import sys
 import time
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -46,14 +45,15 @@ from .sampling import (
 from .schemes import _totals
 
 MAX_GRID_POINTS = 10_000  # most strength points a "K" or "phi" grid may hold, as a range or a list
-# at d=64 a 21-point exact sweep takes 6-10 ms, and a run exporting all seven of its tables
-# 0.57-0.78 s (one BLAS thread, 2-core x86-64 box)
+# at d=64 a 21-point exact sweep takes 9-10 ms, and a run exporting all seven of its tables
+# 0.55-1.07 s (one BLAS thread, 2-core x86-64 box)
 MAX_DIMENSION = 64  # largest system dimension
 MAX_RESAMPLES = 10**5  # bound of the retired "resamples" key, which older documents still carry
 
 QUANTITIES = ("p_weak", "cq", "mhq", "weak_cq", "weak_mhq", "C", "mhq_reconstructed", "thresholds")
 
 CSV_HEADER = ("K", "a", "b", "quantity", "value", "stderr")
+_NUMBER = ".12g"  # the format of every exported number: K keys, values, stderrs and thresholds
 
 _CONFIG_FIELDS = {
     "dimension",
@@ -238,6 +238,16 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
         _fail(field, str(exc))
 
 
+def _strength_keys(k_values, field: str) -> list[str]:
+    """The formatted K key of each strength; exported rows are keyed by it, so keys must be distinct."""
+    keys = [_fmt(k) for k in k_values]
+    counts = Counter(keys)
+    if len(counts) < len(keys):
+        repeated = next(key for key in keys if counts[key] > 1)
+        _fail(field, f"the grid gives strength K={repeated} twice; CSV rows are keyed by K")
+    return keys
+
+
 def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
     if "K" in doc and "phi" in doc:
         _fail("K", "'K' and 'phi' are mutually exclusive ways to set the strength grid")
@@ -268,14 +278,9 @@ def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
             _strength(k, dim)
         except ValueError as exc:
             _fail("K", str(exc))
-    # exported rows are keyed by the formatted strength, so keys must be distinct; every
-    # k lies in [0, 1] here, so abs only turns -0.0 (keyed "-0") into 0.0
+    # every k lies in [0, 1] here, so abs only turns -0.0 (keyed "-0") into 0.0
     values = tuple(abs(float(k)) for k in values)
-    keys = [_fmt(k) for k in values]
-    counts = Counter(keys)
-    if len(counts) < len(keys):
-        repeated = next(key for key in keys if counts[key] > 1)
-        _fail(field, f"the grid gives strength K={repeated} twice; CSV rows are keyed by K")
+    _strength_keys(values, field)
     return values
 
 
@@ -355,24 +360,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    return f"{value:{_NUMBER}}"
 
 
 def _threshold(value: float):
     return "never-negative" if math.isinf(value) else float(_fmt(value))
-
-
-def _formatted(array: np.ndarray, points, cells) -> Iterable[list[str]]:
-    """For each point ``i``, the cells of ``array[i]`` formatted in ``cells`` order.
-
-    A column with stride 0 on the K axis holds one slice at every point (the
-    strong theory tables, and every exact-mode error bar), so it is formatted
-    once and that list is reused.
-    """
-    if array.strides[0] == 0 and points.size:
-        once = [_fmt(array[0, a, b]) for a, b, _, _ in cells]
-        return (once for _ in points)
-    return ([_fmt(array[i, a, b]) for a, b, _, _ in cells] for i in points)
 
 
 def _quoted(fields) -> str:
@@ -386,13 +378,6 @@ def _quoted(fields) -> str:
     return line.getvalue()[:-1] + ","
 
 
-def _write_table(path: Path, chunks: Iterable[str]):
-    """Write the header, then each chunk of rows with one ``write``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        fh.writelines(chunks)
-
-
 def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     """Evaluate the scenario and write per-quantity CSV tables plus summary.json.
 
@@ -400,12 +385,13 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     ascending K order with 12-significant-digit decimal values; the
     reconstructed-MHQ table covers only strengths where the inversion exists.
     Each table's rows are formatted from the sweep's arrays as they are
-    written, one point's rows per write, so no row list is kept; a column that
-    is the same at every K is formatted once, and each K key and label pair is
-    quoted once.
+    written, one point's rows per write, so no row list is kept: each point's
+    cells come from one ``tolist()`` of its values and one of its errors, and
+    each K key and label pair is quoted once.
     """
     started = time.monotonic()
     k_values = tuple(sorted(config.k_values))
+    keys = _strength_keys(k_values, "K")  # checked before the sweep, so a failed run leaves nothing
     sweep = run_sweep(
         config.rho,
         config.obs_a,
@@ -419,10 +405,8 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     labels_a = config.obs_a.labels
     labels_b = config.obs_b.labels
-    cells = [(a, b, la, lb) for a, la in enumerate(labels_a) for b, lb in enumerate(labels_b)]
-    keys = [_fmt(k) for k in k_values]
     quoted_keys = [_quoted([key]) for key in keys]
-    quoted_labels = [_quoted([la, lb]) for _, _, la, lb in cells]
+    quoted_labels = [_quoted([la, lb]) for la in labels_a for lb in labels_b]  # a-major, as ravel()
     strong = {"cq": cq(config.rho, config.obs_a, config.obs_b).values,
               "mhq": mhq(config.rho, config.obs_a, config.obs_b).values}
 
@@ -439,16 +423,14 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
             values, errors = sweep.values[quantity], sweep.errors[quantity]
             points = np.flatnonzero(sweep.reached(quantity))  # the points a data path reaches
         prefixes = [f"{labels}{quantity}," for labels in quoted_labels]
-        chunks = (  # the d^2 rows of one point, as one string
-            "".join([
-                f"{quoted_keys[i]}{prefix}{value},{error}\n"
-                for prefix, value, error in zip(prefixes, point_values, point_errors)
-            ])
-            for i, point_values, point_errors in zip(
-                points, _formatted(values, points, cells), _formatted(errors, points, cells)
-            )
-        )
-        _write_table(out / f"{quantity}.csv", chunks)
+        with open(out / f"{quantity}.csv", "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(CSV_HEADER) + "\n")
+            for i in points.tolist():  # the d^2 rows of one point, as one string
+                point = zip(prefixes, values[i].ravel().tolist(), errors[i].ravel().tolist())
+                fh.write("".join([
+                    f"{quoted_keys[i]}{prefix}{value:{_NUMBER}},{error:{_NUMBER}}\n"
+                    for prefix, value, error in point
+                ]))
         if quantity != "C" and points.size:  # the cross-term is not itself a distribution
             point_keys = [keys[i] for i in points]
             negativity_totals[quantity] = dict(zip(point_keys, _negativity(values[points]).tolist()))

@@ -158,6 +158,8 @@ class WeakStrength:
     def __post_init__(self):
         if not 0.0 <= self.K <= 1.0:
             raise ValueError(f"measurement strength must lie in [0, 1], got {self.K}")
+        if not float(self.dim).is_integer():  # int() would truncate 2.7 to a d=2 strength
+            raise ValueError(f"dimension must be an integer, got {self.dim}")
         if self.dim < 2:
             raise ValueError(f"dimension must be at least 2, got {self.dim}")
         k, dim = float(self.K), int(self.dim)

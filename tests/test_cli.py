@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,14 @@ def test_parse_names_first_repeated_strength_in_grid_order():
         parse_config('{"theta0": 10.6, "K": [0.7, 0.3, 0.3, 0.7]}')
 
 
+def test_run_rejects_a_python_built_grid_with_a_repeated_key(tmp_path):
+    # 0.1 and 0.1 + 1e-15 both format as "0.1": two K=0.1 blocks would make a table compare rejects
+    config = replace(parse_config('{"theta0": 10.6, "K": [0.5]}'), k_values=(0.1, 0.1 + 1e-15))
+    with pytest.raises(ConfigError, match=r"config field 'K': the grid gives strength K=0.1 twice"):
+        run(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_reads_negative_zero_strength_as_zero(tmp_path):
     # a JSON -0.0 formats as "-0", so it used to add a second K=0 point keyed "-0"
     with pytest.raises(ConfigError, match="strength K=0 twice"):
@@ -567,29 +576,6 @@ def test_compare_reads_quoted_labels_back_as_written(tmp_path):
         assert main(["compare", str(table), str(table), "--tol", "0"]) == 0, table.name
     cells = {(row["a"], row["b"]) for row in read_rows(tmp_path / "p_weak.csv")}
     assert cells == {(a, b) for a in ("a,1", 'q"x') for b in (" sp ", "D⊥")}
-
-
-def test_run_formats_each_k_constant_cell_once(tmp_path, monkeypatch):
-    # The strong cq/mhq tables and every exact-mode error bar are the same at
-    # each K, so their cells are formatted once, not once per point: 2,381
-    # _fmt calls when every cell is formatted at every K, 989 otherwise.
-    from conftest import random_instance
-
-    calls = 0
-    fmt = weakquasi.cli._fmt
-
-    def counting(value):
-        nonlocal calls
-        calls += 1
-        return fmt(value)
-
-    monkeypatch.setattr(weakquasi.cli, "_fmt", counting)
-    rho, obs_a, obs_b = random_instance(np.random.default_rng(4), 4)
-    config = ScenarioConfig(rho, obs_a, obs_b, tuple(np.linspace(0.0, 1.0, 11)), None,
-                            NoiseModel(0.9), 0, QUANTITIES)
-    run(config, tmp_path)
-    assert len(read_rows(tmp_path / "cq.csv")) == 11 * 16
-    assert calls <= 1000
 
 
 def test_run_phi_grid_keys_endpoints_exactly(tmp_path):

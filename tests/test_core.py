@@ -254,6 +254,7 @@ def test_weak_strength_endpoints_are_exact():
         (1.5, 2, r"measurement strength must lie in \[0, 1\], got 1.5"),
         (-0.1, 2, r"measurement strength must lie in \[0, 1\], got -0.1"),
         (0.5, 1, "dimension must be at least 2, got 1"),
+        (0.5, 2.7, r"dimension must be an integer, got 2.7"),
     ],
 )
 def test_weak_strength_rejects_out_of_range_k_and_d(k, d, message):
