@@ -248,6 +248,20 @@ def _strength_keys(k_values, field: str) -> list[str]:
     return keys
 
 
+def _outputs(outputs) -> tuple[str, ...]:
+    """The requested quantities; each names one exported table or the thresholds, once."""
+    if not isinstance(outputs, (list, tuple)) or not all(isinstance(q, str) for q in outputs):
+        _fail("outputs", f"expected a list of quantity names, got {outputs!r}")
+    outputs = tuple(outputs)
+    bad = set(outputs) - set(QUANTITIES)
+    if bad:
+        _fail("outputs", f"unknown quantities {sorted(bad)}; available: {list(QUANTITIES)}")
+    if len(set(outputs)) < len(outputs):
+        repeated = next(q for q in outputs if outputs.count(q) > 1)
+        _fail("outputs", f"quantity {repeated!r} is listed twice")
+    return outputs
+
+
 def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
     if "K" in doc and "phi" in doc:
         _fail("K", "'K' and 'phi' are mutually exclusive ways to set the strength grid")
@@ -331,16 +345,7 @@ def parse_config(text: str) -> ScenarioConfig:
     # the sweep's error bars are closed-form; the key stays valid for older documents
     _integer(doc.get("resamples", 1000), "resamples", 0, MAX_RESAMPLES)
 
-    outputs = doc.get("outputs", QUANTITIES)
-    if not isinstance(outputs, (list, tuple)) or not all(isinstance(q, str) for q in outputs):
-        _fail("outputs", f"expected a list of quantity names, got {outputs!r}")
-    outputs = tuple(outputs)
-    bad = set(outputs) - set(QUANTITIES)
-    if bad:
-        _fail("outputs", f"unknown quantities {sorted(bad)}; available: {list(QUANTITIES)}")
-    if len(set(outputs)) < len(outputs):
-        repeated = next(q for q in outputs if outputs.count(q) > 1)
-        _fail("outputs", f"quantity {repeated!r} is listed twice")
+    outputs = _outputs(doc.get("outputs", QUANTITIES))
 
     # the sweep has one engine, the closed form; the key stays valid for older documents
     engine = doc.get("engine", "circuit")
@@ -391,7 +396,8 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     """
     started = time.monotonic()
     k_values = tuple(sorted(config.k_values))
-    keys = _strength_keys(k_values, "K")  # checked before the sweep, so a failed run leaves nothing
+    # checked before the sweep, so a failed run leaves nothing
+    keys, outputs = _strength_keys(k_values, "K"), _outputs(config.outputs)
     sweep = run_sweep(
         config.rho,
         config.obs_a,
@@ -412,7 +418,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
 
     negativity_totals: dict[str, dict[str, float]] = {}
     residuals: dict[str, dict[str, float]] = {}
-    for quantity in config.outputs:
+    for quantity in outputs:
         if quantity == "thresholds":
             continue
         if quantity in strong:  # the exact theory tables are the same at every strength
@@ -445,7 +451,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         "normalization_residuals": residuals,
         "runtime_seconds": round(time.monotonic() - started, 3),
     }
-    if "thresholds" in config.outputs:
+    if "thresholds" in outputs:
         report = threshold_strength(config.rho, config.obs_a, config.obs_b)
         cells = [
             {"a": labels_a[a], "b": labels_b[b], "K_threshold": _threshold(report.per_cell[a, b])}

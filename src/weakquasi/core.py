@@ -23,16 +23,12 @@ __all__ = [
     "DensityOperator",
     "InternalConsistencyError",
     "ObservableSpec",
-    "PointerState",
     "WeakStrength",
     "controlled_shift",
     "evolve_observable",
-    "is_hermitian",
     "make_pure_state",
     "pauli_x",
     "pauli_z",
-    "pointer_for_strength",
-    "shift_operator",
 ]
 
 
@@ -47,9 +43,9 @@ def _square_complex(matrix, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def is_hermitian(matrix: np.ndarray, atol: float = VALIDATION_ATOL) -> bool:
-    """True when max|M - M^dagger| <= atol entrywise."""
-    return bool(np.abs(matrix - matrix.conj().T).max() <= atol)
+def _is_hermitian(matrix: np.ndarray) -> bool:
+    """True when max|M - M^dagger| <= VALIDATION_ATOL entrywise."""
+    return bool(np.abs(matrix - matrix.conj().T).max() <= VALIDATION_ATOL)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -65,7 +61,7 @@ class DensityOperator:
 
     def __post_init__(self):
         m = _square_complex(self.matrix, "density matrix")
-        if not is_hermitian(m):
+        if not _is_hermitian(m):
             raise ValueError("density matrix must be Hermitian within 1e-10")
         tr = np.trace(m)
         if abs(tr - 1.0) > VALIDATION_ATOL:
@@ -112,10 +108,6 @@ class ObservableSpec:
     @property
     def dim(self) -> int:
         return self.eigenvectors.shape[0]
-
-    def projector(self, a: int) -> np.ndarray:
-        v = self.eigenvectors[:, a]
-        return np.outer(v, v.conj())
 
 
 def _check_labels(labels):
@@ -182,30 +174,6 @@ class WeakStrength:
         return self.omega0**2, self.omega1**2 / self.dim, self.cross_weight
 
 
-@dataclass(frozen=True)
-class PointerState:
-    """Normalized pointer preparation: one amplitude on |0>, one shared by |1> .. |d-1>."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size < 2:
-            raise ValueError("pointer needs dimension >= 2")
-        if abs(np.linalg.norm(amps) - 1.0) > VALIDATION_ATOL:
-            raise ValueError("pointer amplitudes must be normalized")
-        if np.abs(amps[1:] - amps[1]).max() > VALIDATION_ATOL:
-            raise ValueError("pointer amplitudes on |1> .. |d-1> must be equal")
-        object.__setattr__(self, "amplitudes", _freeze(amps))
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
 def make_pure_state(amplitudes) -> DensityOperator:
     """Normalize a state vector and return its rank-1 density operator."""
     v = np.array(amplitudes, dtype=complex).reshape(-1)
@@ -218,46 +186,26 @@ def make_pure_state(amplitudes) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()))
 
 
-def shift_operator(d: int) -> np.ndarray:
-    """Cyclic shift V with V|a> = |a+1 mod d>."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    v = np.zeros((d, d), dtype=complex)
-    v[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    return v
-
-
 def controlled_shift(obs: ObservableSpec) -> np.ndarray:
     """Coupling unitary controlled on an arbitrary eigenbasis: sum_a Pi_a (x) V^a.
 
-    On the computational basis it is the controlled modular shift sum_a |a><a| (x) V^a.
+    V|x> = |x+1 mod d> shifts the pointer; on the computational basis this is
+    the controlled modular shift sum_a |a><a| (x) V^a.
     """
     d = obs.dim
-    v = shift_operator(d)
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+    w = obs.eigenvectors
     u = np.zeros((d * d, d * d), dtype=complex)
-    v_power = np.eye(d, dtype=complex)
     for a in range(d):
-        u += np.kron(obs.projector(a), v_power)
-        v_power = v @ v_power
+        u += np.kron(np.outer(w[:, a], w[:, a].conj()), np.roll(np.eye(d), a, axis=0))
     return u
-
-
-def pointer_for_strength(k: float, d: int) -> tuple[PointerState, WeakStrength]:
-    """Pointer preparation realizing a strength-k measurement on a d-level system.
-
-    k=1 yields the basis pointer |0> (projective limit); k=0 yields the uniform
-    superposition, which the coupling leaves untouched (no measurement).
-    """
-    strength = WeakStrength(k, d)
-    amps = np.full(d, strength.omega1 / math.sqrt(d), dtype=complex)
-    amps[0] += strength.omega0
-    return PointerState(amps), strength
 
 
 def evolve_observable(obs: ObservableSpec, hamiltonian: np.ndarray, dt: float) -> ObservableSpec:
     """Heisenberg-evolved observable: every eigenvector rotated by exp(iH dt), with hbar = 1."""
     h = _square_complex(hamiltonian, "Hamiltonian")
-    if not is_hermitian(h):
+    if not _is_hermitian(h):
         raise ValueError("Hamiltonian must be Hermitian")
     evals, evecs = np.linalg.eigh(h)
     u = (evecs * np.exp(1j * evals * dt)) @ evecs.conj().T

@@ -16,6 +16,7 @@ give bit-identical results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -115,6 +116,9 @@ def sample_counts(dist: JointDistribution, shots: int, seed) -> np.ndarray:
     if not isinstance(dist, JointDistribution):
         raise ValueError(f"cannot sample counts from a {type(dist).__name__}: it is not a probability table "
                          "(a JointDistribution); a quasiprobability table has no counts")
+    # bool is an int subclass, so True would otherwise draw one-shot tables
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
     if shots > MAX_SHOTS:

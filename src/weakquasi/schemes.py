@@ -20,7 +20,6 @@ from .core import (
     WeakStrength,
     _freeze,
     controlled_shift,
-    pointer_for_strength,
 )
 
 PROBABILITY_DUST = 1e-12  # negative entries below this are floating-point dust
@@ -187,14 +186,18 @@ def _three_term(strength, first, p_fin: np.ndarray, q_mh: np.ndarray) -> np.ndar
 def weak_joint_state(rho: DensityOperator, obs_a: ObservableSpec, k: float) -> DensityOperator:
     """Joint system-pointer state U (rho (x) |mu_k><mu_k|) U^dagger after the coupling.
 
-    The pointer starts in the strength-k preparation; the returned operator
-    lives on the d^2-dimensional system (x) pointer space.
+    The pointer starts in mu_k = omega1/sqrt(d) on every |x> plus omega0 on |0>:
+    the basis pointer |0> at k=1 (projective limit), and at k=0 the uniform
+    superposition, which the coupling leaves untouched (no measurement).  The
+    returned operator lives on the d^2-dimensional system (x) pointer space.
     """
     if rho.dim != obs_a.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs_a.dim}")
-    pointer, _ = pointer_for_strength(k, rho.dim)
+    strength = WeakStrength(k, rho.dim)
+    mu = np.full(rho.dim, strength.omega1 / np.sqrt(rho.dim), dtype=complex)
+    mu[0] += strength.omega0
     u = controlled_shift(obs_a)
-    return DensityOperator(u @ np.kron(rho.matrix, pointer.density()) @ u.conj().T)
+    return DensityOperator(u @ np.kron(rho.matrix, np.outer(mu, mu.conj())) @ u.conj().T)
 
 
 def joint_outcome_table(joint: DensityOperator, obs_b: ObservableSpec) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import weakquasi
-from oracles import evolve_projector
+from oracles import evolve_projector, projector
 from weakquasi.cli import (
     MAX_DIMENSION, MAX_RESAMPLES, QUANTITIES, ConfigError, ScenarioConfig, _parser, compare, main, parse_config,
     run,
@@ -141,10 +141,10 @@ def test_parse_hamiltonian_evolves_second_observable():
     config = parse_config(json.dumps(doc))
     h = np.array([[0, -1j], [1j, 0]]) * quarter
     for b in range(2):
-        expected = evolve_projector(pauli_x().projector(b), h, 1.0)
-        assert np.abs(config.obs_b.projector(b) - expected).max() <= 1e-12
+        expected = evolve_projector(projector(pauli_x().eigenvectors, b), h, 1.0)
+        assert np.abs(projector(config.obs_b.eigenvectors, b) - expected).max() <= 1e-12
     # the rotation moved the eigenbasis away from plain X
-    assert np.abs(config.obs_b.projector(0) - pauli_x().projector(0)).max() > 0.1
+    assert np.abs(projector(config.obs_b.eigenvectors, 0) - projector(pauli_x().eigenvectors, 0)).max() > 0.1
 
 
 def test_parse_rejects_dt_without_hamiltonian():
@@ -334,6 +334,22 @@ def test_run_rejects_a_python_built_grid_with_a_repeated_key(tmp_path):
     # 0.1 and 0.1 + 1e-15 both format as "0.1": two K=0.1 blocks would make a table compare rejects
     config = replace(parse_config('{"theta0": 10.6, "K": [0.5]}'), k_values=(0.1, 0.1 + 1e-15))
     with pytest.raises(ConfigError, match=r"config field 'K': the grid gives strength K=0.1 twice"):
+        run(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        (("bogus",), r"unknown quantities \['bogus'\]"),
+        (("p_tpm",), r"unknown quantities \['p_tpm'\]"),  # a sweep array, not an exported table
+        (("p_weak", "p_weak"), "quantity 'p_weak' is listed twice"),
+    ],
+    ids=["unknown", "sweep-array", "repeated"],
+)
+def test_run_rejects_python_built_outputs_that_parse_config_would(tmp_path, outputs, message):
+    config = replace(parse_config(SHIPPED.read_text(encoding="utf-8")), outputs=outputs)
+    with pytest.raises(ConfigError, match=f"config field 'outputs': {message}"):
         run(config, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 

@@ -1,25 +1,22 @@
-"""Tests for states, observables, pointer preparations, and coupling unitaries."""
+"""Tests for states, observables, strengths, and coupling unitaries."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_instance, random_observable
-from oracles import evolve_projector, projectors, random_density_operator
+from oracles import evolve_projector, projector, projectors, random_density_operator
 from weakquasi.core import (
     DensityOperator,
     ObservableSpec,
-    PointerState,
     WeakStrength,
     controlled_shift,
     evolve_observable,
     make_pure_state,
     pauli_x,
     pauli_z,
-    pointer_for_strength,
-    shift_operator,
 )
-from weakquasi.schemes import tpm_joint
+from weakquasi.schemes import tpm_joint, weak_joint_state
 
 
 def basis_vector(d, a):
@@ -115,17 +112,7 @@ def test_pauli_presets():
 
 # ----------------------------------------------------- shift and coupling
 
-def test_shift_operator_qubit_flip():
-    assert_allclose(shift_operator(2), np.array([[0, 1], [1, 0]]), atol=1e-15)
-
-
-def test_shift_operator_cyclic_order():
-    v = shift_operator(3)
-    assert_allclose(np.linalg.matrix_power(v, 3), np.eye(3), atol=1e-15)
-    assert_allclose(v @ basis_vector(3, 2), basis_vector(3, 0), atol=1e-15)
-
-
-@pytest.mark.parametrize("func", [shift_operator, coupling_unitary])
+@pytest.mark.parametrize("func", [coupling_unitary])
 def test_dimension_below_two_rejected(func):
     with pytest.raises(ValueError, match="at least 2"):
         func(1)
@@ -185,50 +172,27 @@ def test_controlled_shift_is_unitary_for_random_basis():
 
 # --------------------------------------------------- pointer and strength
 
-def test_pointer_full_strength():
-    pointer, strength = pointer_for_strength(1.0, 2)
-    assert_allclose(pointer.amplitudes, [1.0, 0.0], atol=1e-12)
-    assert strength.omega0 == pytest.approx(1.0, abs=1e-12)
-    assert strength.omega1 == pytest.approx(0.0, abs=1e-12)
-
-
-def test_pointer_no_measurement():
-    pointer, strength = pointer_for_strength(0.0, 2)
-    assert_allclose(pointer.amplitudes, np.full(2, 1 / np.sqrt(2)), atol=1e-12)
-    assert strength.omega0 == pytest.approx(0.0, abs=1e-12)
-    assert strength.omega1 == pytest.approx(1.0, abs=1e-12)
-
-
 def test_pointer_half_strength_coefficients():
     # nonnegative root of the normalization quadratic: omega0 = (sqrt(3) - 1)/2
-    _, strength = pointer_for_strength(0.5, 2)
+    strength = WeakStrength(0.5, 2)
     assert strength.omega1 == pytest.approx(np.sqrt(0.5), abs=1e-12)
     assert strength.omega0 == pytest.approx((np.sqrt(3.0) - 1.0) / 2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_pointer_strength_endpoints(d):
-    basis, _ = pointer_for_strength(1.0, d)
-    assert_allclose(basis.amplitudes, basis_vector(d, 0), atol=1e-12)
-    uniform, _ = pointer_for_strength(0.0, d)
-    assert_allclose(uniform.amplitudes, np.full(d, 1 / np.sqrt(d)), atol=1e-12)
+    # on |0><0| the coupling shifts the pointer by 0, so the pointer's reduced state is its preparation:
+    # the basis pointer |0> at k=1, and the uniform superposition at k=0
+    z, ground = ObservableSpec(np.eye(d), np.arange(d)), make_pure_state(basis_vector(d, 0))
+    for k, mu in ((1.0, basis_vector(d, 0)), (0.0, np.full(d, 1 / np.sqrt(d)))):
+        pointer = np.einsum("iaib->ab", weak_joint_state(ground, z, k).matrix.reshape(d, d, d, d))
+        assert_allclose(pointer, np.outer(mu, mu.conj()), atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [-0.1, 1.1, 2.0])
 def test_strength_out_of_range_rejected(k):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        pointer_for_strength(k, 2)
-
-
-def test_pointer_state_validation():
-    assert PointerState(np.array([0.6, 0.8])).dim == 2
-    with pytest.raises(ValueError, match="normalized"):
-        PointerState([1.0, 1.0])
-    # |0.6|^2 + |0.64|^2 + |0.48|^2 = 1, but |1> and |2> carry different amplitudes
-    with pytest.raises(ValueError, match=r"amplitudes on \|1> .. \|d-1> must be equal"):
-        PointerState([0.6, 0.64, 0.48])
-    with pytest.raises(ValueError, match="dimension >= 2"):
-        PointerState([1.0])
+        weak_joint_state(make_pure_state([1, 0]), pauli_z(), k)
 
 
 def test_weak_strength_normalization_holds():
@@ -278,13 +242,13 @@ def test_coupled_state_two_branch_expansion(d, k):
     rng = np.random.default_rng(17 * d + int(100 * k))
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
-    pointer, strength = pointer_for_strength(k, d)
-    lhs = coupling_unitary(d) @ np.kron(psi, pointer.amplitudes)
+    strength = WeakStrength(k, d)
+    sigma = weak_joint_state(make_pure_state(psi), ObservableSpec(np.eye(d), np.arange(d)), k)
     mu0 = np.full(d, 1 / np.sqrt(d), dtype=complex)
-    rhs = strength.omega1 * np.kron(psi, mu0)
+    phi = strength.omega1 * np.kron(psi, mu0)
     for a in range(d):
-        rhs += strength.omega0 * psi[a] * np.kron(basis_vector(d, a), basis_vector(d, a))
-    assert np.abs(lhs - rhs).max() <= 1e-12
+        phi += strength.omega0 * psi[a] * np.kron(basis_vector(d, a), basis_vector(d, a))
+    assert np.abs(sigma.matrix - np.outer(phi, phi.conj())).max() <= 1e-12
 
 
 # ------------------------------------------------------------- evolution
@@ -308,7 +272,8 @@ def test_evolve_projector_preserves_projector_structure():
     rng = np.random.default_rng(23)
     for d in (2, 3, 4):
         obs = random_observable(d, rng)
-        p = obs.projector(0) + obs.projector(1) if d > 2 else obs.projector(0)
+        w = obs.eigenvectors
+        p = projector(w, 0) + projector(w, 1) if d > 2 else projector(w, 0)
         h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = h + h.conj().T
         out = evolve_projector(p, h, 0.83)
@@ -327,8 +292,8 @@ def test_evolve_observable_rotates_eigenvectors():
     h = np.array([[0, 1], [1, 0]], dtype=complex) * (np.pi / 4)
     rotated = evolve_observable(z, h, 1.0)
     for a in range(2):
-        direct = evolve_projector(z.projector(a), h, 1.0)
-        assert_allclose(rotated.projector(a), direct, atol=1e-12)
+        direct = evolve_projector(projector(z.eigenvectors, a), h, 1.0)
+        assert_allclose(projector(rotated.eigenvectors, a), direct, atol=1e-12)
 
 
 # ---------------------------------------------------------- Born rule
@@ -366,20 +331,22 @@ def test_random_helpers_produce_valid_objects():
 
 PUBLIC_NAMES = [
     "DensityOperator", "InternalConsistencyError", "JointDistribution", "NEVER_NEGATIVE",
-    "NoiseModel", "ObservableSpec", "PROBABILITY_DUST", "PointerState", "QuasiDistribution", "Sweep",
+    "NoiseModel", "ObservableSpec", "PROBABILITY_DUST", "QuasiDistribution", "Sweep",
     "ThresholdReport", "VALIDATION_ATOL", "WeakStrength", "ZeroCountsError", "apply_gate_noise", "coherence_term",
-    "controlled_shift", "cq", "evolve_observable", "is_hermitian", "joint_outcome_table", "make_pure_state", "mhq",
-    "mhq_from_weak", "negativity", "pauli_x", "pauli_z", "pointer_for_strength", "probability_table", "run_sweep",
-    "sample_counts", "shift_operator", "strength_from_waveplate", "threshold_strength", "tpm_joint",
+    "controlled_shift", "cq", "evolve_observable", "joint_outcome_table", "make_pure_state", "mhq",
+    "mhq_from_weak", "negativity", "pauli_x", "pauli_z", "probability_table", "run_sweep",
+    "sample_counts", "strength_from_waveplate", "threshold_strength", "tpm_joint",
     "weak_cq_closed", "weak_cq_from_data", "weak_joint_state", "weak_mhq", "weak_sequential_closed",
 ]
 
-# test-only oracles (now in tests/oracles.py), thin wrappers, the count container and a tolerance
-# the package no longer ships
+# test-only oracles (now in tests/oracles.py), thin wrappers, the count container, a tolerance, the
+# circuit's pointer and shift helpers (folded into weak_joint_state and controlled_shift) and a
+# Hermiticity check the package no longer ships
 RETIRED_NAMES = [
-    "ALGEBRA_ATOL", "CountTable", "Marginals", "Povm", "QubitScenario", "born_probability", "coupling_unitary",
-    "estimate_with_errors", "evolve_projector", "marginals", "mhq_from_weak_tpm", "nonselective_state",
-    "post_measurement_state", "random_density_operator", "random_observable", "run_scenario", "weak_povm",
+    "ALGEBRA_ATOL", "CountTable", "Marginals", "PointerState", "Povm", "QubitScenario", "born_probability",
+    "coupling_unitary", "estimate_with_errors", "evolve_projector", "is_hermitian", "marginals",
+    "mhq_from_weak_tpm", "nonselective_state", "pointer_for_strength", "post_measurement_state",
+    "random_density_operator", "random_observable", "run_scenario", "shift_operator", "weak_povm",
     "weak_sequential_oracle", "weak_tpm_joint",
 ]
 

@@ -77,6 +77,15 @@ def test_sample_counts_rejects_bad_shots():
         sample_counts(UNIFORM4, sampling.MAX_SHOTS + 1, seed=0)
 
 
+def test_sample_counts_rejects_shots_that_are_not_integers(scenario_state, obs_z, obs_x):
+    for shots in (100.5, True):
+        with pytest.raises(ValueError, match=rf"^shots must be an integer, got {shots!r}$"):
+            sample_counts(UNIFORM4, shots, seed=0)
+        with pytest.raises(ValueError, match=rf"^shots must be an integer, got {shots!r}$"):
+            run_sweep(scenario_state, obs_z, obs_x, [0.5], shots=shots)
+    assert sample_counts(UNIFORM4, np.int64(100), seed=0).sum() > 0
+
+
 def test_sample_counts_at_max_shots_sums_exactly():
     counts = sample_counts(UNIFORM4, sampling.MAX_SHOTS, seed=0)
     total = int(counts.sum())

@@ -11,6 +11,7 @@ from oracles import (
     nonselective_state,
     post_measurement_state,
     povm_elements,
+    projector,
     weak_kraus,
     weak_sequential_oracle,
     weak_tpm_joint,
@@ -20,9 +21,7 @@ from weakquasi.core import (
     InternalConsistencyError,
     ObservableSpec,
     WeakStrength,
-    controlled_shift,
     make_pure_state,
-    pointer_for_strength,
 )
 from weakquasi.schemes import (
     JointDistribution,
@@ -128,7 +127,7 @@ def test_weak_povm_element_form_matches_strength():
         for k in (0.2, 0.6, 0.9):
             elements = povm_elements(weak_kraus(obs.eigenvectors, k))
             for a in range(d):
-                expected = k * obs.projector(a) + (1 - k) * np.eye(d) / d
+                expected = k * projector(obs.eigenvectors, a) + (1 - k) * np.eye(d) / d
                 assert np.abs(elements[a] - expected).max() <= 1e-12
 
 
@@ -147,10 +146,8 @@ def test_post_measurement_identity_at_zero_strength(scenario_state, obs_z):
 def test_post_measurement_matches_circuit_conditional(scenario_state, obs_z):
     # condition the package's coupled d^2 state on the pointer outcome directly
     k = 0.5
-    pointer, _ = pointer_for_strength(k, 2)
-    u = controlled_shift(ObservableSpec(np.eye(2), [0, 1]))
-    sigma = u @ np.kron(scenario_state.matrix, pointer.density()) @ u.conj().T
-    blocks = sigma.reshape(2, 2, 2, 2)
+    sigma = weak_joint_state(scenario_state, ObservableSpec(np.eye(2), [0, 1]), k)
+    blocks = sigma.matrix.reshape(2, 2, 2, 2)
     outcome = 0
     conditional = blocks[:, outcome, :, outcome]
     prob = np.trace(conditional).real
