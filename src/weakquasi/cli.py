@@ -239,7 +239,12 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
 
 
 def _strength_keys(k_values, field: str) -> list[str]:
-    """The formatted K key of each strength; exported rows are keyed by it, so keys must be distinct."""
+    """The formatted K key of each strength; exported rows are keyed by it, so keys must be distinct.
+
+    An empty grid is rejected here too: it would export header-only tables.
+    """
+    if len(k_values) == 0:
+        _fail(field, "the strength grid is empty")
     keys = [_fmt(k) for k in k_values]
     counts = Counter(keys)
     if len(counts) < len(keys):
@@ -278,8 +283,6 @@ def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
         if len(spec) > MAX_GRID_POINTS:
             _fail(field, f"must hold at most {MAX_GRID_POINTS} strengths, got {len(spec)}")
         values = [_number(v, field) for v in spec]
-    if len(values) == 0:
-        _fail(field, "the strength grid is empty")
     if field == "phi":
         try:
             values = [strength_from_waveplate(phi) for phi in values]

@@ -102,9 +102,10 @@ def _vector(x, name: str) -> np.ndarray:
 
 
 # Data-path formulas, each written once.  Tables are (..., d, d) and p_fin is
-# (..., d), so point estimates, the sweep's K axis and its error-bar stacks
-# share the code.  ``strength`` is a WeakStrength, or the sweep's grid whose
-# K and weights are (nK, 1, 1) columns; the K in {0, 1} cases are masks.
+# (..., d), so point estimates, the sweep's K axis and its error-bar
+# coefficient matrices share the code.  ``strength`` is a WeakStrength, or
+# the sweep's grid whose K and weights are (nK, 1, 1) columns; the K in
+# {0, 1} cases are masks.
 
 
 def _weak_cq_values(pw: np.ndarray, pf: np.ndarray) -> np.ndarray:

@@ -4,10 +4,13 @@ The strength sweep is array-valued: the exact tables of every strength come
 from one broadcast of the three-term closed form, and every derived quantity
 is one array over the K axis.  Coincidence counts are drawn cell-wise from
 independent Poisson laws and point estimates are normalized counts.  The
-sweep's error bars propagate each table's Poisson covariance through the data
-paths to first order in closed form: the limit of a Monte Carlo spread over
-ever more Poisson re-draws around the observed counts.  A single
-gate-visibility parameter models imperfect interference at the coupling gate.
+sweep's error bars propagate each table's Poisson covariance to first order
+in closed form, as arrays over the same K axis: every quantity applies one
+coefficient matrix to each column of each table, and that matrix is the
+quantity evaluated on the identity table.  They are the limit of a Monte
+Carlo spread over ever more Poisson re-draws around the observed counts.  A
+single gate-visibility parameter models imperfect interference at the
+coupling gate.
 
 All sampling uses explicitly seeded, splittable generators; identical seeds
 give bit-identical results.
@@ -165,11 +168,12 @@ class Sweep:
     mhq_reconstructed and weak_mhq to read-only arrays whose first axis is the
     grid: (nK, d, d), and (nK, d) for p_fin.  ``errors`` maps the same names
     to read-only arrays of their standard errors in the same shapes: in
-    sampled mode the Poisson covariance of each point's three count tables
-    carried through the data paths to first order; in exact mode a broadcast
-    zero, which allocates nothing.  ``masks`` maps mhq_reconstructed and
-    weak_mhq to the (nK,) masks of the points a data path reaches; their other
-    slices hold finite filler.
+    sampled mode the Poisson covariance of every point's three count tables
+    carried to first order through each quantity's coefficient matrices, for
+    the whole grid at once; in exact mode a broadcast zero, which allocates
+    nothing.  ``masks`` maps mhq_reconstructed and weak_mhq to the (nK,)
+    masks of the points a data path reaches; their other slices hold finite
+    filler.
     """
 
     strengths: tuple[WeakStrength, ...]
@@ -203,11 +207,12 @@ def _strength(k: float, d: int) -> WeakStrength:
 
 
 def _point_quantities(pw: np.ndarray, pt: np.ndarray, p_final: np.ndarray, strength) -> dict:
-    """The seven quantities of strength points from their weak, K=1 and K=0 tables, by export name.
+    """The seven quantities from the weak, K=1 and K=0 tables, by export name.
 
-    Tables are (..., d, d), so the sweep's K axis and a point's stack of
-    error-bar tables share every data path.  Slices that no data path
-    reaches hold finite filler (see _reach).
+    Tables are (..., d, d), so the sweep's (nK, d, d) tables and the (d, d)
+    identity and zero tables of ``_errors`` share every data path: on the
+    tables it gives the values, on an identity in one slot the coefficient
+    matrices.  Slices that no data path reaches hold finite filler (see _reach).
     """
     pf = p_final.sum(axis=-2)
     wcq = _weak_cq_values(pw, pf)
@@ -224,34 +229,31 @@ def _point_quantities(pw: np.ndarray, pt: np.ndarray, p_final: np.ndarray, stren
     }
 
 
-def _point_errors(tables, totals, strength: WeakStrength) -> dict:
-    """First-order Poisson standard errors of the seven quantities of one point, by export name.
+def _errors(tables, totals, grid) -> dict:
+    """First-order Poisson standard errors of the seven quantities over the grid, by export name.
 
     A table p = n/N normalized by its total count N has covariance
     (diag(p) - p p^T)/N, and the three tables of a point are independent.
-    Every quantity Q is linear in them and mixes rows only within one column,
-    so with S_a the table that holds row a of sqrt(p) and nothing else,
-    sum_a Q(S_a)^2 = sum_cells l^2 p and Var Q = (sum_a Q(S_a)^2 - Q(p)^2)/N
-    per table.  One (d+1)-table block per table, the other two tables zero,
-    carries this through ``_point_quantities``; it is the limit of infinitely
-    many Poisson re-draws around the counts.
+    Every quantity is linear in them and mixes rows only within one column:
+    it is C @ p for the matrix C it gives on the identity table, the other
+    two tables zero.  So per table Var = ((C*C) @ p - (C @ p)^2)/N, the limit
+    of infinitely many Poisson re-draws around the counts.  C is (d, d), or
+    (nK, d, d) where it depends on K, and (d,) for p_fin; each broadcasts
+    against the (nK, d, d) tables.
     """
-    d = tables[0].shape[-1]
-    m = d + 1  # per table: S_0 .. S_{d-1}, then p
-    stack = np.zeros((3, 3 * m, d, d))
-    weights = np.empty(3 * m)
-    rows = np.arange(d)
+    d = grid.dim
+    variances = {}
     for t, (p, total) in enumerate(zip(tables, totals)):
-        block = stack[t, t * m : (t + 1) * m]
-        block[rows, rows] = np.sqrt(p)
-        block[d] = p
-        weights[t * m : (t + 1) * m] = 1.0 / total
-        weights[t * m + d] = -1.0 / total
+        slots = [np.zeros((d, d))] * 3
+        slots[t] = np.eye(d)
+        for name, c in _point_quantities(*slots, grid).items():
+            v = (c * c) @ p
+            v -= (c @ p) ** 2
+            np.divide(v.T, total, out=v.T)  # the grid is the first axis of every quantity
+            v += variances.get(name, 0.0)
+            variances[name] = v
     # a vanishing variance (p_fin of an eigenstate of B) can round below 0
-    return {
-        name: np.sqrt(np.maximum(np.tensordot(weights, q * q, axes=1), 0.0))
-        for name, q in _point_quantities(*stack, strength).items()
-    }
+    return {name: np.sqrt(np.maximum(v, 0.0, out=v), out=v) for name, v in variances.items()}
 
 
 def run_sweep(
@@ -280,9 +282,9 @@ def run_sweep(
     ----------
     rho, obs_a, obs_b : state and the two observables.
     k_values : iterable of float
-        Strength grid; evaluated in the given order.  A K in (0, 1) whose
-        cross weight is below MIN_CROSS_WEIGHT raises ValueError before any
-        evaluation.
+        Strength grid; evaluated in the given order.  An empty grid, or a K
+        in (0, 1) whose cross weight is below MIN_CROSS_WEIGHT, raises
+        ValueError before any evaluation.
     shots : int or None
         Expected total coincidences per setting; None selects exact
         (infinite-statistics) mode, where all standard errors are zero.  In
@@ -293,7 +295,8 @@ def run_sweep(
     seed : int
         Root seed of sampled mode; every strength point receives an
         independent spawned generator, so sweeps are reproducible
-        bit-for-bit.  Exact mode ignores it.
+        bit-for-bit.  Exact mode draws nothing, but in both modes a bool, a
+        non-integer or a negative seed raises ValueError.
 
     Returns
     -------
@@ -301,8 +304,13 @@ def run_sweep(
         The seven quantities and their standard errors as arrays over the
         grid, with the masks of the points a data path reaches.
     """
+    # bool is an int subclass, so True would otherwise draw as seed 1
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     d = _check_dims(rho, obs_a, obs_b)
     strengths = tuple(_strength(float(k), d) for k in k_values)
+    if not strengths:
+        raise ValueError("the strength grid is empty")
     if not noise.is_ideal:  # dephasing in A's basis commutes with the controlled shift
         nu, w = noise.gate_visibility, obs_a.eigenvectors
         rho = DensityOperator(nu * rho.matrix + (1.0 - nu) * (w * _born(rho, obs_a)) @ w.conj().T)
@@ -333,12 +341,7 @@ def run_sweep(
     for name in _QUASI:  # QuasiDistribution's check, once per stack
         _finite(values[name], f"{name} table")
     shapes = {name: (n, d) if name == "p_fin" else (n, d, d) for name in values}
-    errors = {}
-    if shots is not None:  # one point at a time: a point's error stack holds 3 (d + 1) tables
-        errors = {name: np.empty(shape) for name, shape in shapes.items()}
-        for i, strength in enumerate(strengths):
-            for name, e in _point_errors(tables[:, i], totals[:, i], strength).items():
-                errors[name][i] = e
+    errors = _errors(tables, totals, grid) if shots is not None else {}
     # read-only views; exact mode shares one p_tpm and p_fin across the grid, and its errors are zeros
     values = {name: np.broadcast_to(v, shapes[name]) for name, v in values.items()}
     errors = {name: np.broadcast_to(errors.get(name, 0.0), shapes[name]) for name in values}

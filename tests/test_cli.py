@@ -338,6 +338,14 @@ def test_run_rejects_a_python_built_grid_with_a_repeated_key(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_a_python_built_empty_grid(tmp_path):
+    # an empty grid would write header-only tables; run checks it before its sweep
+    config = replace(parse_config('{"theta0": 10.6, "K": [0.5]}'), k_values=())
+    with pytest.raises(ConfigError, match=r"^config field 'K': the strength grid is empty$"):
+        run(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "outputs, message",
     [

@@ -298,7 +298,7 @@ def _sweep_counts(rho, obs_a, obs_b, k_grid, shots, seed):
     ]
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 5])
 def test_run_sweep_error_bars_match_first_order_quadratic_form(dim):
     # Var Q = sum over tables of l^T (diag(p) - p p^T) l / N, with the gradient l
     # of every output cell read off the public functions on all d^2 basis tables
@@ -500,7 +500,8 @@ def test_run_sweep_error_bars_of_a_certain_final_outcome_vanish():
 
 
 def test_run_sweep_sampled_memory_stays_cubic_in_dimension():
-    # one point's error bars need 3 (d + 1) tables of d x d, not d^2 perturbed tables
+    # the error bars need each quantity's coefficient matrix, at most (nK, d, d),
+    # and a few arrays of the grid's shape per table, not d^2 perturbed tables
     from conftest import random_instance
 
     rho, obs_a, obs_b = random_instance(np.random.default_rng(32), 32)
@@ -536,6 +537,46 @@ def test_run_sweep_exact_memory_stays_within_the_grid_arrays():
         tracemalloc.stop()
     assert len(sweep.strengths) == 200
     assert peak < 20 * 2**20
+
+
+def test_run_sweep_sampled_memory_stays_within_the_grid_arrays():
+    # a d=32, 200-point sampled sweep returns thirteen (nK, d, d) arrays' worth,
+    # 1.6 MiB each: its three tables, four derived values and six error arrays.
+    # The error bars add a few more per table while they run, not stacks per point
+    from conftest import random_instance
+
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(34), 32)
+    tracemalloc.start()
+    try:
+        sweep = run_sweep(rho, obs_a, obs_b, np.linspace(0.0, 1.0, 200), shots=10**6, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sweep.strengths) == 200
+    assert peak < 48 * 2**20
+
+
+@pytest.mark.parametrize("shots", [None, 100], ids=["exact", "sampled"])
+def test_run_sweep_rejects_an_empty_grid_before_evaluating(monkeypatch, scenario_state, obs_z, obs_x, shots):
+    # a grid without points has nothing to evaluate, in either mode
+    evaluations = _count_calls(monkeypatch, sampling, "_three_term")
+    with pytest.raises(ValueError, match="^the strength grid is empty$"):
+        run_sweep(scenario_state, obs_z, obs_x, [], shots=shots)
+    assert evaluations == []
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_run_sweep_rejects_a_seed_that_is_not_a_non_negative_integer(monkeypatch, scenario_state, obs_z, obs_x, seed):
+    # bool is an int subclass, so True would draw as seed 1; exact mode draws nothing
+    # but applies the same rule, so a bad seed fails the same way in both modes
+    draws = _count_calls(monkeypatch, sampling, "sample_counts")
+    for shots in (None, 100):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            run_sweep(scenario_state, obs_z, obs_x, [0.5], shots=shots, seed=seed)
+    assert draws == []
+    # numpy integers are integers
+    sweep = run_sweep(scenario_state, obs_z, obs_x, [0.5], shots=100, seed=np.int64(3))
+    assert sweep.values["p_weak"].shape == (1, 2, 2)
 
 
 def test_run_sweep_rejects_underflowing_strength_before_evaluating(monkeypatch):
