@@ -215,7 +215,7 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
         return presets[spec]()
     if not isinstance(spec, dict) or "eigenvectors" not in spec:
         _fail(field, "expected a preset name or an object with 'eigenvectors'")
-    _check_keys(spec, ("eigenvectors", "eigenvalues", "labels", "name"), field)
+    _check_keys(spec, ("eigenvectors", "eigenvalues", "labels"), field)
     vecs = _complex_matrix(_sized(spec["eigenvectors"], field, dim), f"{field}.eigenvectors")
     eigenvalues = spec.get("eigenvalues", list(range(len(vecs))))
     if not isinstance(eigenvalues, list):
@@ -228,12 +228,8 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
         _check_labels(labels)
     except ValueError as exc:
         _fail(f"{field}.labels", str(exc))
-    labels = tuple(labels)
-    name = spec.get("name", "")
-    if not isinstance(name, str):
-        _fail(f"{field}.name", f"expected a string, got {name!r}")
     try:
-        return ObservableSpec(vecs, eigenvalues, name=name, labels=labels)
+        return ObservableSpec(vecs, eigenvalues, labels=tuple(labels))
     except ValueError as exc:
         _fail(field, str(exc))
 
@@ -378,8 +374,9 @@ def _threshold(value: float):
 def _quoted(fields) -> str:
     """``fields`` as csv.writer writes them into an exported row, with the comma that follows.
 
-    ``run`` quotes each K key and label pair once, so any field that needs
-    quotes is quoted exactly as a row written through csv.writer would be.
+    ``run`` quotes each label pair once, so a label that needs quotes is
+    quoted exactly as a row written through csv.writer would be.  A K key is
+    the .12g form of a number in [0, 1], which csv.writer never quotes.
     """
     line = io.StringIO()
     csv.writer(line, lineterminator="\n").writerow(fields)
@@ -395,7 +392,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     Each table's rows are formatted from the sweep's arrays as they are
     written, one point's rows per write, so no row list is kept: each point's
     cells come from one ``tolist()`` of its values and one of its errors, and
-    each K key and label pair is quoted once.
+    each label pair is quoted once; a K key needs no quotes (see _quoted).
     """
     started = time.monotonic()
     k_values = tuple(sorted(config.k_values))
@@ -410,14 +407,15 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         noise=config.noise,
         seed=config.seed,
     )
-    out = Path(out_dir)  # made only once the sweep has returned, so a failed run leaves nothing
+    strong = {"cq": cq(config.rho, config.obs_a, config.obs_b).values,
+              "mhq": mhq(config.rho, config.obs_a, config.obs_b).values}
+    if "thresholds" in outputs:
+        per_cell = threshold_strength(config.rho, config.obs_a, config.obs_b)
+    out = Path(out_dir)  # made only once every result is computed, so a failed run leaves nothing
     out.mkdir(parents=True, exist_ok=True)
     labels_a = config.obs_a.labels
     labels_b = config.obs_b.labels
-    quoted_keys = [_quoted([key]) for key in keys]
     quoted_labels = [_quoted([la, lb]) for la in labels_a for lb in labels_b]  # a-major, as ravel()
-    strong = {"cq": cq(config.rho, config.obs_a, config.obs_b).values,
-              "mhq": mhq(config.rho, config.obs_a, config.obs_b).values}
 
     negativity_totals: dict[str, dict[str, float]] = {}
     residuals: dict[str, dict[str, float]] = {}
@@ -437,7 +435,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
             for i in points.tolist():  # the d^2 rows of one point, as one string
                 point = zip(prefixes, values[i].ravel().tolist(), errors[i].ravel().tolist())
                 fh.write("".join([
-                    f"{quoted_keys[i]}{prefix}{value:{_NUMBER}},{error:{_NUMBER}}\n"
+                    f"{keys[i]},{prefix}{value:{_NUMBER}},{error:{_NUMBER}}\n"
                     for prefix, value, error in point
                 ]))
         if quantity != "C" and points.size:  # the cross-term is not itself a distribution
@@ -455,13 +453,12 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         "runtime_seconds": round(time.monotonic() - started, 3),
     }
     if "thresholds" in outputs:
-        report = threshold_strength(config.rho, config.obs_a, config.obs_b)
         cells = [
-            {"a": labels_a[a], "b": labels_b[b], "K_threshold": _threshold(report.per_cell[a, b])}
+            {"a": labels_a[a], "b": labels_b[b], "K_threshold": _threshold(per_cell[a, b])}
             for a in range(config.obs_a.dim)
             for b in range(config.obs_b.dim)
         ]
-        summary["thresholds"] = {"per_cell": cells, "global": _threshold(report.global_threshold)}
+        summary["thresholds"] = {"per_cell": cells, "global": _threshold(float(per_cell.min()))}
     with open(out / "summary.json", "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

@@ -19,7 +19,6 @@ import numpy as np
 VALIDATION_ATOL = 1e-10  # physicality checks on constructed objects
 
 __all__ = [
-    "VALIDATION_ATOL",
     "DensityOperator",
     "InternalConsistencyError",
     "ObservableSpec",
@@ -86,7 +85,6 @@ class ObservableSpec:
 
     eigenvectors: np.ndarray
     eigenvalues: np.ndarray
-    name: str = ""
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -122,13 +120,13 @@ def _check_labels(labels):
 
 def pauli_z() -> ObservableSpec:
     """Pauli Z with the H/V polarisation labels of the photonic encoding."""
-    return ObservableSpec(np.eye(2, dtype=complex), (1.0, -1.0), name="Z", labels=("H", "V"))
+    return ObservableSpec(np.eye(2, dtype=complex), (1.0, -1.0), labels=("H", "V"))
 
 
 def pauli_x() -> ObservableSpec:
     """Pauli X; eigenstates are the diagonal polarisations D and D-perp."""
     vecs = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-    return ObservableSpec(vecs, (1.0, -1.0), name="X", labels=("D", "D⊥"))
+    return ObservableSpec(vecs, (1.0, -1.0), labels=("D", "D⊥"))
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,10 @@ def make_pure_state(amplitudes) -> DensityOperator:
     v = np.array(amplitudes, dtype=complex).reshape(-1)
     if v.size == 0:
         raise ValueError("state vector must be nonempty")
-    norm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # a norm past the float range is rejected below, not warned of
+        norm = np.linalg.norm(v)
+    if not math.isfinite(norm):
+        raise ValueError(f"state vector norm must be finite, got {norm}")
     if norm < 1e-12:
         raise ValueError("state vector must be nonzero")
     v = v / norm
@@ -208,5 +209,9 @@ def evolve_observable(obs: ObservableSpec, hamiltonian: np.ndarray, dt: float) -
     if not _is_hermitian(h):
         raise ValueError("Hamiltonian must be Hermitian")
     evals, evecs = np.linalg.eigh(h)
-    u = (evecs * np.exp(1j * evals * dt)) @ evecs.conj().T
-    return ObservableSpec(u @ obs.eigenvectors, obs.eigenvalues, name=obs.name, labels=obs.labels)
+    with np.errstate(over="ignore"):  # a phase past the float range is rejected below, not warned of
+        phase = evals * dt
+    if not np.isfinite(phase).all():
+        raise ValueError(f"phase H*dt must be finite, got dt={dt} and eigenvalues up to {np.abs(evals).max():.6g}")
+    u = (evecs * np.exp(1j * phase)) @ evecs.conj().T
+    return ObservableSpec(u @ obs.eigenvectors, obs.eigenvalues, labels=obs.labels)

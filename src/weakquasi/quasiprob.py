@@ -37,12 +37,8 @@ from .schemes import (
     _tpm_table,
 )
 
-NEVER_NEGATIVE = math.inf  # threshold sentinel: the cell is nonnegative at every strength
-
 __all__ = [
-    "NEVER_NEGATIVE",
     "QuasiDistribution",
-    "ThresholdReport",
     "cq",
     "coherence_term",
     "mhq",
@@ -68,26 +64,6 @@ class QuasiDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(_real_table(self.values, "quasiprobability table")))
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Per-cell strength thresholds, with inf marking never-negative cells."""
-
-    per_cell: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.per_cell, dtype=float)
-        object.__setattr__(self, "per_cell", _freeze(arr))
-
-    @property
-    def global_threshold(self) -> float:
-        """Minimum over cells that do turn negative, or inf when no cell ever is.
-
-        Below it the whole table is nonnegative at every outcome pair.
-        """
-        finite = self.per_cell[np.isfinite(self.per_cell)]
-        return float(finite.min()) if finite.size else NEVER_NEGATIVE
 
 
 def _values_of(table) -> np.ndarray:
@@ -237,23 +213,26 @@ def mhq_from_weak(p_weak, p_tpm, p_fin, strength: WeakStrength) -> QuasiDistribu
     return QuasiDistribution(_reconstruct(coherence_term(p_weak, p_tpm, p_fin, strength), strength))
 
 
-def threshold_strength(
-    rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec
-) -> ThresholdReport:
+def threshold_strength(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> np.ndarray:
     """Per-cell strength threshold below which the weak quasiprobability is nonnegative.
 
-    For cells with q_MH(a,b) < 0 the weak MHQ crosses zero at
-    K = 1 / (1 - d q_MH(a,b)/p_fin(b)), which lies in (0, 1); cells with
-    q_MH(a,b) >= 0 never turn negative and report the inf sentinel.  Cauchy-Schwarz
-    bounds |q_MH(a,b)| by |<a|b>| sqrt(p_in(a) p_fin(b)), so a cell whose p_fin(b)
-    is dust may still turn negative, at a threshold near 0.
+    Returns a read-only (d, d) array.  For cells with q_MH(a,b) < 0 the weak
+    MHQ crosses zero at K = 1 / (1 - d q_MH(a,b)/p_fin(b)), which lies in
+    (0, 1); cells with q_MH(a,b) >= 0 never turn negative and hold inf, so
+    the table's threshold is the array's min().  DensityOperator accepts rho
+    with rho + eps I positive semidefinite, eps = VALIDATION_ATOL, so
+    Cauchy-Schwarz bounds |q_MH(a,b)| by
+    |<a|b>| (sqrt((p_in(a) + eps)(p_fin(b) + eps)) + eps |<a|b>|), and a cell
+    whose p_fin(b) is dust may still turn negative, at a threshold near 0.
     """
     d = _check_dims(rho, obs_a, obs_b)
     q_mh, p_final = _mh_table(rho, obs_a, obs_b), _born(rho, obs_b)
     p_fin = np.broadcast_to(p_final, q_mh.shape)
     overlap = np.abs(obs_a.eigenvectors.conj().T @ obs_b.eigenvectors)
-    bound = overlap * np.sqrt(np.clip(np.outer(_born(rho, obs_a), p_final), 0.0, None))
-    inconsistent = np.argwhere(np.abs(q_mh) > bound + VALIDATION_ATOL)
+    eps, p_in = VALIDATION_ATOL, _born(rho, obs_a)
+    bound = overlap * (np.sqrt(np.clip(np.outer(p_in + eps, p_final + eps), 0.0, None)) + eps * overlap)
+    # the further eps leaves room for rounding and the state's Hermiticity tolerance
+    inconsistent = np.argwhere(np.abs(q_mh) > bound + eps)
     if inconsistent.size:
         a, b = inconsistent[0]
         what = "vanishing p_fin" if p_fin[a, b] <= PROBABILITY_DUST else f"p_fin={p_fin[a, b]:.6g}"
@@ -261,9 +240,9 @@ def threshold_strength(
             f"cell ({a}, {b}): q_MH={q_mh[a, b]} with {what}, beyond its bound {bound[a, b]:.6g}"
         )
     negative = (q_mh < -PROBABILITY_DUST) & (p_fin > 0.0)
-    per_cell = np.full((d, d), NEVER_NEGATIVE)
+    per_cell = np.full((d, d), math.inf)
     per_cell[negative] = 1.0 / (1.0 - d * q_mh[negative] / p_fin[negative])
-    return ThresholdReport(per_cell)
+    return _freeze(per_cell)
 
 
 def negativity(table) -> float:

@@ -93,10 +93,6 @@ class NoiseModel:
         if not 0.0 <= self.gate_visibility <= 1.0:
             raise ValueError(f"gate visibility must lie in [0, 1], got {self.gate_visibility}")
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.gate_visibility == 1.0
-
 
 def strength_from_waveplate(phi_deg: float) -> float:
     """Measurement strength K = 2 cos^2(2 phi) - 1 set by the pointer waveplate angle.
@@ -176,7 +172,6 @@ class Sweep:
     filler.
     """
 
-    strengths: tuple[WeakStrength, ...]
     values: dict
     errors: dict
     masks: dict
@@ -185,7 +180,7 @@ class Sweep:
         """(nK,) mask of the points where a data path reaches quantity ``name``."""
         if name not in self.values:
             raise KeyError(f"unknown quantity {name!r}; expected one of {', '.join(self.values)}")
-        return self.masks.get(name, np.ones(len(self.strengths), dtype=bool))
+        return self.masks.get(name, np.ones(len(self.values[name]), dtype=bool))
 
 
 def _grid(strengths, d: int) -> SimpleNamespace:
@@ -311,7 +306,7 @@ def run_sweep(
     strengths = tuple(_strength(float(k), d) for k in k_values)
     if not strengths:
         raise ValueError("the strength grid is empty")
-    if not noise.is_ideal:  # dephasing in A's basis commutes with the controlled shift
+    if noise.gate_visibility != 1.0:  # dephasing in A's basis commutes with the controlled shift
         nu, w = noise.gate_visibility, obs_a.eigenvectors
         rho = DensityOperator(nu * rho.matrix + (1.0 - nu) * (w * _born(rho, obs_a)) @ w.conj().T)
     # the grid's settings, then the projective (K=1) and no-measurement (K=0) references
@@ -346,4 +341,4 @@ def run_sweep(
     values = {name: np.broadcast_to(v, shapes[name]) for name, v in values.items()}
     errors = {name: np.broadcast_to(errors.get(name, 0.0), shapes[name]) for name in values}
     masks = {name: _freeze(m.reshape(-1)) for name, m in zip(("mhq_reconstructed", "weak_mhq"), _reach(grid))}
-    return Sweep(strengths, values, errors, masks)
+    return Sweep(values, errors, masks)

@@ -26,7 +26,6 @@ PROBABILITY_DUST = 1e-12  # negative entries below this are floating-point dust
 
 __all__ = [
     "JointDistribution",
-    "PROBABILITY_DUST",
     "joint_outcome_table",
     "probability_table",
     "tpm_joint",

@@ -20,7 +20,7 @@ from weakquasi.cli import (
     MAX_DIMENSION, MAX_RESAMPLES, QUANTITIES, ConfigError, ScenarioConfig, _parser, compare, main, parse_config,
     run,
 )
-from weakquasi.core import make_pure_state
+from weakquasi.core import InternalConsistencyError, make_pure_state
 from weakquasi.quasiprob import weak_mhq
 from weakquasi.sampling import MAX_SHOTS, NoiseModel
 from weakquasi.schemes import tpm_joint, weak_sequential_closed
@@ -46,10 +46,10 @@ def test_parse_minimal_config_defaults(cs):
     config = parse_config(MINIMAL)
     c, s = cs
     assert_allclose(config.rho.matrix, make_pure_state([c, s]).matrix, atol=1e-15)
-    assert config.obs_a.name == "Z"
-    assert config.obs_b.name == "X"
+    assert config.obs_a.labels == ("H", "V")
+    assert config.obs_b.labels == ("D", "D⊥")
     assert config.shots is None
-    assert config.noise.is_ideal
+    assert config.noise.gate_visibility == 1.0
     assert config.seed == 0
     assert config.k_values == tuple(np.linspace(0, 1, 11))
     assert "weak_cq" in config.outputs and "thresholds" in config.outputs
@@ -198,11 +198,8 @@ def test_parse_shots_and_noise_validation():
         ({"theta0": 1e308}, "theta0"),
         ({"hamiltonian": None}, "hamiltonian"),
         ({"hamiltonian": [[1, 0], [0]]}, "hamiltonian"),
-        pytest.param(
-            {"hamiltonian": [[2, 0], [0, -2]], "dt": 1e308},
-            "hamiltonian",
-            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),  # exp(i H dt) overflows
-        ),
+        # a phase H*dt beyond the float range is rejected before exp(i H dt) is taken
+        ({"hamiltonian": [[2, 0], [0, -2]], "dt": 1e308}, "hamiltonian"),
         ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "labels": ["a", "a"]}}, "observable_a.labels"),
         ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "labels": 5}}, "observable_a.labels"),
         ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "eigenvalues": {}}}, "observable_a.eigenvalues"),
@@ -228,7 +225,7 @@ def test_parse_shots_and_noise_validation():
         ({"hamiltonian": np.eye(3).tolist()}, "hamiltonian"),
         # nested objects reject unknown keys, as the document and the K range do
         ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "eigenvalue": [5, 6]}}, "observable_a"),
-        ({"observable_b": {"eigenvectors": [[1, 0], [0, 1]], "name": 5}}, "observable_b.name"),
+        ({"observable_b": {"eigenvectors": [[1, 0], [0, 1]], "name": 5}}, "observable_b"),
         ({"state": {"amplitudes": [1, 0], "density": [[1, 0], [0, 0]]}}, "state"),
         ({"state": {"amplitudes": [1, 0], "phase": 0}}, "state"),
         ({"state": {}}, "state"),
@@ -240,6 +237,10 @@ def test_parse_shots_and_noise_validation():
         # one exported row is one line, and csv.writer leaves a carriage return unquoted
         ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "labels": ["H\rx", "V"]}}, "observable_a.labels"),
         ({"observable_b": {"eigenvectors": [[1, 0], [0, 1]], "labels": ["D", "A\n"]}}, "observable_b.labels"),
+        # finite amplitudes whose norm overflows, and a phase H*dt past the float range, each
+        # give one error line and no numpy warning
+        ({"state": {"amplitudes": [1e308, 1e308]}}, "state"),
+        ({"hamiltonian": [[1e300, 0], [0, -1e300]], "dt": 1e10}, "hamiltonian"),
     ],
 )
 def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
@@ -282,6 +283,13 @@ def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
         ({"K": [i / 20_000 for i in range(20_001)]}, "config field 'K': must hold at most 10000 strengths, got 20001"),
         ({"phi": [22.5 * i / 15_000 for i in range(15_001)]},
          "config field 'phi': must hold at most 10000 strengths, got 15001"),
+        # the retired observable name, once a string, is an unknown key like any other
+        ({"observable_b": {"eigenvectors": [[1, 0], [0, 1]], "name": "X"}},
+         "config field 'observable_b': unknown keys ['name']"),
+        # an overflow is named for what it is, not as the unit-trace failure it would cause
+        ({"state": {"amplitudes": [1e308, 1e308]}}, "config field 'state': state vector norm must be finite"),
+        ({"hamiltonian": [[1e300, 0], [0, -1e300]], "dt": 1e10},
+         "config field 'hamiltonian': phase H*dt must be finite"),
     ],
 )
 def test_parse_error_messages(fields, message):
@@ -358,6 +366,17 @@ def test_run_rejects_a_python_built_empty_grid(tmp_path):
 def test_run_rejects_python_built_outputs_that_parse_config_would(tmp_path, outputs, message):
     config = replace(parse_config(SHIPPED.read_text(encoding="utf-8")), outputs=outputs)
     with pytest.raises(ConfigError, match=f"config field 'outputs': {message}"):
+        run(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_checks_the_thresholds_before_it_makes_the_output_directory(monkeypatch, tmp_path):
+    # plant an MHQ table beyond its Cauchy-Schwarz bound: the failing check leaves no tables behind
+    import weakquasi.quasiprob as quasiprob
+
+    monkeypatch.setattr(quasiprob, "_mh_table", lambda rho, a, b: np.array([[1.0, 0.0], [0.0, -0.25]]))
+    config = parse_config('{"theta0": 0, "observable_b": "Z", "K": [0.5]}')
+    with pytest.raises(InternalConsistencyError, match=r"cell \(1, 1\): q_MH=-0.25 with vanishing p_fin"):
         run(config, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
@@ -511,19 +530,28 @@ def test_main_run_reports_the_threshold_of_a_cell_whose_p_fin_is_dust(tmp_path):
     assert cell[0] > 0.0 > cell[1]
 
 
-NEAR_PSD = {"state": {"density": [[1.00000000005, 0], [0, -0.00000000005]]}, "K": [0.5]}
+NEAR_PSD = [
+    # this state's K=1 reference cell is -2.5e-11, which the table normalization must clamp
+    # as dust rather than reject
+    {"state": {"density": [[1.00000000005, 0], [0, -0.00000000005]]}, "K": [0.5]},
+    # its lowest eigenvalue is -1e-10, so q_MH(V, D) = 5e-6 exceeds the Cauchy-Schwarz bound
+    # |<a|b>| sqrt(p_in(a) p_fin(b)) = 0 of a positive state; the threshold check must use
+    # the bound of rho + 1e-10 I instead
+    {"state": {"density": [[1, 1e-5], [1e-5, 0]]}, "K": [0.0, 0.5, 1.0]},
+]
 
 
 @pytest.mark.parametrize("mode", [[], ["--shots", "1000", "--seed", "1"]])
 def test_main_runs_a_state_at_the_psd_tolerance(tmp_path, capsys, mode):
-    # DensityOperator accepts eigenvalues down to -1e-10; this state's K=1 reference cell is
-    # -2.5e-11, which the table normalization must clamp as dust rather than reject
-    path = write_config(tmp_path, "near_psd.json", NEAR_PSD)
-    assert main(["run", str(path), "--out", str(tmp_path / "out"), *mode]) == 0
-    assert capsys.readouterr().err == ""
-    config = parse_config(path.read_text(encoding="utf-8"))
-    assert tpm_joint(config.rho, config.obs_a, config.obs_b).values.min() >= 0.0
-    assert weak_sequential_closed(config.rho, config.obs_a, config.obs_b, 0.5).values.min() >= 0.0
+    # DensityOperator accepts eigenvalues down to -1e-10
+    for i, doc in enumerate(NEAR_PSD):
+        path = write_config(tmp_path, f"near_psd{i}.json", doc)
+        assert main(["run", str(path), "--out", str(tmp_path / f"out{i}"), *mode]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / f"out{i}" / "summary.json").exists()
+        config = parse_config(path.read_text(encoding="utf-8"))
+        assert tpm_joint(config.rho, config.obs_a, config.obs_b).values.min() >= 0.0
+        assert weak_sequential_closed(config.rho, config.obs_a, config.obs_b, 0.5).values.min() >= 0.0
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_exact"  # the shipped config's thresholds

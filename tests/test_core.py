@@ -330,20 +330,21 @@ def test_random_helpers_produce_valid_objects():
 # ------------------------------------------------------------ public API
 
 PUBLIC_NAMES = [
-    "DensityOperator", "InternalConsistencyError", "JointDistribution", "NEVER_NEGATIVE",
-    "NoiseModel", "ObservableSpec", "PROBABILITY_DUST", "QuasiDistribution", "Sweep",
-    "ThresholdReport", "VALIDATION_ATOL", "WeakStrength", "ZeroCountsError", "apply_gate_noise", "coherence_term",
+    "DensityOperator", "InternalConsistencyError", "JointDistribution", "NoiseModel", "ObservableSpec",
+    "QuasiDistribution", "Sweep", "WeakStrength", "ZeroCountsError", "apply_gate_noise", "coherence_term",
     "controlled_shift", "cq", "evolve_observable", "joint_outcome_table", "make_pure_state", "mhq",
     "mhq_from_weak", "negativity", "pauli_x", "pauli_z", "probability_table", "run_sweep",
     "sample_counts", "strength_from_waveplate", "threshold_strength", "tpm_joint",
     "weak_cq_closed", "weak_cq_from_data", "weak_joint_state", "weak_mhq", "weak_sequential_closed",
 ]
 
-# test-only oracles (now in tests/oracles.py), thin wrappers, the count container, a tolerance, the
-# circuit's pointer and shift helpers (folded into weak_joint_state and controlled_shift) and a
-# Hermiticity check the package no longer ships
+# test-only oracles (now in tests/oracles.py), thin wrappers, the count container, tolerances, the
+# circuit's pointer and shift helpers (folded into weak_joint_state and controlled_shift), a
+# Hermiticity check the package no longer ships, and the threshold wrapper and its inf alias
+# (threshold_strength returns the per-cell array)
 RETIRED_NAMES = [
-    "ALGEBRA_ATOL", "CountTable", "Marginals", "PointerState", "Povm", "QubitScenario", "born_probability",
+    "ALGEBRA_ATOL", "CountTable", "Marginals", "NEVER_NEGATIVE", "PROBABILITY_DUST", "PointerState", "Povm",
+    "QubitScenario", "ThresholdReport", "VALIDATION_ATOL", "born_probability",
     "coupling_unitary", "estimate_with_errors", "evolve_projector", "is_hermitian", "marginals",
     "mhq_from_weak_tpm", "nonselective_state", "pointer_for_strength", "post_measurement_state",
     "random_density_operator", "random_observable", "run_scenario", "shift_operator", "weak_povm",

@@ -1,5 +1,7 @@
 """Tests for the quasiprobability families, thresholds, and reconstructions."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,6 @@ from conftest import random_instance
 from oracles import born, marginals, mhq_from_weak_tpm
 from weakquasi.core import DensityOperator, InternalConsistencyError, WeakStrength, make_pure_state
 from weakquasi.quasiprob import (
-    NEVER_NEGATIVE,
     QuasiDistribution,
     cq,
     coherence_term,
@@ -282,30 +283,31 @@ def test_mhq_roundtrip_across_strength_range(scenario_state, obs_z, obs_x):
 
 def test_threshold_scenario_cell(cs, scenario_state, obs_z, obs_x):
     c, s = cs
-    report = threshold_strength(scenario_state, obs_z, obs_x)
+    per_cell = threshold_strength(scenario_state, obs_z, obs_x)
     # scalar oracle: K = 1 / (1 + 2 s / (c - s)) at the single negative cell
     expected = 1.0 / (1.0 + 2.0 * s / (c - s))
-    assert report.per_cell[1, 1] == pytest.approx(expected, abs=1e-12)
-    assert report.global_threshold == pytest.approx(expected, abs=1e-12)
-    assert np.isinf(report.per_cell[0, 0])
-    assert np.isinf(report.per_cell[0, 1])
-    assert np.isinf(report.per_cell[1, 0])
-    assert 0.0 < report.global_threshold < 1.0
+    assert per_cell.shape == (2, 2) and not per_cell.flags.writeable
+    assert per_cell[1, 1] == pytest.approx(expected, abs=1e-12)
+    assert per_cell.min() == pytest.approx(expected, abs=1e-12)
+    assert np.isinf(per_cell[0, 0])
+    assert np.isinf(per_cell[0, 1])
+    assert np.isinf(per_cell[1, 0])
+    assert 0.0 < per_cell.min() < 1.0
 
 
 def test_threshold_commuting_state_never_negative(obs_z, obs_x):
     rho = DensityOperator(np.diag([0.7, 0.3]))
-    report = threshold_strength(rho, obs_z, obs_x)
-    assert np.isinf(report.per_cell).all()
-    assert report.global_threshold == NEVER_NEGATIVE
+    per_cell = threshold_strength(rho, obs_z, obs_x)
+    assert np.isinf(per_cell).all()
+    assert per_cell.min() == math.inf
 
 
 def test_threshold_vanishing_final_probability_is_sentinel(obs_z):
     # a final outcome with zero Born weight has vanishing MHQ cells: sentinel, not error
     rho = make_pure_state([1, 0])
-    report = threshold_strength(rho, obs_z, obs_z)
-    assert np.isinf(report.per_cell[0, 1]) and np.isinf(report.per_cell[1, 1])
-    assert report.global_threshold == NEVER_NEGATIVE
+    per_cell = threshold_strength(rho, obs_z, obs_z)
+    assert np.isinf(per_cell[0, 1]) and np.isinf(per_cell[1, 1])
+    assert per_cell.min() == math.inf
 
 
 def test_threshold_rejects_mhq_weight_on_vanishing_final_outcome(monkeypatch, obs_z):
@@ -319,8 +321,7 @@ def test_threshold_rejects_mhq_weight_on_vanishing_final_outcome(monkeypatch, ob
 
 
 def test_threshold_brackets_sign_change(scenario_state, obs_z, obs_x):
-    report = threshold_strength(scenario_state, obs_z, obs_x)
-    kbar = report.per_cell[1, 1]
+    kbar = threshold_strength(scenario_state, obs_z, obs_x)[1, 1]
     below = weak_mhq(scenario_state, obs_z, obs_x, kbar - 1e-6).values[1, 1]
     above = weak_mhq(scenario_state, obs_z, obs_x, kbar + 1e-6).values[1, 1]
     assert below > 0.0 > above
@@ -333,10 +334,10 @@ def test_threshold_strength_is_affine_crossing_random():
     for _ in range(50):
         d = int(rng.integers(2, 4))
         rho, obs_a, obs_b = random_instance(rng, d)
-        report = threshold_strength(rho, obs_a, obs_b)
-        finite = np.argwhere(np.isfinite(report.per_cell))
+        per_cell = threshold_strength(rho, obs_a, obs_b)
+        finite = np.argwhere(np.isfinite(per_cell))
         for a, b in finite:
-            kbar = report.per_cell[a, b]
+            kbar = per_cell[a, b]
             assert 0.0 < kbar < 1.0
             assert weak_mhq(rho, obs_a, obs_b, kbar - 1e-6).values[a, b] > 0.0
             assert weak_mhq(rho, obs_a, obs_b, kbar + 1e-6).values[a, b] < 0.0

@@ -123,7 +123,6 @@ def test_estimate_stderr_scales_with_shots():
 def test_noise_model_validation():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         NoiseModel(1.2)
-    assert NoiseModel(1.0).is_ideal
 
 
 def test_apply_gate_noise_identity(scenario_state, obs_z):
@@ -217,8 +216,9 @@ def test_run_scenario_zero_strength_record(scenario_state, obs_z, obs_x):
 
 
 def test_run_scenario_commuting_state_never_negative(obs_z, obs_x):
-    sweep = run_sweep(make_pure_state([1, 0]), obs_z, obs_x, np.linspace(0, 1, 11))
-    for i in range(len(sweep.strengths)):
+    grid = np.linspace(0, 1, 11)
+    sweep = run_sweep(make_pure_state([1, 0]), obs_z, obs_x, grid)
+    for i in range(len(grid)):
         assert negativity(sweep.values["weak_cq"][i]) == 0.0
         if sweep.reached("weak_mhq")[i]:
             assert negativity(sweep.values["weak_mhq"][i]) == 0.0
@@ -231,8 +231,9 @@ def test_run_scenario_sign_change_brackets_threshold(scenario_state, obs_z, obs_
 
 
 def test_run_scenario_reconstruction_noise_grows_toward_endpoints(scenario_state, obs_z, obs_x):
-    sweep = run_sweep(scenario_state, obs_z, obs_x, [0.1, 0.5, 0.9], shots=10**5, seed=5)
-    spread = {s.K: e.mean() for s, e in zip(sweep.strengths, sweep.errors["mhq_reconstructed"])}
+    grid = [0.1, 0.5, 0.9]
+    sweep = run_sweep(scenario_state, obs_z, obs_x, grid, shots=10**5, seed=5)
+    spread = {k: e.mean() for k, e in zip(grid, sweep.errors["mhq_reconstructed"])}
     assert spread[0.1] > spread[0.5]
     assert spread[0.9] > spread[0.5]
 
@@ -458,7 +459,7 @@ def test_run_sweep_mixes_the_three_tables_once_per_grid(monkeypatch, scenario_st
         ]
     ]
     sweep = run_sweep(scenario_state, obs_z, obs_x, k_grid)
-    assert len(sweep.strengths) == len(k_grid)
+    assert sweep.reached("p_weak").shape == (len(k_grid),)
     assert (len(mixes), len(validations)) == (1, 1)
     assert mixes[0][0].K.shape == (len(k_grid) + 2, 1, 1)  # the grid, then K=1 and K=0
     assert [len(calls) for calls in per_setting] == [0] * len(per_setting)
@@ -535,7 +536,7 @@ def test_run_sweep_exact_memory_stays_within_the_grid_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(sweep.strengths) == 200
+    assert sweep.reached("p_weak").shape == (200,)
     assert peak < 20 * 2**20
 
 
@@ -552,7 +553,7 @@ def test_run_sweep_sampled_memory_stays_within_the_grid_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(sweep.strengths) == 200
+    assert sweep.reached("p_weak").shape == (200,)
     assert peak < 48 * 2**20
 
 
