@@ -45,8 +45,13 @@ from .sampling import (
 from .schemes import _totals
 
 MAX_GRID_POINTS = 10_000  # most strength points a "K" or "phi" grid may hold, as a range or a list
-# at d=64 a 21-point exact sweep takes 9-10 ms, and a run exporting all seven of its tables
-# 0.55-1.07 s (one BLAS thread, 2-core x86-64 box)
+# most cells (grid points x d^2) one exported table may hold: 256 points at d=64, 4,096 at d=16;
+# at d <= 8 MAX_GRID_POINTS binds first.  At the bound a d=64 run, one BLAS thread on a 2-core
+# x86-64 box, took 7.2 s exact and 13 s at 1e6 shots, wrote 333-413 MiB of CSV and peaked at
+# 109-235 MiB RSS; 10,000 points at d=64 would be 41M cells per table and about 13 GB of CSV
+MAX_GRID_CELLS = 2**20
+# at d=64, 21 points, exact: parsing the document takes 43-50 ms, the sweep 9 ms, and a run
+# exporting all seven tables 0.67-0.77 s (median of 7 warm runs, one BLAS thread, 2-core x86-64 box)
 MAX_DIMENSION = 64  # largest system dimension
 MAX_RESAMPLES = 10**5  # bound of the retired "resamples" key, which older documents still carry
 
@@ -234,13 +239,18 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
         _fail(field, str(exc))
 
 
-def _strength_keys(k_values, field: str) -> list[str]:
+def _strength_keys(k_values, field: str, dim: int) -> list[str]:
     """The formatted K key of each strength; exported rows are keyed by it, so keys must be distinct.
 
-    An empty grid is rejected here too: it would export header-only tables.
+    An empty grid is rejected here too: it would export header-only tables.  So
+    is a grid whose tables at dimension ``dim`` would pass MAX_GRID_CELLS.
     """
     if len(k_values) == 0:
         _fail(field, "the strength grid is empty")
+    cells = len(k_values) * dim * dim
+    if cells > MAX_GRID_CELLS:
+        _fail(field, f"{len(k_values)} strengths at dimension {dim} give {cells} cells per table, "
+                     f"more than the {MAX_GRID_CELLS} allowed")
     keys = [_fmt(k) for k in k_values]
     counts = Counter(keys)
     if len(counts) < len(keys):
@@ -293,7 +303,7 @@ def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
             _fail("K", str(exc))
     # every k lies in [0, 1] here, so abs only turns -0.0 (keyed "-0") into 0.0
     values = tuple(abs(float(k)) for k in values)
-    _strength_keys(values, field)
+    _strength_keys(values, field, dim)
     return values
 
 
@@ -367,6 +377,20 @@ def _fmt(value: float) -> str:
     return f"{value:{_NUMBER}}"
 
 
+def _texts(array: np.ndarray, indices):
+    """The ``.12g`` strings of each indexed point's cells, in ``ravel()`` order.
+
+    ``.12g`` is a function of a float's bits, so a point whose bytes equal the
+    last point's yields that point's list again instead of formatting anew.
+    """
+    last = texts = None
+    for i in indices:
+        data = array[i].tobytes()
+        if data != last:
+            last, texts = data, [f"{x:{_NUMBER}}" for x in array[i].ravel().tolist()]
+        yield texts
+
+
 def _threshold(value: float):
     return "never-negative" if math.isinf(value) else float(_fmt(value))
 
@@ -390,14 +414,15 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     ascending K order with 12-significant-digit decimal values; the
     reconstructed-MHQ table covers only strengths where the inversion exists.
     Each table's rows are formatted from the sweep's arrays as they are
-    written, one point's rows per write, so no row list is kept: each point's
-    cells come from one ``tolist()`` of its values and one of its errors, and
-    each label pair is quoted once; a K key needs no quotes (see _quoted).
+    written, one point's rows per write, so no row list is kept: a point's
+    values, and its errors, are formatted again only when their bytes differ
+    from the last written point's (see _texts), and each label pair is quoted
+    once; a K key needs no quotes (see _quoted).
     """
     started = time.monotonic()
     k_values = tuple(sorted(config.k_values))
     # checked before the sweep, so a failed run leaves nothing
-    keys, outputs = _strength_keys(k_values, "K"), _outputs(config.outputs)
+    keys, outputs = _strength_keys(k_values, "K", config.rho.dim), _outputs(config.outputs)
     sweep = run_sweep(
         config.rho,
         config.obs_a,
@@ -432,11 +457,11 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         prefixes = [f"{labels}{quantity}," for labels in quoted_labels]
         with open(out / f"{quantity}.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\n")
-            for i in points.tolist():  # the d^2 rows of one point, as one string
-                point = zip(prefixes, values[i].ravel().tolist(), errors[i].ravel().tolist())
-                fh.write("".join([
-                    f"{keys[i]},{prefix}{value:{_NUMBER}},{error:{_NUMBER}}\n"
-                    for prefix, value, error in point
+            indices = points.tolist()
+            for i, value_texts, error_texts in zip(indices, _texts(values, indices), _texts(errors, indices)):
+                fh.write("".join([  # the d^2 rows of one point, as one string
+                    f"{keys[i]},{prefix}{value},{error}\n"
+                    for prefix, value, error in zip(prefixes, value_texts, error_texts)
                 ]))
         if quantity != "C" and points.size:  # the cross-term is not itself a distribution
             point_keys = [keys[i] for i in points]

@@ -44,7 +44,8 @@ def _square_complex(matrix, name: str = "matrix") -> np.ndarray:
 
 def _is_hermitian(matrix: np.ndarray) -> bool:
     """True when max|M - M^dagger| <= VALIDATION_ATOL entrywise."""
-    return bool(np.abs(matrix - matrix.conj().T).max() <= VALIDATION_ATOL)
+    with np.errstate(over="ignore"):  # a difference past the float range fails the bound, not warned of
+        return bool(np.abs(matrix - matrix.conj().T).max() <= VALIDATION_ATOL)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -62,8 +63,9 @@ class DensityOperator:
         m = _square_complex(self.matrix, "density matrix")
         if not _is_hermitian(m):
             raise ValueError("density matrix must be Hermitian within 1e-10")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > VALIDATION_ATOL:
+        with np.errstate(over="ignore"):  # a trace past the float range fails the bound, not warned of
+            tr = np.trace(m)
+        if not abs(tr - 1.0) <= VALIDATION_ATOL:
             raise ValueError(f"density matrix must have unit trace, got {tr}")
         if np.linalg.eigvalsh(m).min() < -VALIDATION_ATOL:
             raise ValueError("density matrix must be positive semidefinite")
@@ -90,7 +92,9 @@ class ObservableSpec:
     def __post_init__(self):
         vecs = _square_complex(self.eigenvectors, "eigenbasis")
         d = vecs.shape[0]
-        if not np.isfinite(vecs).all() or np.abs(vecs.conj().T @ vecs - np.eye(d)).max() > VALIDATION_ATOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a Gram matrix past the float range fails below
+            gram = vecs.conj().T @ vecs
+        if not (np.isfinite(vecs).all() and np.abs(gram - np.eye(d)).max() <= VALIDATION_ATOL):
             raise ValueError("eigenvectors must be orthonormal within 1e-10")
         vals = np.array(self.eigenvalues, dtype=float)
         if vals.shape != (d,):

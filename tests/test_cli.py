@@ -17,8 +17,8 @@ from numpy.testing import assert_allclose
 import weakquasi
 from oracles import evolve_projector, projector
 from weakquasi.cli import (
-    MAX_DIMENSION, MAX_RESAMPLES, QUANTITIES, ConfigError, ScenarioConfig, _parser, compare, main, parse_config,
-    run,
+    MAX_DIMENSION, MAX_GRID_CELLS, MAX_RESAMPLES, QUANTITIES, ConfigError, ScenarioConfig, _parser, compare, main,
+    parse_config, run,
 )
 from weakquasi.core import InternalConsistencyError, make_pure_state
 from weakquasi.quasiprob import weak_mhq
@@ -241,6 +241,12 @@ def test_parse_shots_and_noise_validation():
         # give one error line and no numpy warning
         ({"state": {"amplitudes": [1e308, 1e308]}}, "state"),
         ({"hamiltonian": [[1e300, 0], [0, -1e300]], "dt": 1e10}, "hamiltonian"),
+        # finite matrices whose Hermiticity check, trace or Gram matrix overflows are rejected
+        # by that check, without a numpy warning
+        ({"hamiltonian": [[0, 1e308], [-1e308, 0]]}, "hamiltonian"),
+        ({"state": {"density": [[1, 1e308], [-1e308, 0]]}}, "state"),
+        ({"state": {"density": [[1e308, 0], [0, 1e308]]}}, "state"),
+        ({"observable_a": {"eigenvectors": [[1e308, 1e308], [1e308, -1e308]]}}, "observable_a"),
     ],
 )
 def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
@@ -367,6 +373,25 @@ def test_run_rejects_python_built_outputs_that_parse_config_would(tmp_path, outp
     config = replace(parse_config(SHIPPED.read_text(encoding="utf-8")), outputs=outputs)
     with pytest.raises(ConfigError, match=f"config field 'outputs': {message}"):
         run(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_cells_are_bounded_by_max_grid_cells(tmp_path):
+    # 256 points at d=64 fill MAX_GRID_CELLS exactly; one more point is named by the grid's field
+    basis = np.eye(MAX_DIMENSION).tolist()
+    doc = {"dimension": MAX_DIMENSION, "state": [1.0] + [0.0] * (MAX_DIMENSION - 1),
+           "observable_a": {"eigenvectors": basis}, "observable_b": {"eigenvectors": basis}}
+    assert MAX_GRID_CELLS == 256 * MAX_DIMENSION**2
+    config = parse_config(json.dumps({**doc, "K": {"num": 256}}))
+    assert len(config.k_values) * MAX_DIMENSION**2 == MAX_GRID_CELLS
+    message = "config field 'K': 257 strengths at dimension 64 give 1052672 cells per table, more than"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(json.dumps({**doc, "K": {"num": 257}}))
+    with pytest.raises(ConfigError, match="config field 'phi': 257 strengths at dimension 64"):
+        parse_config(json.dumps({**doc, "phi": np.linspace(0.0, 22.5, 257).tolist()}))
+    # run holds a Python-built config to the same bound, before its sweep
+    with pytest.raises(ConfigError, match=message):
+        run(replace(config, k_values=tuple(np.linspace(0.0, 1.0, 257))), tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
-"""Property tests: broadcast data paths, the sweep's K axis, scenario-document parsing, runs and table comparison."""
+"""Property tests: broadcast data paths, the sweep's K axis, scenario-document parsing, runs,
+export formatting and table comparison."""
 
 import contextlib
 import csv
@@ -10,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_instance
-from weakquasi.cli import _CONFIG_FIELDS, CSV_HEADER, ConfigError, _fmt, compare, main, parse_config
+from weakquasi.cli import _CONFIG_FIELDS, CSV_HEADER, ConfigError, _fmt, _texts, compare, main, parse_config
 from weakquasi.core import WeakStrength
 from weakquasi.quasiprob import (
     _coherence_values,
@@ -282,3 +283,29 @@ def test_compare_is_symmetric_and_rejects_non_finite_and_duplicate_rows(pair, to
         for first, second in ((path_dup, path_b), (path_b, path_dup)):
             with pytest.raises(ValueError, match="duplicate row key"):
                 compare(first, second, tolerance)
+
+
+cell_values = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308])
+
+
+@st.composite
+def repeating_points(draw):
+    """An (n, d, d) stack whose consecutive points repeat, and the sorted indices a table exports."""
+    d = draw(st.integers(1, 3))
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 3)), d, d), elements=cell_values))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    stack = pool[picks] if picks else np.empty((0, d, d))
+    indices = [i for i in range(len(stack)) if draw(st.booleans())]
+    return stack, indices
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=repeating_points())
+@example(case=(np.array([[[0.0]], [[-0.0]], [[-0.0]], [[math.nan]], [[math.nan]], [[0.0]]]), [0, 1, 2, 3, 4, 5]))
+def test_texts_formats_each_point_as_its_cells_and_reuses_a_repeated_point(case):
+    stack, indices = case
+    texts = list(_texts(stack, indices))
+    assert texts == [[_fmt(x) for x in stack[i].ravel().tolist()] for i in indices]
+    # a point is formatted again exactly when its bytes differ from the last exported point's
+    for i, j, before, after in zip(indices, indices[1:], texts, texts[1:]):
+        assert (after is before) == (stack[i].tobytes() == stack[j].tobytes())
