@@ -220,12 +220,8 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
         return presets[spec]()
     if not isinstance(spec, dict) or "eigenvectors" not in spec:
         _fail(field, "expected a preset name or an object with 'eigenvectors'")
-    _check_keys(spec, ("eigenvectors", "eigenvalues", "labels"), field)
+    _check_keys(spec, ("eigenvectors", "labels"), field)
     vecs = _complex_matrix(_sized(spec["eigenvectors"], field, dim), f"{field}.eigenvectors")
-    eigenvalues = spec.get("eigenvalues", list(range(len(vecs))))
-    if not isinstance(eigenvalues, list):
-        _fail(f"{field}.eigenvalues", f"expected a list of numbers, got {eigenvalues!r}")
-    eigenvalues = [_number(v, f"{field}.eigenvalues") for v in eigenvalues]
     labels = spec.get("labels", [])
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         _fail(f"{field}.labels", f"expected a list of strings, got {labels!r}")
@@ -234,16 +230,18 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
     except ValueError as exc:
         _fail(f"{field}.labels", str(exc))
     try:
-        return ObservableSpec(vecs, eigenvalues, labels=tuple(labels))
+        return ObservableSpec(vecs, range(dim), labels=tuple(labels))
     except ValueError as exc:
         _fail(field, str(exc))
 
 
-def _strength_keys(k_values, field: str, dim: int) -> list[str]:
-    """The formatted K key of each strength; exported rows are keyed by it, so keys must be distinct.
+def _strength_keys(k_values, field: str, dim: int) -> tuple[tuple[float, ...], list[str]]:
+    """The grid's strengths and each one's formatted K key; rows are keyed by K, so keys must be distinct.
 
-    An empty grid is rejected here too: it would export header-only tables.  So
-    is a grid whose tables at dimension ``dim`` would pass MAX_GRID_CELLS.
+    Each strength must lie in [0, 1] and clear the cross-weight floor of
+    ``_strength``; -0.0 reads as 0.0.  An empty grid is rejected here too: it
+    would export header-only tables.  So is a grid whose tables at dimension
+    ``dim`` would pass MAX_GRID_CELLS.
     """
     if len(k_values) == 0:
         _fail(field, "the strength grid is empty")
@@ -251,12 +249,21 @@ def _strength_keys(k_values, field: str, dim: int) -> list[str]:
     if cells > MAX_GRID_CELLS:
         _fail(field, f"{len(k_values)} strengths at dimension {dim} give {cells} cells per table, "
                      f"more than the {MAX_GRID_CELLS} allowed")
-    keys = [_fmt(k) for k in k_values]
+    for k in k_values:
+        if not 0.0 <= k <= 1.0:
+            _fail(field, f"strength {k} outside [0, 1]")
+        try:
+            _strength(k, dim)
+        except ValueError as exc:
+            _fail(field, str(exc))
+    # every k lies in [0, 1] here, so abs only turns -0.0 (keyed "-0") into 0.0
+    values = tuple(abs(float(k)) for k in k_values)
+    keys = [_fmt(k) for k in values]
     counts = Counter(keys)
     if len(counts) < len(keys):
         repeated = next(key for key in keys if counts[key] > 1)
         _fail(field, f"the grid gives strength K={repeated} twice; CSV rows are keyed by K")
-    return keys
+    return values, keys
 
 
 def _outputs(outputs) -> tuple[str, ...]:
@@ -284,27 +291,20 @@ def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
         values = np.linspace(
             _number(spec.get("start", 0.0), "K.start"), _number(spec.get("stop", 1.0), "K.stop"), num
         )
-    else:
-        spec = spec if isinstance(spec, list) else [spec]
+    elif isinstance(spec, list):
         if len(spec) > MAX_GRID_POINTS:
             _fail(field, f"must hold at most {MAX_GRID_POINTS} strengths, got {len(spec)}")
         values = [_number(v, field) for v in spec]
+    elif field == "K":
+        _fail("K", f"expected a list of strengths or a {{start, stop, num}} range, got {spec!r}")
+    else:
+        _fail("phi", f"expected a list of waveplate angles in degrees, got {spec!r}")
     if field == "phi":
         try:
             values = [strength_from_waveplate(phi) for phi in values]
         except ValueError as exc:
             _fail("phi", str(exc))
-    for k in values:
-        if not 0.0 <= k <= 1.0:
-            _fail("K", f"strength {k} outside [0, 1]")
-        try:
-            _strength(k, dim)
-        except ValueError as exc:
-            _fail("K", str(exc))
-    # every k lies in [0, 1] here, so abs only turns -0.0 (keyed "-0") into 0.0
-    values = tuple(abs(float(k)) for k in values)
-    _strength_keys(values, field, dim)
-    return values
+    return _strength_keys(values, field, dim)[0]
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -420,9 +420,9 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     once; a K key needs no quotes (see _quoted).
     """
     started = time.monotonic()
-    k_values = tuple(sorted(config.k_values))
     # checked before the sweep, so a failed run leaves nothing
-    keys, outputs = _strength_keys(k_values, "K", config.rho.dim), _outputs(config.outputs)
+    k_values, keys = _strength_keys(sorted(config.k_values), "K", config.rho.dim)
+    outputs = _outputs(config.outputs)
     sweep = run_sweep(
         config.rho,
         config.obs_a,
@@ -432,8 +432,8 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         noise=config.noise,
         seed=config.seed,
     )
-    strong = {"cq": cq(config.rho, config.obs_a, config.obs_b).values,
-              "mhq": mhq(config.rho, config.obs_a, config.obs_b).values}
+    strong = {"cq": cq(config.rho, config.obs_a, config.obs_b),
+              "mhq": mhq(config.rho, config.obs_a, config.obs_b)}
     if "thresholds" in outputs:
         per_cell = threshold_strength(config.rho, config.obs_a, config.obs_b)
     out = Path(out_dir)  # made only once every result is computed, so a failed run leaves nothing

@@ -5,7 +5,7 @@ for the disturbance of the first measurement; Margenau-Hill quasiprobabilities
 (MHQ) are Re Tr[Pi_b Pi_a rho].  Both have weak-measurement variants
 parameterized by the strength K, reconstruction paths that operate directly on
 measured tables, and a per-cell strength threshold below which a negative cell
-turns nonnegative.
+turns nonnegative.  Every table comes back as a read-only (d, d) float array.
 
 The ``*_from_data`` operations accept estimated tables as-is, without
 re-normalization: statistical deviations propagate to the reported sums.
@@ -14,7 +14,6 @@ re-normalization: statistical deviations propagate to the reported sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .schemes import (
 )
 
 __all__ = [
-    "QuasiDistribution",
     "cq",
     "coherence_term",
     "mhq",
@@ -51,19 +49,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuasiDistribution:
-    """Real outcome table that may carry negative cells.
-
-    Exact tables of every family sum to 1 and marginalize over a to the Born
-    distribution of B; tables built from estimated data inherit whatever
-    statistical deviations the inputs carry.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(_real_table(self.values, "quasiprobability table")))
+def _quasi(values) -> np.ndarray:
+    """A returned quasiprobability table: real, 2-D and finite, then read-only; cells may be negative."""
+    return _freeze(_real_table(values, "quasiprobability table"))
 
 
 def _values_of(table) -> np.ndarray:
@@ -128,24 +116,23 @@ def _weak_mhq_values(wcq: np.ndarray, rec: np.ndarray, pf: np.ndarray, strength)
     return np.where(k == 0.0, pf[..., None, :] / d, np.where(k == 1.0, wcq, mixed))
 
 
-def cq(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> QuasiDistribution:
+def cq(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> np.ndarray:
     """Commensurate quasiprobability q_C(a,b) = p(a,b) + (p_fin(b) - p_post(b))/d.
 
     Marginals return the unperturbed Born distributions of both observables;
     when rho commutes with A the two-point probabilities are recovered.
     """
     _check_dims(rho, obs_a, obs_b)
-    values = _weak_cq_values(_tpm_table(rho, obs_a, obs_b), _born(rho, obs_b))
-    return QuasiDistribution(values)
+    return _quasi(_weak_cq_values(_tpm_table(rho, obs_a, obs_b), _born(rho, obs_b)))
 
 
-def mhq(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> QuasiDistribution:
+def mhq(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> np.ndarray:
     """Margenau-Hill quasiprobability q_MH(a,b) = Re Tr[Pi_b Pi_a rho]."""
     _check_dims(rho, obs_a, obs_b)
-    return QuasiDistribution(_mh_table(rho, obs_a, obs_b))
+    return _quasi(_mh_table(rho, obs_a, obs_b))
 
 
-def weak_cq_from_data(p_weak, p_fin) -> QuasiDistribution:
+def weak_cq_from_data(p_weak, p_fin) -> np.ndarray:
     """Weak commensurate quasiprobability from a measured weak-sequential table.
 
     q~_C(a,b) = p_weak(a,b) + (p_fin(b) - sum_a p_weak(a,b))/d.  Works directly
@@ -155,12 +142,12 @@ def weak_cq_from_data(p_weak, p_fin) -> QuasiDistribution:
     pf = _vector(p_fin, "p_fin")
     if pf.shape != (values.shape[1],):
         raise ValueError(f"p_fin has shape {pf.shape}, expected ({values.shape[1]},)")
-    return QuasiDistribution(_weak_cq_values(values, pf))
+    return _quasi(_weak_cq_values(values, pf))
 
 
 def weak_cq_closed(
     rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec, k: float
-) -> QuasiDistribution:
+) -> np.ndarray:
     """Weak commensurate quasiprobability from the closed three-term form.
 
     q~_C = omega0^2 q_C + (omega1^2/d) p_fin + cross q_MH; identical to feeding
@@ -169,12 +156,12 @@ def weak_cq_closed(
     d = _check_dims(rho, obs_a, obs_b)
     strength = WeakStrength(k, d)
     p_fin, q_mh = _born(rho, obs_b), _mh_table(rho, obs_a, obs_b)
-    return QuasiDistribution(_three_term(strength, cq(rho, obs_a, obs_b).values, p_fin, q_mh))
+    return _quasi(_three_term(strength, cq(rho, obs_a, obs_b), p_fin, q_mh))
 
 
 def weak_mhq(
     rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec, k: float
-) -> QuasiDistribution:
+) -> np.ndarray:
     """Weak Margenau-Hill quasiprobability q~_MH = K q_MH + ((1-K)/d) p_fin.
 
     Obtained by replacing the first projector with the strength-K POVM element
@@ -183,7 +170,7 @@ def weak_mhq(
     """
     d = _check_dims(rho, obs_a, obs_b)
     k = WeakStrength(k, d).K
-    return QuasiDistribution(_weak_mhq_mix(k, _mh_table(rho, obs_a, obs_b), _born(rho, obs_b), d))
+    return _quasi(_weak_mhq_mix(k, _mh_table(rho, obs_a, obs_b), _born(rho, obs_b), d))
 
 
 def coherence_term(p_weak, p_tpm, p_fin, strength: WeakStrength) -> np.ndarray:
@@ -198,10 +185,10 @@ def coherence_term(p_weak, p_tpm, p_fin, strength: WeakStrength) -> np.ndarray:
     pf = _vector(p_fin, "p_fin")
     if pw.shape != pt.shape or pf.shape != (pw.shape[1],):
         raise ValueError("coherence-term inputs must share outcome index sets")
-    return _coherence_values(pw, pt, pf, strength)
+    return _freeze(_coherence_values(pw, pt, pf, strength))
 
 
-def mhq_from_weak(p_weak, p_tpm, p_fin, strength: WeakStrength) -> QuasiDistribution:
+def mhq_from_weak(p_weak, p_tpm, p_fin, strength: WeakStrength) -> np.ndarray:
     """Margenau-Hill quasiprobability reconstructed from weak-sequential data.
 
     Inverts the three-term decomposition: q_MH = C(a,b) / cross_weight.  Needs
@@ -210,7 +197,7 @@ def mhq_from_weak(p_weak, p_tpm, p_fin, strength: WeakStrength) -> QuasiDistribu
     """
     if strength.K <= 0.0 or strength.K >= 1.0:
         raise ValueError(f"strength K={strength.K} is not invertible; need 0 < K < 1")
-    return QuasiDistribution(_reconstruct(coherence_term(p_weak, p_tpm, p_fin, strength), strength))
+    return _quasi(_reconstruct(coherence_term(p_weak, p_tpm, p_fin, strength), strength))
 
 
 def threshold_strength(rho: DensityOperator, obs_a: ObservableSpec, obs_b: ObservableSpec) -> np.ndarray:

@@ -333,7 +333,7 @@ def run_sweep(
         tables = _probability_stack(counts.astype(float))
     grid = _grid(strengths, d)
     values = _point_quantities(*tables, grid)
-    for name in _QUASI:  # QuasiDistribution's check, once per stack
+    for name in _QUASI:  # the quasiprob functions' finiteness check, once per stack
         _finite(values[name], f"{name} table")
     shapes = {name: (n, d) if name == "p_fin" else (n, d, d) for name in values}
     errors = _errors(tables, totals, grid) if shots is not None else {}

@@ -91,7 +91,7 @@ def _probability_stack(values: np.ndarray) -> np.ndarray:
 class JointDistribution:
     """Probability table over outcome pairs (a, b): entries nonnegative, total sum 1.
 
-    Quasiprobabilities are ``quasiprob.QuasiDistribution`` tables.
+    The quasiprob functions return quasiprobabilities as read-only arrays.
     """
 
     values: np.ndarray

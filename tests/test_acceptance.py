@@ -79,12 +79,12 @@ def test_negativity_threshold():
     assert per_cell[1, 1] == per_cell.min()
     # the cell crosses zero at the threshold, in both weak families
     for family in (weak_mhq, weak_cq_closed):
-        assert family(rho, obs_a, obs_b, expected - 1e-6).values[1, 1] > 0.0
-        assert family(rho, obs_a, obs_b, expected + 1e-6).values[1, 1] < 0.0
+        assert family(rho, obs_a, obs_b, expected - 1e-6)[1, 1] > 0.0
+        assert family(rho, obs_a, obs_b, expected + 1e-6)[1, 1] < 0.0
     # below the threshold every cell of both weak families is nonnegative
     for k in np.linspace(0.0, expected - 1e-9, 50):
-        assert weak_mhq(rho, obs_a, obs_b, k).values.min() >= 0.0
-        assert weak_cq_closed(rho, obs_a, obs_b, k).values.min() >= 0.0
+        assert weak_mhq(rho, obs_a, obs_b, k).min() >= 0.0
+        assert weak_cq_closed(rho, obs_a, obs_b, k).min() >= 0.0
     return f"threshold {per_cell.min():.9f}"
 
 
@@ -96,14 +96,14 @@ def test_family_identities():
         rho, obs_a, obs_b = random_instance(rng, 2)
         for k in np.linspace(0.0, 1.0, 11):
             gap = np.abs(
-                weak_cq_closed(rho, obs_a, obs_b, k).values
-                - weak_mhq(rho, obs_a, obs_b, k).values
+                weak_cq_closed(rho, obs_a, obs_b, k)
+                - weak_mhq(rho, obs_a, obs_b, k)
             ).max()
             worst = max(worst, gap)
             assert gap <= 1e-12
     rho, obs_a, obs_b = random_instance(np.random.default_rng(0), 3)
     separation = np.abs(
-        weak_cq_closed(rho, obs_a, obs_b, 0.5).values - weak_mhq(rho, obs_a, obs_b, 0.5).values
+        weak_cq_closed(rho, obs_a, obs_b, 0.5) - weak_mhq(rho, obs_a, obs_b, 0.5)
     ).max()
     assert separation > 1e-3
     return f"qubit gap {worst:.2e}, qutrit separation {separation:.2e}"
@@ -118,9 +118,9 @@ def test_marginal_contracts():
         k = float(rng.uniform(0, 1))
         p_in, p_fin, _ = marginals(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors)
         for table in (weak_cq_closed(rho, obs_a, obs_b, k), weak_mhq(rho, obs_a, obs_b, k)):
-            assert np.abs(table.values.sum(axis=0) - p_fin).max() <= 1e-10
+            assert np.abs(table.sum(axis=0) - p_fin).max() <= 1e-10
             expected = k * p_in + (1.0 - k) / dim
-            assert np.abs(table.values.sum(axis=1) - expected).max() <= 1e-10
+            assert np.abs(table.sum(axis=1) - expected).max() <= 1e-10
 
 
 @criterion(5, "three reconstruction paths to the MHQ agree to 1e-10")
@@ -131,7 +131,7 @@ def test_mhq_path_agreement():
     ]
     for rho, obs_a, obs_b in instances:
         dim = rho.dim
-        direct = mhq(rho, obs_a, obs_b).values
+        direct = mhq(rho, obs_a, obs_b)
         _, p_fin, _ = marginals(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors)
         via_nonselective = mhq_from_weak_tpm(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors)
         k = float(rng.uniform(0.05, 0.95))
@@ -140,7 +140,7 @@ def test_mhq_path_agreement():
             tpm_joint(rho, obs_a, obs_b),
             p_fin,
             WeakStrength(k, dim),
-        ).values
+        )
         assert np.abs(direct - via_nonselective).max() <= 1e-10
         assert np.abs(direct - via_inversion).max() <= 1e-10
 
@@ -149,19 +149,19 @@ def test_mhq_path_agreement():
 def test_classical_limit():
     rho, obs_a, obs_b = demo_scenario([1.0, 0.0])
     p = tpm_joint(rho, obs_a, obs_b).values
-    assert np.abs(cq(rho, obs_a, obs_b).values - p).max() <= 1e-12
-    assert np.abs(mhq(rho, obs_a, obs_b).values - p).max() <= 1e-12
-    assert np.abs(weak_cq_closed(rho, obs_a, obs_b, 1.0).values - p).max() <= 1e-12
-    assert np.abs(weak_mhq(rho, obs_a, obs_b, 1.0).values - p).max() <= 1e-12
+    assert np.abs(cq(rho, obs_a, obs_b) - p).max() <= 1e-12
+    assert np.abs(mhq(rho, obs_a, obs_b) - p).max() <= 1e-12
+    assert np.abs(weak_cq_closed(rho, obs_a, obs_b, 1.0) - p).max() <= 1e-12
+    assert np.abs(weak_mhq(rho, obs_a, obs_b, 1.0) - p).max() <= 1e-12
     for k in np.linspace(0.0, 1.0, 21):
-        assert weak_cq_closed(rho, obs_a, obs_b, k).values.min() >= -1e-15
-        assert weak_mhq(rho, obs_a, obs_b, k).values.min() >= -1e-15
+        assert weak_cq_closed(rho, obs_a, obs_b, k).min() >= -1e-15
+        assert weak_mhq(rho, obs_a, obs_b, k).min() >= -1e-15
 
 
 @criterion(7, "signs of the coherence term witness the MHQ signs at every strength")
 def test_coherence_witness():
     rho, obs_a, obs_b = demo_scenario(scenario_amplitudes())
-    q_mh_signs = np.sign(mhq(rho, obs_a, obs_b).values)
+    q_mh_signs = np.sign(mhq(rho, obs_a, obs_b))
     for k in np.linspace(0.01, 0.99, 25):
         sweep = run_sweep(rho, obs_a, obs_b, [k])
         assert (np.sign(sweep.values["C"][0]) == q_mh_signs).all()

@@ -115,17 +115,17 @@ def test_parse_rejects_both_state_specs():
 def test_parse_custom_observable_and_amplitudes():
     doc = {
         "state": {"amplitudes": [[0.6, 0.0], [0.0, 0.8]]},
-        "observable_a": {
-            "eigenvectors": [[1, 0], [0, 1]],
-            "eigenvalues": [0.5, -0.5],
-            "labels": ["up", "down"],
-        },
+        "observable_a": {"eigenvectors": [[1, 0], [0, 1]], "labels": ["up", "down"]},
         "K": [0.5],
     }
     config = parse_config(json.dumps(doc))
     assert config.obs_a.labels == ("up", "down")
     assert config.rho.matrix[0, 0] == pytest.approx(0.36, abs=1e-12)
     assert config.rho.matrix[0, 1] == pytest.approx(-0.48j, abs=1e-12)
+    # no output reads an eigenvalue, so the retired key is unknown like any other
+    doc["observable_a"]["eigenvalues"] = [0.5, -0.5]
+    with pytest.raises(ConfigError, match=r"config field 'observable_a': unknown keys \['eigenvalues'\]"):
+        parse_config(json.dumps(doc))
 
 
 def test_parse_hamiltonian_evolves_second_observable():
@@ -202,7 +202,7 @@ def test_parse_shots_and_noise_validation():
         ({"hamiltonian": [[2, 0], [0, -2]], "dt": 1e308}, "hamiltonian"),
         ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "labels": ["a", "a"]}}, "observable_a.labels"),
         ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "labels": 5}}, "observable_a.labels"),
-        ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "eigenvalues": {}}}, "observable_a.eigenvalues"),
+        ({"observable_a": {"eigenvectors": [[1, 0], [0, 1]], "eigenvalues": [0.5, -0.5]}}, "observable_a"),
         ({"observable_a": {"eigenvectors": 5}}, "observable_a.eigenvectors"),
         ({"shots": 1000, "resamples": -1}, "resamples"),
         # beyond MAX_SHOTS the int64 count sums could overflow
@@ -247,6 +247,12 @@ def test_parse_shots_and_noise_validation():
         ({"state": {"density": [[1, 1e308], [-1e308, 0]]}}, "state"),
         ({"state": {"density": [[1e308, 0], [0, 1e308]]}}, "state"),
         ({"observable_a": {"eigenvectors": [[1e308, 1e308], [1e308, -1e308]]}}, "observable_a"),
+        # a grid is a list (or, for K, a range), never a bare number
+        ({"K": 0.5}, "K"),
+        ({"phi": 10}, "phi"),
+        ({"phi": {"start": 0.0, "stop": 22.5, "num": 3}}, "phi"),
+        # an angle so near 22.5 that its K misses the cross-weight floor is named by the grid's field
+        ({"phi": [10.0, 22.49999999]}, "phi"),
     ],
 )
 def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
@@ -296,6 +302,10 @@ def test_parse_rejects_malformed_field_values(tmp_path, capsys, fields, name):
         ({"state": {"amplitudes": [1e308, 1e308]}}, "config field 'state': state vector norm must be finite"),
         ({"hamiltonian": [[1e300, 0], [0, -1e300]], "dt": 1e10},
          "config field 'hamiltonian': phase H*dt must be finite"),
+        # a grid is a list or a K range; a bare number is neither
+        ({"K": 0.5}, "config field 'K': expected a list of strengths or a {start, stop, num} range, got 0.5"),
+        ({"phi": 10}, "config field 'phi': expected a list of waveplate angles in degrees, got 10"),
+        ({"phi": {"num": 3}}, "config field 'phi': expected a list of waveplate angles in degrees, got {'num': 3}"),
     ],
 )
 def test_parse_error_messages(fields, message):
@@ -348,6 +358,23 @@ def test_run_rejects_a_python_built_grid_with_a_repeated_key(tmp_path):
     # 0.1 and 0.1 + 1e-15 both format as "0.1": two K=0.1 blocks would make a table compare rejects
     config = replace(parse_config('{"theta0": 10.6, "K": [0.5]}'), k_values=(0.1, 0.1 + 1e-15))
     with pytest.raises(ConfigError, match=r"config field 'K': the grid gives strength K=0.1 twice"):
+        run(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "k_values, message",
+    [
+        ((0.0, -0.0, 0.5), "the grid gives strength K=0 twice"),
+        ((0.5, 1.5), "strength 1.5 outside"),
+        ((1e-17, 0.5), "K=1e-17 is too close to 0"),
+    ],
+    ids=["negative-zero", "out-of-range", "below-cross-weight-floor"],
+)
+def test_run_holds_a_python_built_grid_to_the_per_strength_rules(tmp_path, k_values, message):
+    # parse_config rejects each of these grids; run applies the same rules before its sweep
+    config = replace(parse_config(SHIPPED.read_text(encoding="utf-8")), k_values=k_values)
+    with pytest.raises(ConfigError, match=f"config field 'K': {message}"):
         run(config, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
@@ -551,7 +578,7 @@ def test_main_run_reports_the_threshold_of_a_cell_whose_p_fin_is_dust(tmp_path):
     assert cells[("H", "D⊥")] == thresholds["global"]
     assert 1e-7 < thresholds["global"] < 1e-6
     config = parse_config(path.read_text(encoding="utf-8"))
-    cell = [weak_mhq(config.rho, config.obs_a, config.obs_b, k).values[0, 1] for k in (1e-7, 1e-6)]
+    cell = [weak_mhq(config.rho, config.obs_a, config.obs_b, k)[0, 1] for k in (1e-7, 1e-6)]
     assert cell[0] > 0.0 > cell[1]
 
 

@@ -58,14 +58,14 @@ def test_broadcast_data_paths_match_public_functions_slice_by_slice(stacks, k):
     rec = _reconstruct(coh, strength)
     wmh = _weak_mhq_values(wcq, rec, pf, strength)
     for i in range(pw.shape[0]):
-        point_wcq = weak_cq_from_data(pw[i], pf[i]).values
+        point_wcq = weak_cq_from_data(pw[i], pf[i])
         assert wcq[i].tobytes() == point_wcq.tobytes()
         assert coh[i].tobytes() == coherence_term(pw[i], pt[i], pf[i], strength).tobytes()
         if not interior:
             with pytest.raises(ValueError, match="not invertible"):
                 mhq_from_weak(pw[i], pt[i], pf[i], strength)
         elif np.isfinite(rec[i]).all():
-            assert rec[i].tobytes() == mhq_from_weak(pw[i], pt[i], pf[i], strength).values.tobytes()
+            assert rec[i].tobytes() == mhq_from_weak(pw[i], pt[i], pf[i], strength).tobytes()
         else:  # K so close to 0 that the cross weight underflows: the table check rejects it
             with pytest.raises(ValueError, match="non-finite"):
                 mhq_from_weak(pw[i], pt[i], pf[i], strength)
@@ -108,8 +108,8 @@ def test_run_sweep_matches_per_point_public_functions_byte_for_byte(case):
         pw, pt, p_final = (t.values for t in tables)
         strength = WeakStrength(k, d)
         pf = p_final.sum(axis=0)
-        wcq = weak_cq_from_data(pw, pf).values
-        rec = mhq_from_weak(pw, pt, pf, strength).values if 0.0 < k < 1.0 else None
+        wcq = weak_cq_from_data(pw, pf)
+        rec = mhq_from_weak(pw, pt, pf, strength) if 0.0 < k < 1.0 else None
         expected = {
             "p_weak": pw,
             "p_tpm": pt,

@@ -10,7 +10,6 @@ from conftest import random_instance
 from oracles import born, marginals, mhq_from_weak_tpm
 from weakquasi.core import DensityOperator, InternalConsistencyError, WeakStrength, make_pure_state
 from weakquasi.quasiprob import (
-    QuasiDistribution,
     cq,
     coherence_term,
     mhq,
@@ -31,33 +30,59 @@ def scenario_mh_oracle(c, s):
     )
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["cq", "mhq", "weak_cq_closed", "weak_mhq", "weak_cq_from_data", "mhq_from_weak", "coherence_term"],
+)
+def test_table_functions_return_read_only_float_arrays(name):
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(25), 3)
+    k, strength = 0.5, WeakStrength(0.5, 3)
+    pw, pt = weak_sequential_closed(rho, obs_a, obs_b, k), tpm_joint(rho, obs_a, obs_b)
+    p_fin = born(rho.matrix, obs_b.eigenvectors)
+    calls = {
+        "cq": lambda: cq(rho, obs_a, obs_b),
+        "mhq": lambda: mhq(rho, obs_a, obs_b),
+        "weak_cq_closed": lambda: weak_cq_closed(rho, obs_a, obs_b, k),
+        "weak_mhq": lambda: weak_mhq(rho, obs_a, obs_b, k),
+        "weak_cq_from_data": lambda: weak_cq_from_data(pw, p_fin),
+        "mhq_from_weak": lambda: mhq_from_weak(pw, pt, p_fin, strength),
+        "coherence_term": lambda: coherence_term(pw, pt, p_fin, strength),
+    }
+    table = calls[name]()
+    assert type(table) is np.ndarray  # the table itself, not a wrapper around it
+    assert table.dtype == np.float64 and table.shape == (3, 3)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
+
+
 # ---------------------------------------------------------------- CQ, MHQ
 
 def test_cq_commuting_equals_tpm(obs_z, obs_x):
     rho = DensityOperator(np.diag([0.7, 0.3]))
-    assert_allclose(cq(rho, obs_z, obs_x).values, tpm_joint(rho, obs_z, obs_x).values, atol=1e-12)
+    assert_allclose(cq(rho, obs_z, obs_x), tpm_joint(rho, obs_z, obs_x).values, atol=1e-12)
 
 
 def test_cq_scenario_negative_cell(cs, scenario_state, obs_z, obs_x):
     c, s = cs
     table = cq(scenario_state, obs_z, obs_x)
-    assert table.values[1, 1] == pytest.approx(-s * (c - s) / 2, abs=1e-12)
-    assert table.values[1, 1] == pytest.approx(-0.103189, abs=5e-7)
+    assert table[1, 1] == pytest.approx(-s * (c - s) / 2, abs=1e-12)
+    assert table[1, 1] == pytest.approx(-0.103189, abs=5e-7)
 
 
 def test_cq_maximally_mixed(obs_z, obs_x):
     rho = DensityOperator(np.eye(2) / 2)
-    assert_allclose(cq(rho, obs_z, obs_x).values, 0.25, atol=1e-12)
+    assert_allclose(cq(rho, obs_z, obs_x), 0.25, atol=1e-12)
 
 
 def test_mhq_scenario_table(cs, scenario_state, obs_z, obs_x):
     c, s = cs
-    assert_allclose(mhq(scenario_state, obs_z, obs_x).values, scenario_mh_oracle(c, s), atol=1e-12)
+    assert_allclose(mhq(scenario_state, obs_z, obs_x), scenario_mh_oracle(c, s), atol=1e-12)
 
 
 def test_mhq_commuting_equals_tpm(obs_z, obs_x):
     rho = DensityOperator(np.diag([0.7, 0.3]))
-    assert_allclose(mhq(rho, obs_z, obs_x).values, tpm_joint(rho, obs_z, obs_x).values, atol=1e-12)
+    assert_allclose(mhq(rho, obs_z, obs_x), tpm_joint(rho, obs_z, obs_x).values, atol=1e-12)
 
 
 def test_mhq_maximally_mixed_is_overlap_table():
@@ -67,15 +92,15 @@ def test_mhq_maximally_mixed_is_overlap_table():
         _, obs_a, obs_b = random_instance(rng, d)
         table = mhq(rho, obs_a, obs_b)
         overlap = np.abs(obs_a.eigenvectors.conj().T @ obs_b.eigenvectors) ** 2
-        assert_allclose(table.values, overlap / d, atol=1e-12)
-        assert table.values.min() >= -1e-15
+        assert_allclose(table, overlap / d, atol=1e-12)
+        assert table.min() >= -1e-15
 
 
 def test_cq_equals_mhq_for_qubits():
     rng = np.random.default_rng(59)
     for _ in range(100):
         rho, obs_a, obs_b = random_instance(rng, 2)
-        assert np.abs(cq(rho, obs_a, obs_b).values - mhq(rho, obs_a, obs_b).values).max() <= 1e-12
+        assert np.abs(cq(rho, obs_a, obs_b) - mhq(rho, obs_a, obs_b)).max() <= 1e-12
 
 
 # ------------------------------------------------------- weak CQ variants
@@ -84,15 +109,15 @@ def test_weak_cq_from_data_projective_inputs(scenario_state, obs_z, obs_x):
     p = tpm_joint(scenario_state, obs_z, obs_x)
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     table = weak_cq_from_data(p, p_fin)
-    assert_allclose(table.values, cq(scenario_state, obs_z, obs_x).values, atol=1e-12)
+    assert_allclose(table, cq(scenario_state, obs_z, obs_x), atol=1e-12)
 
 
 def test_weak_cq_from_data_zero_strength(scenario_state, obs_z, obs_x):
     pw = weak_sequential_closed(scenario_state, obs_z, obs_x, 0.0)
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     table = weak_cq_from_data(pw, p_fin)
-    assert_allclose(table.values, np.tile(p_fin / 2, (2, 1)), atol=1e-12)
-    assert table.values.min() >= 0.0
+    assert_allclose(table, np.tile(p_fin / 2, (2, 1)), atol=1e-12)
+    assert table.min() >= 0.0
 
 
 def test_weak_cq_from_data_rejects_mismatched_marginal(scenario_state, obs_z, obs_x):
@@ -108,7 +133,7 @@ def test_weak_cq_from_data_half_strength_cell(cs, scenario_state, obs_z, obs_x):
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     table = weak_cq_from_data(pw, p_fin)
     expected = 0.5 * (-s * (c - s) / 2) + 0.25 * ((c - s) ** 2 / 2)
-    assert table.values[1, 1] == pytest.approx(expected, abs=1e-12)
+    assert table[1, 1] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(-0.010883, abs=5e-7)
 
 
@@ -122,18 +147,18 @@ def test_weak_cq_closed_matches_data_path():
         pw = weak_sequential_closed(rho, obs_a, obs_b, k)
         p_fin = born(rho.matrix, obs_b.eigenvectors)
         from_data = weak_cq_from_data(pw, p_fin)
-        assert np.abs(closed.values - from_data.values).max() <= 1e-12
+        assert np.abs(closed - from_data).max() <= 1e-12
 
 
 def test_weak_mhq_endpoints(scenario_state, obs_z, obs_x):
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     assert_allclose(
-        weak_mhq(scenario_state, obs_z, obs_x, 1.0).values,
-        mhq(scenario_state, obs_z, obs_x).values,
+        weak_mhq(scenario_state, obs_z, obs_x, 1.0),
+        mhq(scenario_state, obs_z, obs_x),
         atol=1e-12,
     )
     assert_allclose(
-        weak_mhq(scenario_state, obs_z, obs_x, 0.0).values, np.tile(p_fin / 2, (2, 1)), atol=1e-12
+        weak_mhq(scenario_state, obs_z, obs_x, 0.0), np.tile(p_fin / 2, (2, 1)), atol=1e-12
     )
 
 
@@ -141,9 +166,9 @@ def test_weak_mhq_below_threshold_cell(cs, scenario_state, obs_z, obs_x):
     c, s = cs
     table = weak_mhq(scenario_state, obs_z, obs_x, 0.4)
     expected = 0.4 * (-s * (c - s) / 2) + 0.3 * ((c - s) ** 2 / 2)
-    assert table.values[1, 1] == pytest.approx(expected, abs=1e-12)
+    assert table[1, 1] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.007579, abs=5e-7)
-    assert table.values.min() > 0.0  # strength below the negativity threshold
+    assert table.min() > 0.0  # strength below the negativity threshold
 
 
 def test_weak_families_coincide_for_qubits():
@@ -152,8 +177,8 @@ def test_weak_families_coincide_for_qubits():
         rho, obs_a, obs_b = random_instance(rng, 2)
         for k in np.linspace(0, 1, 11):
             gap = np.abs(
-                weak_cq_closed(rho, obs_a, obs_b, k).values
-                - weak_mhq(rho, obs_a, obs_b, k).values
+                weak_cq_closed(rho, obs_a, obs_b, k)
+                - weak_mhq(rho, obs_a, obs_b, k)
             ).max()
             assert gap <= 1e-12
 
@@ -161,7 +186,7 @@ def test_weak_families_coincide_for_qubits():
 def test_weak_families_separate_at_dimension_three():
     rho, obs_a, obs_b = random_instance(np.random.default_rng(0), 3)
     gap = np.abs(
-        weak_cq_closed(rho, obs_a, obs_b, 0.5).values - weak_mhq(rho, obs_a, obs_b, 0.5).values
+        weak_cq_closed(rho, obs_a, obs_b, 0.5) - weak_mhq(rho, obs_a, obs_b, 0.5)
     ).max()
     assert gap > 1e-3
 
@@ -190,7 +215,7 @@ def test_coherence_term_half_strength_cell(cs, scenario_state, obs_z, obs_x):
 
 
 def test_coherence_term_sign_matches_mhq(scenario_state, obs_z, obs_x):
-    q_mh = mhq(scenario_state, obs_z, obs_x).values
+    q_mh = mhq(scenario_state, obs_z, obs_x)
     p = tpm_joint(scenario_state, obs_z, obs_x)
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     for k in np.linspace(0.05, 0.95, 10):
@@ -220,7 +245,7 @@ def test_mhq_from_weak_roundtrip(k, scenario_state, obs_z, obs_x):
     p = tpm_joint(scenario_state, obs_z, obs_x)
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     rec = mhq_from_weak(pw, p, p_fin, WeakStrength(k, 2))
-    assert np.abs(rec.values - mhq(scenario_state, obs_z, obs_x).values).max() <= 1e-12
+    assert np.abs(rec - mhq(scenario_state, obs_z, obs_x)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("k", [0.0, 1.0])
@@ -258,25 +283,25 @@ def test_mhq_paths_agree_random():
     for _ in range(50):
         d = int(rng.integers(2, 5))
         rho, obs_a, obs_b = random_instance(rng, d)
-        direct = mhq(rho, obs_a, obs_b).values
+        direct = mhq(rho, obs_a, obs_b)
         via_ns = mhq_from_weak_tpm(rho.matrix, obs_a.eigenvectors, obs_b.eigenvectors)
         k = float(rng.uniform(0.05, 0.95))
         pw = weak_sequential_closed(rho, obs_a, obs_b, k)
         p = tpm_joint(rho, obs_a, obs_b)
         p_fin = born(rho.matrix, obs_b.eigenvectors)
-        via_weak = mhq_from_weak(pw, p, p_fin, WeakStrength(k, d)).values
+        via_weak = mhq_from_weak(pw, p, p_fin, WeakStrength(k, d))
         assert np.abs(direct - via_ns).max() <= 1e-10
         assert np.abs(direct - via_weak).max() <= 1e-10
 
 
 def test_mhq_roundtrip_across_strength_range(scenario_state, obs_z, obs_x):
-    direct = mhq(scenario_state, obs_z, obs_x).values
+    direct = mhq(scenario_state, obs_z, obs_x)
     p = tpm_joint(scenario_state, obs_z, obs_x)
     p_fin = born(scenario_state.matrix, obs_x.eigenvectors)
     for k in np.linspace(0.05, 0.95, 19):
         pw = weak_sequential_closed(scenario_state, obs_z, obs_x, k)
         rec = mhq_from_weak(pw, p, p_fin, WeakStrength(k, 2))
-        assert np.abs(rec.values - direct).max() <= 1e-10
+        assert np.abs(rec - direct).max() <= 1e-10
 
 
 # -------------------------------------------------------------- threshold
@@ -322,8 +347,8 @@ def test_threshold_rejects_mhq_weight_on_vanishing_final_outcome(monkeypatch, ob
 
 def test_threshold_brackets_sign_change(scenario_state, obs_z, obs_x):
     kbar = threshold_strength(scenario_state, obs_z, obs_x)[1, 1]
-    below = weak_mhq(scenario_state, obs_z, obs_x, kbar - 1e-6).values[1, 1]
-    above = weak_mhq(scenario_state, obs_z, obs_x, kbar + 1e-6).values[1, 1]
+    below = weak_mhq(scenario_state, obs_z, obs_x, kbar - 1e-6)[1, 1]
+    above = weak_mhq(scenario_state, obs_z, obs_x, kbar + 1e-6)[1, 1]
     assert below > 0.0 > above
 
 
@@ -339,8 +364,8 @@ def test_threshold_strength_is_affine_crossing_random():
         for a, b in finite:
             kbar = per_cell[a, b]
             assert 0.0 < kbar < 1.0
-            assert weak_mhq(rho, obs_a, obs_b, kbar - 1e-6).values[a, b] > 0.0
-            assert weak_mhq(rho, obs_a, obs_b, kbar + 1e-6).values[a, b] < 0.0
+            assert weak_mhq(rho, obs_a, obs_b, kbar - 1e-6)[a, b] > 0.0
+            assert weak_mhq(rho, obs_a, obs_b, kbar + 1e-6)[a, b] < 0.0
             found += 1
     assert found > 10  # negativity is generic for random instances
 
@@ -368,17 +393,19 @@ def test_families_normalize_and_marginalize_random():
         strong = [cq(rho, obs_a, obs_b), mhq(rho, obs_a, obs_b)]
         weak = [weak_cq_closed(rho, obs_a, obs_b, k), weak_mhq(rho, obs_a, obs_b, k)]
         for table in strong + weak:
-            assert table.values.sum() == pytest.approx(1.0, abs=1e-10)
-            assert np.abs(table.values.sum(axis=0) - p_fin).max() <= 1e-10
+            assert table.sum() == pytest.approx(1.0, abs=1e-10)
+            assert np.abs(table.sum(axis=0) - p_fin).max() <= 1e-10
         for table in strong:
-            assert np.abs(table.values.sum(axis=1) - p_in).max() <= 1e-10
+            assert np.abs(table.sum(axis=1) - p_in).max() <= 1e-10
         for table in weak:
             expected = k * p_in + (1 - k) / d
-            assert np.abs(table.values.sum(axis=1) - expected).max() <= 1e-10
+            assert np.abs(table.sum(axis=1) - expected).max() <= 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_quasi_distribution_validation():
+    # a finite data table whose inversion overflows: the returned table's check rejects it
+    huge, zeros = np.array([[1e300, 0.0], [0.0, 0.0]]), np.zeros((2, 2))
     with pytest.raises(ValueError, match="non-finite"):
-        QuasiDistribution(np.array([[np.nan, 0.5], [0.5, 0.0]]))
-    table = QuasiDistribution(np.array([[0.6, 0.5], [-0.1, 0.0]]))
-    assert negativity(table) == pytest.approx(0.1, abs=1e-15)
+        mhq_from_weak(huge, zeros, np.zeros(2), WeakStrength(1e-300, 2))
+    assert negativity(np.array([[0.6, 0.5], [-0.1, 0.0]])) == pytest.approx(0.1, abs=1e-15)

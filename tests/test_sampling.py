@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import weakquasi.quasiprob as quasiprob
 import weakquasi.sampling as sampling
 import weakquasi.schemes as schemes
 from oracles import born, estimate_with_errors, projectors
@@ -160,7 +159,7 @@ def test_partial_dephasing_shifts_reconstruction_proportionally(scenario_state, 
     # full-matrix uses the same three-setting pipeline; the reconstructed table
     # must land on nu q_MH + (1 - nu) p, a shift linear in (1 - nu)
     p = tpm_joint(scenario_state, obs_z, obs_x).values
-    q_mh = mhq(scenario_state, obs_z, obs_x).values
+    q_mh = mhq(scenario_state, obs_z, obs_x)
     for nu in (0.95, 0.8):
         sweep = run_sweep(scenario_state, obs_z, obs_x, [0.5], noise=NoiseModel(nu))
         rec = sweep.values["mhq_reconstructed"][0]
@@ -184,17 +183,17 @@ def test_run_scenario_deterministic(scenario_state, obs_z, obs_x):
 def test_run_scenario_exact_matches_closed_forms(scenario_state, obs_z, obs_x):
     k_grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     sweep = run_sweep(scenario_state, obs_z, obs_x, k_grid)
-    q_mh = mhq(scenario_state, obs_z, obs_x).values
+    q_mh = mhq(scenario_state, obs_z, obs_x)
     for i, k in enumerate(k_grid):
         strength = WeakStrength(k, 2)
         assert np.abs(
             sweep.values["p_weak"][i] - weak_sequential_closed(scenario_state, obs_z, obs_x, k).values
         ).max() <= 1e-12
         assert np.abs(
-            sweep.values["weak_cq"][i] - weak_cq_closed(scenario_state, obs_z, obs_x, k).values
+            sweep.values["weak_cq"][i] - weak_cq_closed(scenario_state, obs_z, obs_x, k)
         ).max() <= 1e-12
         assert np.abs(
-            sweep.values["weak_mhq"][i] - weak_mhq(scenario_state, obs_z, obs_x, k).values
+            sweep.values["weak_mhq"][i] - weak_mhq(scenario_state, obs_z, obs_x, k)
         ).max() <= 1e-12
         assert np.abs(sweep.values["C"][i] - strength.cross_weight * q_mh).max() <= 1e-12
         if 0.0 < k < 1.0:
@@ -274,8 +273,8 @@ def _data_paths(k, pw, pt, p_final):
     d = pw.shape[0]
     strength = WeakStrength(k, d)
     pf = p_final.sum(axis=0)
-    wcq = weak_cq_from_data(pw, pf).values
-    rec = mhq_from_weak(pw, pt, pf, strength).values if 0.0 < k < 1.0 else None
+    wcq = weak_cq_from_data(pw, pf)
+    rec = mhq_from_weak(pw, pt, pf, strength) if 0.0 < k < 1.0 else None
     return {
         "p_weak": pw,
         "p_tpm": pt,
@@ -455,7 +454,6 @@ def test_run_sweep_mixes_the_three_tables_once_per_grid(monkeypatch, scenario_st
             (sampling, "weak_joint_state"),
             (sampling, "joint_outcome_table"),
             (sampling, "JointDistribution"),
-            (quasiprob, "QuasiDistribution"),
         ]
     ]
     sweep = run_sweep(scenario_state, obs_z, obs_x, k_grid)
@@ -602,7 +600,7 @@ def test_run_sweep_rejects_strength_below_cross_weight_floor(scenario_state, obs
         run_sweep(scenario_state, obs_z, obs_x, [0.5, k])
     # a strength whose cross weight clears the floor still reconstructs exactly
     sweep = run_sweep(scenario_state, obs_z, obs_x, [1e-5])
-    assert np.abs(sweep.values["mhq_reconstructed"][0] - mhq(scenario_state, obs_z, obs_x).values).max() <= 1e-9
+    assert np.abs(sweep.values["mhq_reconstructed"][0] - mhq(scenario_state, obs_z, obs_x)).max() <= 1e-9
 
 
 def test_run_sweep_qutrit_weak_mhq_coverage():
@@ -616,7 +614,7 @@ def test_run_sweep_qutrit_weak_mhq_coverage():
     assert sweep.reached("weak_mhq")[1]
     assert not sweep.reached("weak_mhq")[2]
     assert np.abs(
-        sweep.values["weak_mhq"][1] - weak_mhq(rho, obs_a, obs_b, 0.5).values
+        sweep.values["weak_mhq"][1] - weak_mhq(rho, obs_a, obs_b, 0.5)
     ).max() <= 1e-12
 
 

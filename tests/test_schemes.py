@@ -46,7 +46,7 @@ def test_joint_distribution_rejects_unnormalized():
 
 
 def test_joint_distribution_is_always_a_probability_table():
-    # quasiprobabilities are QuasiDistribution tables, and every table sums to 1 as a whole
+    # quasiprobabilities are the quasiprob functions' plain arrays, and every table sums to 1 as a whole
     with pytest.raises(TypeError, match="kind"):
         JointDistribution(np.full((2, 2), 0.25), kind="quasiprobability")
     with pytest.raises(TypeError, match="normalization"):
