@@ -377,18 +377,43 @@ def _fmt(value: float) -> str:
     return f"{value:{_NUMBER}}"
 
 
-def _texts(array: np.ndarray, indices):
-    """The ``.12g`` strings of each indexed point's cells, in ``ravel()`` order.
+def _fixed_texts(array: np.ndarray, indices: list[int]):
+    """The ``.12g`` strings of one point's cells if every indexed point has the same bytes, else None.
 
-    ``.12g`` is a function of a float's bits, so a point whose bytes equal the
-    last point's yields that point's list again instead of formatting anew.
+    ``.12g`` is a function of a float's bits, so a column that is the same at
+    every written point is formatted once; a stride-0 K axis needs no comparison.
     """
-    last = texts = None
+    first = array[indices[0]].tobytes()
+    if array.strides[0] and any(array[i].tobytes() != first for i in indices):
+        return None
+    return [_fmt(x) for x in array[indices[0]].ravel().tolist()]
+
+
+def _write_points(fh, prefixes: list[str], keys: list[str], values, errors, indices: list[int]):
+    """Write each indexed point's rows: one ``%`` call on the table's row template, then one write.
+
+    The template holds one point's rows without their K key; ``%`` in a
+    label or the quantity is escaped as ``%%``.  A column whose bytes are the
+    same at every point is formatted into it once (see _fixed_texts); every
+    other cell is a ``%.12g`` field, and ``"%.12g" % x == f"{x:.12g}"``.  The
+    K key goes in front of each row through the row breaks, which labels
+    never hold (see core._check_labels).
+    """
+    if not indices:
+        return
+    columns = [(array, _fixed_texts(array, indices)) for array in (values, errors)]
+    field = ["%" + _NUMBER] * len(prefixes)
+    template = "".join(
+        f",{prefix.replace('%', '%%')},{value},{error}\n"
+        for prefix, value, error in zip(prefixes, *(texts or field for _, texts in columns))
+    )
+    varying = [array for array, texts in columns if texts is None]
+    step = len(varying)
+    cells = [0.0] * (step * len(prefixes))  # the varying cells of one point, row by row
     for i in indices:
-        data = array[i].tobytes()
-        if data != last:
-            last, texts = data, [f"{x:{_NUMBER}}" for x in array[i].ravel().tolist()]
-        yield texts
+        for j, array in enumerate(varying):
+            cells[j::step] = array[i].ravel().tolist()
+        fh.write(keys[i] + (template % tuple(cells)).replace("\n", "\n" + keys[i], len(prefixes) - 1))
 
 
 def _threshold(value: float):
@@ -414,10 +439,12 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     ascending K order with 12-significant-digit decimal values; the
     reconstructed-MHQ table covers only strengths where the inversion exists.
     Each table's rows are formatted from the sweep's arrays as they are
-    written, one point's rows per write, so no row list is kept: a point's
-    values, and its errors, are formatted again only when their bytes differ
-    from the last written point's (see _texts), and each label pair is quoted
-    once; a K key needs no quotes (see _quoted).
+    written, one point's rows per write, so no row list is kept.  Each table
+    gets one row template: a value or error column that is the same at every
+    written point (the zero errors of exact mode, the cq and mhq tables) is
+    formatted into it once, and each point fills the other column's cells
+    with one ``%`` call (see _write_points).  Each label pair is quoted once;
+    a K key needs no quotes (see _quoted).
     """
     started = time.monotonic()
     # checked before the sweep, so a failed run leaves nothing
@@ -454,15 +481,10 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         else:
             values, errors = sweep.values[quantity], sweep.errors[quantity]
             points = np.flatnonzero(sweep.reached(quantity))  # the points a data path reaches
-        prefixes = [f"{labels}{quantity}," for labels in quoted_labels]
         with open(out / f"{quantity}.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\n")
-            indices = points.tolist()
-            for i, value_texts, error_texts in zip(indices, _texts(values, indices), _texts(errors, indices)):
-                fh.write("".join([  # the d^2 rows of one point, as one string
-                    f"{keys[i]},{prefix}{value},{error}\n"
-                    for prefix, value, error in zip(prefixes, value_texts, error_texts)
-                ]))
+            prefixes = [f"{labels}{quantity}" for labels in quoted_labels]
+            _write_points(fh, prefixes, keys, values, errors, points.tolist())
         if quantity != "C" and points.size:  # the cross-term is not itself a distribution
             point_keys = [keys[i] for i in points]
             negativity_totals[quantity] = dict(zip(point_keys, _negativity(values[points]).tolist()))

@@ -58,11 +58,29 @@ def _values_of(table) -> np.ndarray:
     return _real_table(table.values if hasattr(table, "values") else table)
 
 
-def _vector(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float).reshape(-1)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+def _data_tables(p_weak, p_tpm, p_fin, strength=None):
+    """Measured inputs as (p_weak, p_tpm, p_fin) arrays, all checked against one dimension d.
+
+    A and B both have d outcomes, so d comes from ``p_weak``, which must be
+    square; ``p_tpm`` (None when the path takes none) must be (d, d), ``p_fin``
+    a length-d vector, and ``strength`` (when given) a strength for d levels,
+    since its weights depend on d.
+    """
+    pw = _values_of(p_weak)
+    d = pw.shape[0]
+    if pw.shape != (d, d):
+        raise ValueError(f"p_weak has shape {pw.shape}, expected a square (d, d) table")
+    pt = None if p_tpm is None else _values_of(p_tpm)
+    if pt is not None and pt.shape != (d, d):
+        raise ValueError(f"p_tpm has shape {pt.shape}, expected ({d}, {d}) like p_weak")
+    pf = np.asarray(p_fin, dtype=float)
+    if pf.shape != (d,):
+        raise ValueError(f"p_fin has shape {pf.shape}, expected ({d},)")
+    if not np.isfinite(pf).all():
+        raise ValueError("p_fin contains non-finite entries")
+    if strength is not None and strength.dim != d:
+        raise ValueError(f"strength is for dimension {strength.dim}, but the tables have dimension {d}")
+    return pw, pt, pf
 
 
 # Data-path formulas, each written once.  Tables are (..., d, d) and p_fin is
@@ -138,11 +156,8 @@ def weak_cq_from_data(p_weak, p_fin) -> np.ndarray:
     q~_C(a,b) = p_weak(a,b) + (p_fin(b) - sum_a p_weak(a,b))/d.  Works directly
     on estimated tables; inputs are taken as-is.
     """
-    values = _values_of(p_weak)
-    pf = _vector(p_fin, "p_fin")
-    if pf.shape != (values.shape[1],):
-        raise ValueError(f"p_fin has shape {pf.shape}, expected ({values.shape[1]},)")
-    return _quasi(_weak_cq_values(values, pf))
+    pw, _, pf = _data_tables(p_weak, None, p_fin)
+    return _quasi(_weak_cq_values(pw, pf))
 
 
 def weak_cq_closed(
@@ -180,11 +195,7 @@ def coherence_term(p_weak, p_tpm, p_fin, strength: WeakStrength) -> np.ndarray:
     the signs of the Margenau-Hill quasiprobability.  Identically zero at the
     strength endpoints, where one branch coefficient vanishes.
     """
-    pw = _values_of(p_weak)
-    pt = _values_of(p_tpm)
-    pf = _vector(p_fin, "p_fin")
-    if pw.shape != pt.shape or pf.shape != (pw.shape[1],):
-        raise ValueError("coherence-term inputs must share outcome index sets")
+    pw, pt, pf = _data_tables(p_weak, p_tpm, p_fin, strength)
     return _freeze(_coherence_values(pw, pt, pf, strength))
 
 

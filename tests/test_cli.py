@@ -628,6 +628,8 @@ QUOTED_LABELS = GOLDEN.parent / "quoted_labels.json"
 # d=4: a mixed state, rotated bases for A and B, a Hamiltonian, noise 0.9 and K from 0 to 1,
 # so the weak_mhq slice above d=2 (K=0 reached, K=1 not) is pinned too
 PINNED_QUDIT = GOLDEN.parent / "pinned_qudit.json"
+# d=3, labels that a % row template would misread unless escaped: 100%, %s, %.12g, a%%b, %(x)s
+PERCENT_LABELS = GOLDEN.parent / "percent_labels.json"
 
 PINNED = {  # tables byte for byte, as each run mode writes them: the config, then the options
     "pinned_exact": [SHIPPED],
@@ -637,6 +639,8 @@ PINNED = {  # tables byte for byte, as each run mode writes them: the config, th
     "pinned_labels_seed3": [QUOTED_LABELS, "--shots", "1000", "--seed", "3"],
     "pinned_qudit_exact": [PINNED_QUDIT],
     "pinned_qudit_seed5": [PINNED_QUDIT, "--shots", "1000", "--seed", "5"],
+    "pinned_percent_exact": [PERCENT_LABELS],
+    "pinned_percent_seed3": [PERCENT_LABELS, "--shots", "1000", "--seed", "3"],
 }
 
 
@@ -669,6 +673,12 @@ def test_run_quoted_labels_write_the_pinned_bytes(tmp_path, pinned):
 
 @pytest.mark.parametrize("pinned", ["pinned_qudit_exact", "pinned_qudit_seed5"])
 def test_run_qudit_scenario_writes_the_pinned_bytes(tmp_path, pinned):
+    _assert_writes_pinned_bytes(tmp_path, pinned)
+
+
+@pytest.mark.parametrize("pinned", ["pinned_percent_exact", "pinned_percent_seed3"])
+def test_run_percent_labels_write_the_pinned_bytes(tmp_path, pinned):
+    # a % in a label or a quantity is escaped in the row template, so it is written as given
     _assert_writes_pinned_bytes(tmp_path, pinned)
 
 

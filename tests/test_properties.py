@@ -16,7 +16,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_instance
-from weakquasi.cli import _CONFIG_FIELDS, CSV_HEADER, ConfigError, _fmt, _texts, compare, main, parse_config
+from weakquasi.cli import (
+    _CONFIG_FIELDS,
+    CSV_HEADER,
+    QUANTITIES,
+    ConfigError,
+    _fmt,
+    _quoted,
+    _write_points,
+    compare,
+    main,
+    parse_config,
+)
 from weakquasi.core import WeakStrength
 from weakquasi.quasiprob import (
     _coherence_values,
@@ -71,6 +82,34 @@ def test_broadcast_data_paths_match_public_functions_slice_by_slice(stacks, k):
                 mhq_from_weak(pw[i], pt[i], pf[i], strength)
         point_wmh = _weak_mhq_values(point_wcq, rec[i], pf[i], strength)
         assert wmh[i].tobytes() == point_wmh.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p_weak=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    p_tpm=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    p_fin=st.tuples(st.integers(1, 4)) | st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    dim=st.integers(2, 4),
+    k=st.floats(0.01, 0.99),
+)
+@example(p_weak=(4, 4), p_tpm=(4, 4), p_fin=(2, 2), dim=4, k=0.5)  # d entries, but not a vector
+def test_data_paths_return_a_d_by_d_table_or_name_the_mismatch(p_weak, p_tpm, p_fin, dim, k):
+    # every mix of square and non-square tables, p_fin shapes and strength dimensions
+    pw, pt, pf = np.full(p_weak, 0.1), np.full(p_tpm, 0.1), np.full(p_fin, 0.2)
+    strength = WeakStrength(k, dim)
+    d = p_weak[0]
+    square = p_weak == (d, d) and p_fin == (d,)
+    calls = [
+        (lambda: weak_cq_from_data(pw, pf), square),
+        (lambda: coherence_term(pw, pt, pf, strength), square and p_tpm == (d, d) and dim == d),
+        (lambda: mhq_from_weak(pw, pt, pf, strength), square and p_tpm == (d, d) and dim == d),
+    ]
+    for call, consistent in calls:
+        if consistent:
+            assert call().shape == (d, d)
+        else:
+            with pytest.raises(ValueError, match="shape|dimension"):
+                call()
 
 
 def _weak_mhq_by_rule(k, wcq, rec, pf):
@@ -288,24 +327,60 @@ def test_compare_is_symmetric_and_rejects_non_finite_and_duplicate_rows(pair, to
 cell_values = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308])
 
 
+# labels that a % template would misread if they were not escaped, plus csv quoting and non-ASCII
+label_texts = st.sampled_from(["100%", "%s", "%.12g", "a%%b", "%(x)s", "%", ",", '"q"', " sp ", "D⊥"])
+label_texts |= st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n\x00"), max_size=4)
+
+
 @st.composite
-def repeating_points(draw):
-    """An (n, d, d) stack whose consecutive points repeat, and the sorted indices a table exports."""
+def exported_tables(draw):
+    """A table's (nK, d, d) values and errors, K keys, labels and quantity, and the points it writes.
+
+    Each stack repeats points drawn from a small pool, or is one point broadcast over
+    the grid with a stride-0 K axis, as the cq/mhq tables and the exact zero errors are.
+    """
     d = draw(st.integers(1, 3))
-    pool = draw(arrays(np.float64, (draw(st.integers(1, 3)), d, d), elements=cell_values))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
-    stack = pool[picks] if picks else np.empty((0, d, d))
-    indices = [i for i in range(len(stack)) if draw(st.booleans())]
-    return stack, indices
+    n = draw(st.integers(0, 6))
+
+    def stack():
+        pool = draw(arrays(np.float64, (draw(st.integers(1, 3)), d, d), elements=cell_values))
+        if draw(st.booleans()):
+            return np.broadcast_to(pool[0], (n, d, d))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        return pool[np.asarray(picks, dtype=int)]
+
+    values, errors = stack(), stack()
+    keys = [_fmt(k) for k in draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))]
+    labels_a, labels_b = (draw(st.lists(label_texts, min_size=d, max_size=d, unique=True)) for _ in "ab")
+    indices = [i for i in range(n) if draw(st.booleans())]
+    return values, errors, keys, labels_a, labels_b, draw(st.sampled_from(QUANTITIES[:-1])), indices
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=repeating_points())
-@example(case=(np.array([[[0.0]], [[-0.0]], [[-0.0]], [[math.nan]], [[math.nan]], [[0.0]]]), [0, 1, 2, 3, 4, 5]))
-def test_texts_formats_each_point_as_its_cells_and_reuses_a_repeated_point(case):
-    stack, indices = case
-    texts = list(_texts(stack, indices))
-    assert texts == [[_fmt(x) for x in stack[i].ravel().tolist()] for i in indices]
-    # a point is formatted again exactly when its bytes differ from the last exported point's
-    for i, j, before, after in zip(indices, indices[1:], texts, texts[1:]):
-        assert (after is before) == (stack[i].tobytes() == stack[j].tobytes())
+@settings(max_examples=300, deadline=None)
+@given(case=exported_tables())
+@example(case=(
+    np.array([[[0.0]], [[-0.0]], [[math.nan]], [[math.inf]], [[5e-324]]]),
+    np.broadcast_to(0.0, (5, 1, 1)),
+    ["0", "0.25", "0.5", "0.75", "1"], ["100%"], ["%.12g"], "p_weak", [0, 1, 2, 3, 4],
+))
+# equal as numbers, not as bytes: neither column may be formatted once
+@example(case=(np.array([[[0.0]], [[-0.0]]]), np.array([[[-0.0]], [[0.0]]]), ["0", "1"], ["a"], ["b"], "C", [0, 1]))
+def test_write_points_writes_the_rows_csv_writer_writes(case):
+    values, errors, keys, labels_a, labels_b, quantity, indices = case
+    written = io.StringIO()
+    pairs = [(la, lb) for la in labels_a for lb in labels_b]  # a-major, as ravel()
+    _write_points(written, [f"{_quoted(pair)}{quantity}" for pair in pairs], keys, values, errors, indices)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    for i in indices:
+        cells = zip(pairs, values[i].ravel().tolist(), errors[i].ravel().tolist())
+        writer.writerows([keys[i], la, lb, quantity, f"{v:.12g}", f"{e:.12g}"] for (la, lb), v, e in cells)
+    assert written.getvalue() == expected.getvalue()
+
+
+@given(x=st.floats())
+@example(x=-0.0)
+@example(x=5e-324)
+def test_percent_format_equals_the_format_spec(x):
+    # the row template fills its fields with %.12g; the K keys and fixed columns use .12g
+    assert "%.12g" % x == f"{x:.12g}"

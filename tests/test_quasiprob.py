@@ -126,6 +126,21 @@ def test_weak_cq_from_data_rejects_mismatched_marginal(scenario_state, obs_z, ob
         weak_cq_from_data(pw, np.array([0.2, 0.3, 0.5]))
 
 
+def test_weak_cq_from_data_rejects_a_non_square_table():
+    # A and B both have d outcomes; a (2, 3) table once came back as a (2, 3) "quasiprobability"
+    with pytest.raises(ValueError, match=r"p_weak has shape \(2, 3\), expected a square"):
+        weak_cq_from_data(np.full((2, 3), 1.0 / 6.0), np.full(3, 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("path", [coherence_term, mhq_from_weak])
+def test_data_paths_reject_a_strength_of_another_dimension(path):
+    # the weights depend on d: a d=2 strength on 3x3 uniform tables once gave mhq 0.0352, not 1/9
+    p, p_fin = np.full((3, 3), 1.0 / 9.0), np.full(3, 1.0 / 3.0)
+    with pytest.raises(ValueError, match="strength is for dimension 2, but the tables have dimension 3"):
+        path(p, p, p_fin, WeakStrength(0.5, 2))
+    assert_allclose(mhq_from_weak(p, p, p_fin, WeakStrength(0.5, 3)), np.full((3, 3), 1.0 / 9.0))
+
+
 def test_weak_cq_from_data_half_strength_cell(cs, scenario_state, obs_z, obs_x):
     # qubit identity oracle: weak CQ = K q_MH + ((1-K)/2) p_fin
     c, s = cs
