@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import numbers
 import sys
 import time
 from collections import Counter
@@ -87,7 +88,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: state, observables, strength grid, and run options."""
+    """Scenario: state, observables, strength grid and run options; every rule holds at construction."""
 
     rho: DensityOperator
     obs_a: ObservableSpec
@@ -97,6 +98,16 @@ class ScenarioConfig:
     noise: NoiseModel
     seed: int
     outputs: tuple[str, ...]
+
+    def __post_init__(self):  # replace runs it too; the grid is kept with -0.0 read as 0.0, shots and seed as ints
+        for field, obs in (("observable_a", self.obs_a), ("observable_b", self.obs_b)):
+            if obs.dim != self.rho.dim:
+                _fail(field, f"has dimension {obs.dim}, the state has {self.rho.dim}")
+        object.__setattr__(self, "k_values", _strength_keys(self.k_values, "K", self.rho.dim))
+        if self.shots is not None:  # None is exact mode
+            object.__setattr__(self, "shots", _integer(self.shots, "shots", 1, MAX_SHOTS))
+        object.__setattr__(self, "outputs", _outputs(self.outputs))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
 
 def _fail(field: str, message: str):
@@ -135,7 +146,8 @@ def _number(value, field: str) -> float:
 
 
 def _integer(value, field: str, minimum: int, maximum: float = math.inf) -> int:
-    if not _is_real(value) or (isinstance(value, float) and not value.is_integer()):
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
         _fail(field, f"expected an integer, got {value!r}")
     if value < minimum:
         _fail(field, f"must be at least {minimum}, got {int(value)}")
@@ -235,8 +247,8 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
         _fail(field, str(exc))
 
 
-def _strength_keys(k_values, field: str, dim: int) -> tuple[tuple[float, ...], list[str]]:
-    """The grid's strengths and each one's formatted K key; rows are keyed by K, so keys must be distinct.
+def _strength_keys(k_values, field: str, dim: int) -> tuple[float, ...]:
+    """The grid's strengths, whose formatted K keys must be distinct: rows are keyed by K.
 
     Each strength must lie in [0, 1] and clear the cross-weight floor of
     ``_strength``; -0.0 reads as 0.0.  An empty grid is rejected here too: it
@@ -263,7 +275,7 @@ def _strength_keys(k_values, field: str, dim: int) -> tuple[tuple[float, ...], l
     if len(counts) < len(keys):
         repeated = next(key for key in keys if counts[key] > 1)
         _fail(field, f"the grid gives strength K={repeated} twice; CSV rows are keyed by K")
-    return values, keys
+    return values
 
 
 def _outputs(outputs) -> tuple[str, ...]:
@@ -299,12 +311,12 @@ def _parse_k_grid(doc: dict, dim: int) -> tuple[float, ...]:
         _fail("K", f"expected a list of strengths or a {{start, stop, num}} range, got {spec!r}")
     else:
         _fail("phi", f"expected a list of waveplate angles in degrees, got {spec!r}")
-    if field == "phi":
+    if field == "phi":  # a phi grid's strengths are checked here, under its name; a K grid's by ScenarioConfig
         try:
             values = [strength_from_waveplate(phi) for phi in values]
         except ValueError as exc:
             _fail("phi", str(exc))
-    return _strength_keys(values, field, dim)[0]
+    return _strength_keys(values, "phi", dim) if field == "phi" else tuple(values)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -342,9 +354,6 @@ def parse_config(text: str) -> ScenarioConfig:
 
     k_values = _parse_k_grid(doc, dim)
 
-    shots_spec = doc.get("shots", "exact")
-    shots = None if shots_spec == "exact" else _integer(shots_spec, "shots", 1, MAX_SHOTS)
-
     visibility = _number(doc.get("noise", 1.0), "noise")
     try:
         noise = NoiseModel(visibility)
@@ -354,22 +363,23 @@ def parse_config(text: str) -> ScenarioConfig:
     # the sweep's error bars are closed-form; the key stays valid for older documents
     _integer(doc.get("resamples", 1000), "resamples", 0, MAX_RESAMPLES)
 
-    outputs = _outputs(doc.get("outputs", QUANTITIES))
-
     # the sweep has one engine, the closed form; the key stays valid for older documents
     engine = doc.get("engine", "circuit")
     if engine not in ("circuit", "closed"):
         _fail("engine", f"must be 'circuit' or 'closed', got {engine!r}")
 
+    shots = doc.get("shots", "exact")
+    if shots is None:  # JSON null is not the exact mode, which is spelt "exact"
+        _fail("shots", "expected an integer, got None")
     return ScenarioConfig(
         rho=rho,
         obs_a=obs_a,
         obs_b=obs_b,
         k_values=k_values,
-        shots=shots,
+        shots=None if shots == "exact" else shots,
         noise=noise,
-        seed=_integer(doc.get("seed", 0), "seed", 0),
-        outputs=outputs,
+        seed=doc.get("seed", 0),
+        outputs=doc.get("outputs", QUANTITIES),
     )
 
 
@@ -435,21 +445,20 @@ def _quoted(fields) -> str:
 def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     """Evaluate the scenario and write per-quantity CSV tables plus summary.json.
 
-    Returns the summary document.  Tables carry one row per (K, cell) in
-    ascending K order with 12-significant-digit decimal values; the
-    reconstructed-MHQ table covers only strengths where the inversion exists.
-    Each table's rows are formatted from the sweep's arrays as they are
-    written, one point's rows per write, so no row list is kept.  Each table
-    gets one row template: a value or error column that is the same at every
+    Returns the summary document.  ``config`` is valid by construction, so
+    ``out_dir`` is made only once every result is computed and a failed run
+    leaves nothing.  Tables carry one row per (K, cell) in ascending K order
+    with 12-significant-digit decimal values; the reconstructed-MHQ table
+    covers only strengths where the inversion exists.  Rows are formatted from
+    the sweep's arrays as they are written, one point per write, through one
+    row template per table: a value or error column that is the same at every
     written point (the zero errors of exact mode, the cq and mhq tables) is
-    formatted into it once, and each point fills the other column's cells
-    with one ``%`` call (see _write_points).  Each label pair is quoted once;
-    a K key needs no quotes (see _quoted).
+    formatted into it once, each point fills the other cells with one ``%``
+    call (see _write_points), and each label pair is quoted once (see _quoted).
     """
     started = time.monotonic()
-    # checked before the sweep, so a failed run leaves nothing
-    k_values, keys = _strength_keys(sorted(config.k_values), "K", config.rho.dim)
-    outputs = _outputs(config.outputs)
+    k_values = sorted(config.k_values)
+    keys = [_fmt(k) for k in k_values]
     sweep = run_sweep(
         config.rho,
         config.obs_a,
@@ -461,9 +470,9 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     )
     strong = {"cq": cq(config.rho, config.obs_a, config.obs_b),
               "mhq": mhq(config.rho, config.obs_a, config.obs_b)}
-    if "thresholds" in outputs:
+    if "thresholds" in config.outputs:
         per_cell = threshold_strength(config.rho, config.obs_a, config.obs_b)
-    out = Path(out_dir)  # made only once every result is computed, so a failed run leaves nothing
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     labels_a = config.obs_a.labels
     labels_b = config.obs_b.labels
@@ -471,7 +480,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
 
     negativity_totals: dict[str, dict[str, float]] = {}
     residuals: dict[str, dict[str, float]] = {}
-    for quantity in outputs:
+    for quantity in config.outputs:
         if quantity == "thresholds":
             continue
         if quantity in strong:  # the exact theory tables are the same at every strength
@@ -499,7 +508,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
         "normalization_residuals": residuals,
         "runtime_seconds": round(time.monotonic() - started, 3),
     }
-    if "thresholds" in outputs:
+    if "thresholds" in config.outputs:
         cells = [
             {"a": labels_a[a], "b": labels_b[b], "K_threshold": _threshold(per_cell[a, b])}
             for a in range(config.obs_a.dim)
@@ -514,23 +523,26 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
 def _read_table(path: Path) -> dict[tuple, tuple[float, float]]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ValueError(f"schema mismatch in {path}: header {header}, expected {CSV_HEADER}")
-        rows = {}
-        # the location is formatted only for the row that fails
-        for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-                )
-            key = tuple(row[:4])
-            if key in rows:
-                raise ValueError(f"{path}, line {reader.line_num}: duplicate row key {key}")
-            try:
-                rows[key] = (float(row[4]), float(row[5]))
-            except ValueError:
-                raise ValueError(f"{path}, line {reader.line_num}: value or stderr is not a number") from None
+        try:
+            header = tuple(next(reader, ()))
+            if header != CSV_HEADER:
+                raise ValueError(f"schema mismatch in {path}: header {header}, expected {CSV_HEADER}")
+            rows = {}
+            # the location is formatted only for the row that fails
+            for row in reader:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+                    )
+                key = tuple(row[:4])
+                if key in rows:
+                    raise ValueError(f"{path}, line {reader.line_num}: duplicate row key {key}")
+                try:
+                    rows[key] = (float(row[4]), float(row[5]))
+                except ValueError:
+                    raise ValueError(f"{path}, line {reader.line_num}: value or stderr is not a number") from None
+        except csv.Error as exc:  # a field past csv's size limit
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return rows
 
 
@@ -631,12 +643,10 @@ def main(argv=None) -> int:
                 message = f"{args.config} is not UTF-8 text: {exc.reason} at byte {exc.start}"
                 raise ConfigError(message) from None
             config = parse_config(text)
-            if args.seed is not None:
-                config = replace(config, seed=args.seed)
-            if args.exact:
-                config = replace(config, shots=None)
-            elif args.shots is not None:
-                config = replace(config, shots=args.shots)
+            overrides = {"seed": args.seed} if args.seed is not None else {}
+            if args.exact or args.shots is not None:
+                overrides["shots"] = args.shots
+            config = replace(config, **overrides) if overrides else config
             summary = run(config, args.out)
         except (OSError, ConfigError, ZeroCountsError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -115,6 +115,11 @@ def sample_counts(dist: JointDistribution, shots: int, seed) -> np.ndarray:
     if not isinstance(dist, JointDistribution):
         raise ValueError(f"cannot sample counts from a {type(dist).__name__}: it is not a probability table "
                          "(a JointDistribution); a quasiprobability table has no counts")
+    return _freeze(_draw(dist.values, shots, seed))
+
+
+def _draw(p: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Poisson(shots * p) per cell of the checked probability table ``p``, from ``default_rng(seed)``."""
     # bool is an int subclass, so True would otherwise draw one-shot tables
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
         raise ValueError(f"shots must be an integer, got {shots!r}")
@@ -122,7 +127,7 @@ def sample_counts(dist: JointDistribution, shots: int, seed) -> np.ndarray:
         raise ValueError(f"shots must be at least 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
-    return _freeze(np.random.default_rng(seed).poisson(shots * dist.values))
+    return np.random.default_rng(seed).poisson(shots * p)
 
 
 def apply_gate_noise(
@@ -267,11 +272,11 @@ def run_sweep(
     final-observable marginal entering the reconstruction formulas.  The
     exact tables are the three-term closed form w0^2 p + (w1^2/d) p_fin +
     cross q_MH on the noise-dephased state: p, p_fin and q_MH are computed
-    once, and one broadcast over the grid's weights gives every table.  Per
-    point, sampled mode draws fresh counts for all three settings from that
-    point's own generator, and all derived tables are computed from those
-    (estimated or exact) tables alone, exactly as they would be from
-    laboratory data, as one array over the grid.
+    once, and one broadcast over the grid's weights gives every table, checked
+    once as a stack.  Sampled mode draws each setting from its row of that
+    checked stack, as sample_counts draws, so no table is checked again.  All
+    derived tables are computed from the (estimated or exact) tables alone,
+    exactly as they would be from laboratory data, as one array over the grid.
 
     Parameters
     ----------
@@ -288,10 +293,10 @@ def run_sweep(
     noise : NoiseModel
         Gate visibility, applied once to the prepared state.
     seed : int
-        Root seed of sampled mode; every strength point receives an
-        independent spawned generator, so sweeps are reproducible
-        bit-for-bit.  Exact mode draws nothing, but in both modes a bool, a
-        non-integer or a negative seed raises ValueError.
+        Root seed of sampled mode: point i draws its K, 1 and 0 settings from
+        ``SeedSequence(seed).spawn(n)[i].spawn(3)``, so sweeps are
+        reproducible bit-for-bit.  Exact mode draws nothing, but in both modes
+        a bool, a non-integer or a negative seed raises ValueError.
 
     Returns
     -------
@@ -318,11 +323,10 @@ def run_sweep(
     if shots is None:  # exact mode draws nothing, so it never builds (or imports) numpy.random
         tables = (exact[:-2], exact[-2], exact[-1])
     else:  # every point draws its weak, K=1 and K=0 counts from its own spawned generator
-        references = [JointDistribution(table) for table in exact[-2:]]
         counts = np.empty((3, n, d, d), dtype=np.int64)
         for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
-            for t, (table, s) in enumerate(zip((JointDistribution(exact[i]), *references), child.spawn(3))):
-                counts[t, i] = sample_counts(table, shots, s)
+            for t, (row, s) in enumerate(zip((i, n, n + 1), child.spawn(3))):
+                counts[t, i] = _draw(exact[row], shots, s)  # a row of the checked stack
         totals = _totals(counts)
         if not totals.all():  # the first empty table in draw order: by point, then setting
             i, t = np.argwhere(totals.T == 0)[0]

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +21,7 @@ from weakquasi.cli import (
     MAX_DIMENSION, MAX_GRID_CELLS, MAX_RESAMPLES, QUANTITIES, ConfigError, ScenarioConfig, _parser, compare, main,
     parse_config, run,
 )
-from weakquasi.core import InternalConsistencyError, make_pure_state
+from weakquasi.core import InternalConsistencyError, ObservableSpec, make_pure_state
 from weakquasi.quasiprob import weak_mhq
 from weakquasi.sampling import MAX_SHOTS, NoiseModel
 from weakquasi.schemes import tpm_joint, weak_sequential_closed
@@ -356,9 +357,9 @@ def test_parse_names_first_repeated_strength_in_grid_order():
 
 def test_run_rejects_a_python_built_grid_with_a_repeated_key(tmp_path):
     # 0.1 and 0.1 + 1e-15 both format as "0.1": two K=0.1 blocks would make a table compare rejects
-    config = replace(parse_config('{"theta0": 10.6, "K": [0.5]}'), k_values=(0.1, 0.1 + 1e-15))
+    config = parse_config('{"theta0": 10.6, "K": [0.5]}')
     with pytest.raises(ConfigError, match=r"config field 'K': the grid gives strength K=0.1 twice"):
-        run(config, tmp_path / "out")
+        run(replace(config, k_values=(0.1, 0.1 + 1e-15)), tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -372,18 +373,18 @@ def test_run_rejects_a_python_built_grid_with_a_repeated_key(tmp_path):
     ids=["negative-zero", "out-of-range", "below-cross-weight-floor"],
 )
 def test_run_holds_a_python_built_grid_to_the_per_strength_rules(tmp_path, k_values, message):
-    # parse_config rejects each of these grids; run applies the same rules before its sweep
-    config = replace(parse_config(SHIPPED.read_text(encoding="utf-8")), k_values=k_values)
+    # parse_config rejects each of these grids; ScenarioConfig applies the same rules to any config
+    config = parse_config(SHIPPED.read_text(encoding="utf-8"))
     with pytest.raises(ConfigError, match=f"config field 'K': {message}"):
-        run(config, tmp_path / "out")
+        run(replace(config, k_values=k_values), tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_a_python_built_empty_grid(tmp_path):
-    # an empty grid would write header-only tables; run checks it before its sweep
-    config = replace(parse_config('{"theta0": 10.6, "K": [0.5]}'), k_values=())
+    # an empty grid would write header-only tables; no config holds one
+    config = parse_config('{"theta0": 10.6, "K": [0.5]}')
     with pytest.raises(ConfigError, match=r"^config field 'K': the strength grid is empty$"):
-        run(config, tmp_path / "out")
+        run(replace(config, k_values=()), tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -397,10 +398,41 @@ def test_run_rejects_a_python_built_empty_grid(tmp_path):
     ids=["unknown", "sweep-array", "repeated"],
 )
 def test_run_rejects_python_built_outputs_that_parse_config_would(tmp_path, outputs, message):
-    config = replace(parse_config(SHIPPED.read_text(encoding="utf-8")), outputs=outputs)
+    config = parse_config(SHIPPED.read_text(encoding="utf-8"))
     with pytest.raises(ConfigError, match=f"config field 'outputs': {message}"):
-        run(config, tmp_path / "out")
+        run(replace(config, outputs=outputs), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "field, changes, message",
+    [
+        ("shots", {"shots": 0}, "must be at least 1, got 0"),
+        ("shots", {"shots": True}, "expected an integer, got True"),  # bool is an int subclass
+        ("shots", {"shots": 2.5}, "expected an integer, got 2.5"),
+        ("shots", {"shots": 10**16}, f"must be at most {MAX_SHOTS}, got {10**16}"),
+        ("seed", {"seed": -1}, "must be at least 0, got -1"),
+        ("seed", {"seed": True}, "expected an integer, got True"),
+        ("seed", {"seed": 1.5}, "expected an integer, got 1.5"),
+        ("observable_b", {"obs_b": ObservableSpec(np.eye(3), range(3))}, "has dimension 3, the state has 2"),
+    ],
+    ids=["shots-zero", "shots-bool", "shots-fraction", "shots-above-max", "seed-negative", "seed-bool",
+         "seed-fraction", "qutrit-observable"],
+)
+def test_python_built_configs_follow_the_document_rules(tmp_path, field, changes, message):
+    # a Python-built config is held to a document's rules, and the error names the document field
+    config = parse_config(SHIPPED.read_text(encoding="utf-8"))
+    with pytest.raises(ConfigError, match=rf"^config field '{field}': {re.escape(message)}$"):
+        run(replace(config, **changes), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_python_built_config_keeps_normalized_values():
+    # any config that exists is valid: -0.0 reads as 0.0, integral floats and numpy ints as ints
+    config = replace(parse_config(MINIMAL), k_values=[-0.0, 0.5], shots=1e3, seed=np.int64(4), outputs=["cq"])
+    assert config.k_values == (0.0, 0.5) and math.copysign(1.0, config.k_values[0]) == 1.0
+    assert (config.shots, config.seed, config.outputs) == (1000, 4, ("cq",))
+    assert type(config.shots) is int and type(config.seed) is int
 
 
 def test_grid_cells_are_bounded_by_max_grid_cells(tmp_path):
@@ -811,6 +843,19 @@ def test_compare_rejects_malformed_rows(tmp_path, capsys, body, message):
     assert main(["compare", str(tmp_path / "bad.csv"), str(tmp_path / "good.csv"), "--tol", "1"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("line", [1, 3], ids=["header", "row"])
+def test_compare_reports_a_field_past_the_csv_size_limit(tmp_path, capsys, line):
+    # csv.reader refuses a field longer than 131,072 characters with its own csv.Error
+    long_label = "x" * 200_000
+    body = HEADER + f"0,H,D,p_weak,0.25,0\n0,{long_label},D,p_weak,0.1,0\n"
+    (tmp_path / "bad.csv").write_text(long_label + "\n" if line == 1 else body)
+    (tmp_path / "good.csv").write_text(HEADER + "0,H,D,p_weak,0.25,0\n")
+    assert main(["compare", str(tmp_path / "good.csv"), str(tmp_path / "bad.csv"), "--tol", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {tmp_path / 'bad.csv'}, line {line}: field larger than field limit")
 
 
 def test_compare_circuit_vs_closed_engines(tmp_path):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import weakquasi.sampling as sampling
 import weakquasi.schemes as schemes
@@ -479,12 +479,36 @@ def test_sweep_is_its_arrays(scenario_state, obs_z, obs_x):
 
 
 def test_run_sweep_sampled_mode_draws_three_tables_per_point(monkeypatch, scenario_state, obs_z, obs_x):
-    # the error bars are closed-form: no generator beyond the three draws, so no re-draws
+    # the error bars are closed-form: no generator beyond the three draws, so no re-draws;
+    # each draw reads a row of the checked exact stack, so no table is wrapped or checked again
     k_grid = [0.3, 0.55, 0.55, 0.9]
-    draws = _count_calls(monkeypatch, sampling, "sample_counts")
     generators = _count_calls(monkeypatch, np.random, "default_rng")
+    tables = _count_calls(monkeypatch, schemes.JointDistribution, "__post_init__")
     run_sweep(scenario_state, obs_z, obs_x, k_grid, shots=10**4, seed=9)
-    assert len(draws) == len(generators) == 3 * len(k_grid)
+    assert len(generators) == 3 * len(k_grid)
+    assert tables == []
+
+
+def test_run_sweep_draws_each_setting_as_sample_counts_does_from_its_spawned_seed(monkeypatch):
+    # the stream contract: point i draws its weak, K=1 and K=0 tables from the three children of
+    # SeedSequence(seed).spawn(n)[i], as sample_counts draws from that row of the exact stack
+    from conftest import random_instance
+
+    rho, obs_a, obs_b = random_instance(np.random.default_rng(35), 3)
+    k_grid, shots, seed = [0.0, 0.3, 0.8, 1.0], 500, 12
+    stacks, original = [], sampling._probability_stack
+
+    def recorded(values):
+        stacks.append((values, original(values)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(sampling, "_probability_stack", recorded)
+    run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed, noise=NoiseModel(0.8))
+    (_, exact), (counts, _) = stacks  # the exact stack, then the drawn counts it normalizes
+    n = len(k_grid)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
+        for t, (row, s) in enumerate(zip((i, n, n + 1), child.spawn(3))):
+            assert_array_equal(counts[t, i], sample_counts(schemes.JointDistribution(exact[row]), shots, s))
 
 
 def test_run_sweep_error_bars_of_a_certain_final_outcome_vanish():
