@@ -37,9 +37,9 @@ from .quasiprob import _negativity, cq, mhq, threshold_strength
 from .quasiprob import negativity  # noqa: F401  (perfbench/tracing.py looks it up here)
 from .sampling import (
     MAX_SHOTS,
-    NoiseModel,
     ZeroCountsError,
     _strength,
+    _visibility,
     run_sweep,
     strength_from_waveplate,
 )
@@ -95,17 +95,25 @@ class ScenarioConfig:
     obs_b: ObservableSpec
     k_values: tuple[float, ...]
     shots: int | None
-    noise: NoiseModel
+    noise: float
     seed: int
     outputs: tuple[str, ...]
 
-    def __post_init__(self):  # replace runs it too; the grid is kept with -0.0 read as 0.0, shots and seed as ints
+    def __post_init__(self):  # replace runs it too; -0.0 is kept as 0.0, shots and seed as ints, noise as a float
+        if not isinstance(self.rho, DensityOperator):
+            _fail("state", f"expected a DensityOperator, got {type(self.rho).__name__}")
         for field, obs in (("observable_a", self.obs_a), ("observable_b", self.obs_b)):
+            if not isinstance(obs, ObservableSpec):
+                _fail(field, f"expected an ObservableSpec, got {type(obs).__name__}")
             if obs.dim != self.rho.dim:
                 _fail(field, f"has dimension {obs.dim}, the state has {self.rho.dim}")
         object.__setattr__(self, "k_values", _strength_keys(self.k_values, "K", self.rho.dim))
         if self.shots is not None:  # None is exact mode
             object.__setattr__(self, "shots", _integer(self.shots, "shots", 1, MAX_SHOTS))
+        try:
+            object.__setattr__(self, "noise", _visibility(self.noise))
+        except ValueError as exc:
+            _fail("noise", str(exc))
         object.__setattr__(self, "outputs", _outputs(self.outputs))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
@@ -250,10 +258,10 @@ def _parse_observable(spec, field: str, dim: int) -> ObservableSpec:
 def _strength_keys(k_values, field: str, dim: int) -> tuple[float, ...]:
     """The grid's strengths, whose formatted K keys must be distinct: rows are keyed by K.
 
-    Each strength must lie in [0, 1] and clear the cross-weight floor of
-    ``_strength``; -0.0 reads as 0.0.  An empty grid is rejected here too: it
-    would export header-only tables.  So is a grid whose tables at dimension
-    ``dim`` would pass MAX_GRID_CELLS.
+    Each strength must be a number (not a bool) in [0, 1] that clears the
+    cross-weight floor of ``_strength``; -0.0 reads as 0.0.  An empty grid is
+    rejected here too: it would export header-only tables.  So is a grid whose
+    tables at dimension ``dim`` would pass MAX_GRID_CELLS.
     """
     if len(k_values) == 0:
         _fail(field, "the strength grid is empty")
@@ -261,7 +269,9 @@ def _strength_keys(k_values, field: str, dim: int) -> tuple[float, ...]:
     if cells > MAX_GRID_CELLS:
         _fail(field, f"{len(k_values)} strengths at dimension {dim} give {cells} cells per table, "
                      f"more than the {MAX_GRID_CELLS} allowed")
-    for k in k_values:
+    for k in k_values:  # a Python-built grid may hold any real number, numpy's included, but no bool
+        if isinstance(k, bool) or not isinstance(k, numbers.Real):
+            _fail(field, f"expected a finite number, got {k!r}")
         if not 0.0 <= k <= 1.0:
             _fail(field, f"strength {k} outside [0, 1]")
         try:
@@ -354,12 +364,6 @@ def parse_config(text: str) -> ScenarioConfig:
 
     k_values = _parse_k_grid(doc, dim)
 
-    visibility = _number(doc.get("noise", 1.0), "noise")
-    try:
-        noise = NoiseModel(visibility)
-    except ValueError as exc:
-        _fail("noise", str(exc))
-
     # the sweep's error bars are closed-form; the key stays valid for older documents
     _integer(doc.get("resamples", 1000), "resamples", 0, MAX_RESAMPLES)
 
@@ -377,7 +381,7 @@ def parse_config(text: str) -> ScenarioConfig:
         obs_b=obs_b,
         k_values=k_values,
         shots=None if shots == "exact" else shots,
-        noise=noise,
+        noise=_number(doc.get("noise", 1.0), "noise"),
         seed=doc.get("seed", 0),
         outputs=doc.get("outputs", QUANTITIES),
     )
@@ -502,7 +506,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> dict:
     summary = {
         "seed": config.seed,
         "shots": config.shots if config.shots is not None else "exact",
-        "gate_visibility": config.noise.gate_visibility,
+        "gate_visibility": config.noise,
         "k_values": keys,
         "negativity": negativity_totals,
         "normalization_residuals": residuals,

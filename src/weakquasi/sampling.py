@@ -64,7 +64,6 @@ MAX_SHOTS = 10**15  # largest shot count per setting; keeps the int64 count sums
 MIN_CROSS_WEIGHT = 1e-6  # the MHQ inversion multiplies rounding dust by 1 / cross_weight
 
 __all__ = [
-    "NoiseModel",
     "Sweep",
     "ZeroCountsError",
     "apply_gate_noise",
@@ -78,20 +77,11 @@ class ZeroCountsError(ValueError):
     """A sampled setting drew no counts at all, so it has no estimator."""
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Gate imperfection as a single visibility parameter in [0, 1].
-
-    Visibility 1 is ideal; visibility nu acts on the prepared state as
-    nu rho + (1 - nu) sum_a Pi_a rho Pi_a, dephasing it in A's eigenbasis and
-    attenuating the interference cross-term of the weak-sequential statistics.
-    """
-
-    gate_visibility: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.gate_visibility <= 1.0:
-            raise ValueError(f"gate visibility must lie in [0, 1], got {self.gate_visibility}")
+def _visibility(nu) -> float:
+    """The gate visibility nu as a float; a bool, a non-real number or a value outside [0, 1] (NaN too) fails."""
+    if isinstance(nu, bool) or not isinstance(nu, numbers.Real) or not 0.0 <= nu <= 1.0:
+        raise ValueError(f"gate visibility must lie in [0, 1], got {nu!r}")
+    return float(nu)
 
 
 def strength_from_waveplate(phi_deg: float) -> float:
@@ -115,11 +105,12 @@ def sample_counts(dist: JointDistribution, shots: int, seed) -> np.ndarray:
     if not isinstance(dist, JointDistribution):
         raise ValueError(f"cannot sample counts from a {type(dist).__name__}: it is not a probability table "
                          "(a JointDistribution); a quasiprobability table has no counts")
+    _shots(shots)
     return _freeze(_draw(dist.values, shots, seed))
 
 
-def _draw(p: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Poisson(shots * p) per cell of the checked probability table ``p``, from ``default_rng(seed)``."""
+def _shots(shots) -> None:
+    """Reject a shot count that is not an integer in [1, MAX_SHOTS]."""
     # bool is an int subclass, so True would otherwise draw one-shot tables
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
         raise ValueError(f"shots must be an integer, got {shots!r}")
@@ -127,11 +118,15 @@ def _draw(p: np.ndarray, shots: int, seed) -> np.ndarray:
         raise ValueError(f"shots must be at least 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
+
+
+def _draw(p: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Poisson(shots * p) per cell of the checked probability table ``p``, from ``default_rng(seed)``."""
     return np.random.default_rng(seed).poisson(shots * p)
 
 
 def apply_gate_noise(
-    joint_state: DensityOperator, model: NoiseModel, basis: np.ndarray | None = None
+    joint_state: DensityOperator, visibility: float, basis: np.ndarray | None = None
 ) -> DensityOperator:
     """Mix the post-coupling joint state with its dephased copy.
 
@@ -142,7 +137,7 @@ def apply_gate_noise(
     The sweep dephases the prepared state instead, as D commutes with the
     coupling; this joint-state form is the independent oracle of that model.
     """
-    nu = model.gate_visibility
+    nu = _visibility(visibility)
     if nu == 1.0:
         return joint_state
     d = math.isqrt(joint_state.dim)
@@ -262,7 +257,7 @@ def run_sweep(
     obs_b: ObservableSpec,
     k_values,
     shots: int | None = None,
-    noise: NoiseModel = NoiseModel(),
+    noise: float = 1.0,
     seed: int = 0,
 ) -> Sweep:
     """Evaluate the weak-sequential experiment over a grid of strengths.
@@ -290,8 +285,8 @@ def run_sweep(
         (infinite-statistics) mode, where all standard errors are zero.  In
         sampled mode the standard errors propagate the Poisson covariance of
         the three drawn tables to first order.
-    noise : NoiseModel
-        Gate visibility, applied once to the prepared state.
+    noise : float
+        Gate visibility nu in [0, 1]: the prepared state becomes nu rho + (1 - nu) sum_a Pi_a rho Pi_a.
     seed : int
         Root seed of sampled mode: point i draws its K, 1 and 0 settings from
         ``SeedSequence(seed).spawn(n)[i].spawn(3)``, so sweeps are
@@ -307,12 +302,15 @@ def run_sweep(
     # bool is an int subclass, so True would otherwise draw as seed 1
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if shots is not None:
+        _shots(shots)
+    nu = _visibility(noise)
     d = _check_dims(rho, obs_a, obs_b)
     strengths = tuple(_strength(float(k), d) for k in k_values)
     if not strengths:
         raise ValueError("the strength grid is empty")
-    if noise.gate_visibility != 1.0:  # dephasing in A's basis commutes with the controlled shift
-        nu, w = noise.gate_visibility, obs_a.eigenvectors
+    if nu != 1.0:  # dephasing in A's basis commutes with the controlled shift
+        w = obs_a.eigenvectors
         rho = DensityOperator(nu * rho.matrix + (1.0 - nu) * (w * _born(rho, obs_a)) @ w.conj().T)
     # the grid's settings, then the projective (K=1) and no-measurement (K=0) references
     settings = _grid([*strengths, WeakStrength(1.0, d), WeakStrength(0.0, d)], d)

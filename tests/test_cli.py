@@ -23,7 +23,7 @@ from weakquasi.cli import (
 )
 from weakquasi.core import InternalConsistencyError, ObservableSpec, make_pure_state
 from weakquasi.quasiprob import weak_mhq
-from weakquasi.sampling import MAX_SHOTS, NoiseModel
+from weakquasi.sampling import MAX_SHOTS
 from weakquasi.schemes import tpm_joint, weak_sequential_closed
 
 MINIMAL = '{"theta0": 10.6}'
@@ -50,7 +50,7 @@ def test_parse_minimal_config_defaults(cs):
     assert config.obs_a.labels == ("H", "V")
     assert config.obs_b.labels == ("D", "D⊥")
     assert config.shots is None
-    assert config.noise.gate_visibility == 1.0
+    assert config.noise == 1.0
     assert config.seed == 0
     assert config.k_values == tuple(np.linspace(0, 1, 11))
     assert "weak_cq" in config.outputs and "thresholds" in config.outputs
@@ -161,7 +161,7 @@ def test_parse_rejects_bad_outputs_and_engine():
     # the sweep has one engine, so a valid key is checked and then ignored
     for engine in ("circuit", "closed"):
         config = parse_config(json.dumps({"theta0": 10.6, "engine": engine, "noise": 0.9}))
-        assert not hasattr(config, "engine") and config.noise.gate_visibility == 0.9
+        assert not hasattr(config, "engine") and config.noise == 0.9
 
 
 def test_parse_shots_and_noise_validation():
@@ -415,9 +415,18 @@ def test_run_rejects_python_built_outputs_that_parse_config_would(tmp_path, outp
         ("seed", {"seed": True}, "expected an integer, got True"),
         ("seed", {"seed": 1.5}, "expected an integer, got 1.5"),
         ("observable_b", {"obs_b": ObservableSpec(np.eye(3), range(3))}, "has dimension 3, the state has 2"),
+        ("noise", {"noise": 1.5}, "gate visibility must lie in [0, 1], got 1.5"),
+        ("noise", {"noise": True}, "gate visibility must lie in [0, 1], got True"),
+        ("noise", {"noise": "0.9"}, "gate visibility must lie in [0, 1], got '0.9'"),
+        ("K", {"k_values": ("a",)}, "expected a finite number, got 'a'"),
+        ("K", {"k_values": (0.5, True)}, "expected a finite number, got True"),  # not K=1
+        ("K", {"k_values": (None,)}, "expected a finite number, got None"),
+        ("state", {"rho": "x"}, "expected a DensityOperator, got str"),
+        ("observable_a", {"obs_a": "Z"}, "expected an ObservableSpec, got str"),
     ],
     ids=["shots-zero", "shots-bool", "shots-fraction", "shots-above-max", "seed-negative", "seed-bool",
-         "seed-fraction", "qutrit-observable"],
+         "seed-fraction", "qutrit-observable", "noise-above-one", "noise-bool", "noise-string", "grid-string",
+         "grid-bool", "grid-none", "state-string", "observable-string"],
 )
 def test_python_built_configs_follow_the_document_rules(tmp_path, field, changes, message):
     # a Python-built config is held to a document's rules, and the error names the document field
@@ -428,11 +437,29 @@ def test_python_built_configs_follow_the_document_rules(tmp_path, field, changes
 
 
 def test_python_built_config_keeps_normalized_values():
-    # any config that exists is valid: -0.0 reads as 0.0, integral floats and numpy ints as ints
-    config = replace(parse_config(MINIMAL), k_values=[-0.0, 0.5], shots=1e3, seed=np.int64(4), outputs=["cq"])
+    # any config that exists is valid: -0.0 reads as 0.0, a numpy float32 strength as a float,
+    # integral floats and numpy ints as ints, an integer visibility as a float
+    config = replace(parse_config(MINIMAL), k_values=[-0.0, np.float32(0.5)], shots=1e3, noise=1,
+                     seed=np.int64(4), outputs=["cq"])
     assert config.k_values == (0.0, 0.5) and math.copysign(1.0, config.k_values[0]) == 1.0
-    assert (config.shots, config.seed, config.outputs) == (1000, 4, ("cq",))
-    assert type(config.shots) is int and type(config.seed) is int
+    assert [type(k) for k in config.k_values] == [float, float]
+    assert (config.shots, config.noise, config.seed, config.outputs) == (1000, 1.0, 4, ("cq",))
+    assert type(config.shots) is int and type(config.noise) is float and type(config.seed) is int
+
+
+def test_python_built_noise_runs_as_the_document_with_that_noise(tmp_path):
+    # the visibility is a plain number: replacing it gives the bytes of the document that states it
+    doc = json.loads(SHIPPED.read_text(encoding="utf-8"))
+    run(replace(parse_config(json.dumps(doc)), noise=0.9), tmp_path / "replaced")
+    run(parse_config(json.dumps({**doc, "noise": 0.9})), tmp_path / "parsed")
+    names = sorted(p.name for p in (tmp_path / "parsed").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "replaced").glob("*.csv")) and len(names) == 7
+    for name in names:
+        assert (tmp_path / "replaced" / name).read_bytes() == (tmp_path / "parsed" / name).read_bytes(), name
+    summaries = [json.loads((tmp_path / d / "summary.json").read_text()) for d in ("replaced", "parsed")]
+    for summary in summaries:
+        summary.pop("runtime_seconds")
+    assert summaries[0] == summaries[1] and summaries[0]["gate_visibility"] == 0.9
 
 
 def test_grid_cells_are_bounded_by_max_grid_cells(tmp_path):
@@ -741,7 +768,7 @@ def test_run_peak_memory_does_not_grow_with_the_row_count(tmp_path):
     peaks = []
     for num in (21, 400):
         config = ScenarioConfig(rho, obs_a, obs_b, tuple(np.linspace(0.0, 1.0, num)), None,
-                                NoiseModel(0.9), 0, ("p_weak", "cq"))
+                                0.9, 0, ("p_weak", "cq"))
         tracemalloc.start()
         try:
             run(config, tmp_path / str(num))

@@ -330,7 +330,7 @@ def test_random_helpers_produce_valid_objects():
 # ------------------------------------------------------------ public API
 
 PUBLIC_NAMES = [
-    "DensityOperator", "InternalConsistencyError", "JointDistribution", "NoiseModel", "ObservableSpec",
+    "DensityOperator", "InternalConsistencyError", "JointDistribution", "ObservableSpec",
     "Sweep", "WeakStrength", "ZeroCountsError", "apply_gate_noise", "coherence_term",
     "controlled_shift", "cq", "evolve_observable", "joint_outcome_table", "make_pure_state", "mhq",
     "mhq_from_weak", "negativity", "pauli_x", "pauli_z", "probability_table", "run_sweep",
@@ -341,11 +341,11 @@ PUBLIC_NAMES = [
 # test-only oracles (now in tests/oracles.py), thin wrappers, the count container, tolerances, the
 # circuit's pointer and shift helpers (folded into weak_joint_state and controlled_shift), a
 # Hermiticity check the package no longer ships, the threshold wrapper and its inf alias
-# (threshold_strength returns the per-cell array), and the quasiprobability table wrapper (the
-# table functions return read-only arrays)
+# (threshold_strength returns the per-cell array), the quasiprobability table wrapper (the
+# table functions return read-only arrays) and the gate-noise wrapper (the visibility is a number)
 RETIRED_NAMES = [
-    "ALGEBRA_ATOL", "CountTable", "Marginals", "NEVER_NEGATIVE", "PROBABILITY_DUST", "PointerState", "Povm",
-    "QuasiDistribution", "QubitScenario", "ThresholdReport", "VALIDATION_ATOL", "born_probability",
+    "ALGEBRA_ATOL", "CountTable", "Marginals", "NEVER_NEGATIVE", "NoiseModel", "PROBABILITY_DUST", "PointerState",
+    "Povm", "QuasiDistribution", "QubitScenario", "ThresholdReport", "VALIDATION_ATOL", "born_probability",
     "coupling_unitary", "estimate_with_errors", "evolve_projector", "is_hermitian", "marginals",
     "mhq_from_weak_tpm", "nonselective_state", "pointer_for_strength", "post_measurement_state",
     "random_density_operator", "random_observable", "run_scenario", "shift_operator", "weak_povm",

@@ -1,5 +1,6 @@
 """Tests for Poisson sampling, estimators, gate noise, and the sweep runner."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from weakquasi.quasiprob import (
     weak_mhq,
 )
 from weakquasi.sampling import (
-    NoiseModel,
     apply_gate_noise,
     run_sweep,
     sample_counts,
@@ -119,38 +119,49 @@ def test_estimate_stderr_scales_with_shots():
 
 # ------------------------------------------------------------- gate noise
 
-def test_noise_model_validation():
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        NoiseModel(1.2)
+def test_noise_model_validation(scenario_state, obs_z, obs_x):
+    # the gate visibility is a plain number, and its one rule (a real number in [0, 1], so neither
+    # NaN nor a bool) holds in the sweep, the joint-state oracle and a scenario config alike
+    from weakquasi.cli import ConfigError, ScenarioConfig
+
+    joint = weak_joint_state(scenario_state, obs_z, 0.5)
+    for nu in (1.2, -0.1, float("nan"), True):
+        message = rf"gate visibility must lie in \[0, 1\], got {re.escape(repr(nu))}$"
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run_sweep(scenario_state, obs_z, obs_x, [0.5], noise=nu)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            apply_gate_noise(joint, nu)
+        with pytest.raises(ConfigError, match=f"^config field 'noise': {message}"):
+            ScenarioConfig(scenario_state, obs_z, obs_x, (0.5,), None, nu, 0, ("cq",))
 
 
 def test_apply_gate_noise_identity(scenario_state, obs_z):
     joint = weak_joint_state(scenario_state, obs_z, 0.5)
-    out = apply_gate_noise(joint, NoiseModel(1.0))
+    out = apply_gate_noise(joint, 1.0)
     assert out is joint
 
 
 def test_apply_gate_noise_returns_valid_state(scenario_state, obs_z):
     joint = weak_joint_state(scenario_state, obs_z, 0.5)
-    noisy = apply_gate_noise(joint, NoiseModel(0.7))
+    noisy = apply_gate_noise(joint, 0.7)
     assert noisy.dim == 4  # DensityOperator construction revalidates physicality
 
 
 def test_apply_gate_noise_rejects_non_joint_dimension(scenario_state):
     with pytest.raises(ValueError, match="square"):
-        apply_gate_noise(make_pure_state([1, 0, 0]), NoiseModel(0.5))
+        apply_gate_noise(make_pure_state([1, 0, 0]), 0.5)
 
 
 def test_full_dephasing_strips_coherent_content(scenario_state, obs_z, obs_x):
     # visibility 0 removes everything the weak measurement preserves of the
     # initial coherence: the reconstruction collapses to the two-point table
-    sweep = run_sweep(scenario_state, obs_z, obs_x, [0.5], noise=NoiseModel(0.0))
+    sweep = run_sweep(scenario_state, obs_z, obs_x, [0.5], noise=0.0)
     p = tpm_joint(scenario_state, obs_z, obs_x).values
     assert np.abs(sweep.values["mhq_reconstructed"][0] - p).max() <= 1e-12
 
 
 def test_full_dephasing_keeps_projective_table(scenario_state, obs_z, obs_x):
-    sweep = run_sweep(scenario_state, obs_z, obs_x, [1.0], noise=NoiseModel(0.0))
+    sweep = run_sweep(scenario_state, obs_z, obs_x, [1.0], noise=0.0)
     p = tpm_joint(scenario_state, obs_z, obs_x).values
     assert np.abs(sweep.values["p_weak"][0] - p).max() <= 1e-12
 
@@ -161,7 +172,7 @@ def test_partial_dephasing_shifts_reconstruction_proportionally(scenario_state, 
     p = tpm_joint(scenario_state, obs_z, obs_x).values
     q_mh = mhq(scenario_state, obs_z, obs_x)
     for nu in (0.95, 0.8):
-        sweep = run_sweep(scenario_state, obs_z, obs_x, [0.5], noise=NoiseModel(nu))
+        sweep = run_sweep(scenario_state, obs_z, obs_x, [0.5], noise=nu)
         rec = sweep.values["mhq_reconstructed"][0]
         assert np.abs(rec - (nu * q_mh + (1 - nu) * p)).max() <= 1e-12
 
@@ -373,14 +384,14 @@ def test_run_sweep_error_bars_match_brute_force_resampling(dim):
 
 def _dense_circuit(rho, obs_a, obs_b, k, nu=1.0):
     """The oracle table: the d^2 x d^2 system-pointer circuit, gate noise on its joint state."""
-    joint = apply_gate_noise(weak_joint_state(rho, obs_a, k), NoiseModel(nu), basis=obs_a.eigenvectors)
+    joint = apply_gate_noise(weak_joint_state(rho, obs_a, k), nu, basis=obs_a.eigenvectors)
     return joint_outcome_table(joint, obs_b)
 
 
 def _assert_sweep_matches_dense_circuit(rho, obs_a, obs_b, k_grid, nu):
     # every quantity of the sweep against the dense circuit's three tables per
     # point fed through the public per-table functions
-    sweep = run_sweep(rho, obs_a, obs_b, k_grid, noise=NoiseModel(nu))
+    sweep = run_sweep(rho, obs_a, obs_b, k_grid, noise=nu)
     references = [_dense_circuit(rho, obs_a, obs_b, k, nu) for k in (1.0, 0.0)]
     for i, k in enumerate(k_grid):
         expected = _data_paths(k, _dense_circuit(rho, obs_a, obs_b, k, nu), *references)
@@ -418,7 +429,7 @@ def test_noisy_sweep_matches_closed_form_on_dephased_state(oracle, dim):
         else:
             tables = [_dense_circuit(rho, obs_a, obs_b, k, nu) for k in k_grid]
             p_tpm, p_fin = tables[-1], tables[0].sum(axis=0)
-        sweep = run_sweep(rho, obs_a, obs_b, k_grid, noise=NoiseModel(nu))
+        sweep = run_sweep(rho, obs_a, obs_b, k_grid, noise=nu)
         for k, p_weak, expected in zip(k_grid, sweep.values["p_weak"], tables):
             assert np.abs(p_weak - expected).max() <= 1e-12, (nu, k)
         assert np.abs(sweep.values["p_tpm"][0] - p_tpm).max() <= 1e-12
@@ -503,7 +514,7 @@ def test_run_sweep_draws_each_setting_as_sample_counts_does_from_its_spawned_see
         return stacks[-1][1]
 
     monkeypatch.setattr(sampling, "_probability_stack", recorded)
-    run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed, noise=NoiseModel(0.8))
+    run_sweep(rho, obs_a, obs_b, k_grid, shots=shots, seed=seed, noise=0.8)
     (_, exact), (counts, _) = stacks  # the exact stack, then the drawn counts it normalizes
     n = len(k_grid)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
@@ -554,7 +565,7 @@ def test_run_sweep_exact_memory_stays_within_the_grid_arrays():
     rho, obs_a, obs_b = random_instance(np.random.default_rng(33), 32)
     tracemalloc.start()
     try:
-        sweep = run_sweep(rho, obs_a, obs_b, np.linspace(0.0, 1.0, 200), noise=NoiseModel(0.9))
+        sweep = run_sweep(rho, obs_a, obs_b, np.linspace(0.0, 1.0, 200), noise=0.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -588,15 +599,29 @@ def test_run_sweep_rejects_an_empty_grid_before_evaluating(monkeypatch, scenario
     assert evaluations == []
 
 
+@pytest.mark.parametrize(
+    "shots, message",
+    [(0, "shots must be at least 1, got 0"), (True, "shots must be an integer, got True"),
+     (2.5, "shots must be an integer, got 2.5"), (10**16, f"shots must be at most {sampling.MAX_SHOTS}, got {10**16}")],
+    ids=["zero", "bool", "fraction", "above-max"],
+)
+def test_run_sweep_rejects_bad_shots_before_evaluating(monkeypatch, scenario_state, obs_z, obs_x, shots, message):
+    # a bad shot count fails at entry, before the exact stack is built, as a bad seed or grid does
+    evaluations = _count_calls(monkeypatch, sampling, "_three_term")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_sweep(scenario_state, obs_z, obs_x, [0.3, 0.7], shots=shots)
+    assert evaluations == []
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_run_sweep_rejects_a_seed_that_is_not_a_non_negative_integer(monkeypatch, scenario_state, obs_z, obs_x, seed):
     # bool is an int subclass, so True would draw as seed 1; exact mode draws nothing
     # but applies the same rule, so a bad seed fails the same way in both modes
-    draws = _count_calls(monkeypatch, sampling, "sample_counts")
+    generators = _count_calls(monkeypatch, np.random, "default_rng")
     for shots in (None, 100):
         with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
             run_sweep(scenario_state, obs_z, obs_x, [0.5], shots=shots, seed=seed)
-    assert draws == []
+    assert generators == []
     # numpy integers are integers
     sweep = run_sweep(scenario_state, obs_z, obs_x, [0.5], shots=100, seed=np.int64(3))
     assert sweep.values["p_weak"].shape == (1, 2, 2)
